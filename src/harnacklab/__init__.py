@@ -46,7 +46,7 @@ from .harnack import (
     quantity_liyau,
 )
 from .entropy import (
-    EntropyReport,
+    SnapshotReport,
     dissipation_F,
     dissipation_W,
     entropy_F,

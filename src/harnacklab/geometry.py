@@ -276,6 +276,23 @@ def _torus_spacings(m: ManifoldDescriptor) -> list[float]:
     return [s / r for s, r in zip(m.torus_side_lengths, m.torus_resolution)]
 
 
+def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """``np.roll(a, shift, axis)`` for shift = +-1, by two slice copies.
+
+    Same element values as np.roll, without its general-case overhead; the
+    torus stencils call it on every operator application and CG matvec.
+    """
+    out = np.empty_like(a)
+    lead = (slice(None),) * axis
+    if shift == 1:
+        out[lead + (slice(1, None),)] = a[lead + (slice(None, -1),)]
+        out[lead + (slice(None, 1),)] = a[lead + (slice(-1, None),)]
+    else:
+        out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
+        out[lead + (slice(-1, None),)] = a[lead + (slice(None, 1),)]
+    return out
+
+
 def torus_stiffness_apply(m: ManifoldDescriptor, values: np.ndarray) -> np.ndarray:
     """Raw periodic stencil sum, without the quadrature normalization.
 
@@ -285,7 +302,7 @@ def torus_stiffness_apply(m: ManifoldDescriptor, values: np.ndarray) -> np.ndarr
     a = values.reshape(m.torus_resolution)
     out = np.zeros_like(a)
     for ax, h in enumerate(_torus_spacings(m)):
-        out += (np.roll(a, -1, ax) - 2.0 * a + np.roll(a, 1, ax)) / (h * h)
+        out += (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
     return out.ravel()
 
 
@@ -319,17 +336,27 @@ def grad_components(field: ScalarField) -> list[np.ndarray]:
         raise BackendError("componentwise gradients are only available on the torus")
     a = _grid(field)
     return [
-        ((np.roll(a, -1, ax) - np.roll(a, 1, ax)) / (2.0 * h)).ravel()
+        ((_roll(a, -1, ax) - _roll(a, 1, ax)) / (2.0 * h)).ravel()
         for ax, h in enumerate(_torus_spacings(m))
     ]
+
+
+def components_norm_sq(components: list[np.ndarray]) -> np.ndarray:
+    """Sum of the squared components, accumulated in axis order.
+
+    Applied to :func:`grad_components` this is the torus |grad f|^2, so a
+    caller that already holds the components need not take them again.
+    """
+    out = np.zeros(components[0].shape)
+    for comp in components:
+        out += comp * comp
+    return out
 
 
 def grad_norm_sq(field: ScalarField) -> ScalarField:
     m = field.manifold
     if m.is_torus:
-        out = np.zeros(m.node_count)
-        for comp in grad_components(field):
-            out += comp * comp
+        out = components_norm_sq(grad_components(field))
     else:
         mesh = m.sphere_mesh
         fv = field.values[mesh.faces]                      # (F, 3)
@@ -357,15 +384,16 @@ def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
     shift = lam / (2.0 * t)
     out = np.zeros_like(a)
     for ax, h in enumerate(spacings):
-        diag = (np.roll(a, -1, ax) - 2.0 * a + np.roll(a, 1, ax)) / (h * h)
+        diag = (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
         out += (diag - shift) ** 2
     for ax1 in range(m.dimension):
         for ax2 in range(ax1 + 1, m.dimension):
             h1, h2 = spacings[ax1], spacings[ax2]
-            app = np.roll(np.roll(a, -1, ax1), -1, ax2)
-            apm = np.roll(np.roll(a, -1, ax1), 1, ax2)
-            amp = np.roll(np.roll(a, 1, ax1), -1, ax2)
-            amm = np.roll(np.roll(a, 1, ax1), 1, ax2)
+            ap, am = _roll(a, -1, ax1), _roll(a, 1, ax1)
+            app = _roll(ap, -1, ax2)
+            apm = _roll(ap, 1, ax2)
+            amp = _roll(am, -1, ax2)
+            amm = _roll(am, 1, ax2)
             mixed = (app - apm - amp + amm) / (4.0 * h1 * h2)
             out += 2.0 * mixed * mixed
     return ScalarField(out.ravel(), m)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .geometry import (
     ScalarField,
+    components_norm_sq,
     grad_components,
     grad_norm_sq,
     hessian_penalty,
@@ -68,24 +69,86 @@ NI_PARAMS = HarnackParams(2.0, 1.0, -1.0, 1.0, 1.0, Variant.V)
 
 def log_u(state: FlowState) -> ScalarField:
     """u = -ln f."""
-    if float(state.f.values.min()) <= 0:
+    if not float(state.f.values.min()) > 0:
         raise ValueError("log transform needs a strictly positive state")
     return ScalarField(-np.log(state.f.values), state.manifold)
 
 
+def v_from_u(u: ScalarField, t: float) -> ScalarField:
+    """v = u - (n/2) ln(4 pi t)."""
+    shift = 0.5 * u.manifold.dimension * np.log(4.0 * np.pi * t)
+    return ScalarField(u.values - shift, u.manifold)
+
+
 def log_v(state: FlowState) -> ScalarField:
     """v = -ln f - (n/2) ln(4 pi t) = u shifted by a spatial constant."""
-    u = log_u(state)
-    n = state.manifold.dimension
-    shift = 0.5 * n * np.log(4.0 * np.pi * state.time)
-    return ScalarField(u.values - shift, state.manifold)
+    return v_from_u(log_u(state), state.time)
+
+
+# The *_values functions below are the formulas themselves, applied to
+# operator fields the caller has already computed (``lap`` = Lap w,
+# ``grad_sq`` = |grad w|^2, ...).  The ScalarField functions and the
+# one-pass snapshot kernel in :mod:`harnacklab.entropy` both evaluate them,
+# so each formula has one implementation and one floating-point order.
+
+
+def quantity_H_values(lap: np.ndarray, grad_sq: np.ndarray, t: float, n: int) -> np.ndarray:
+    return 2.0 * lap - grad_sq - 2.0 * n / t
+
+
+def quantity_liyau_values(lap: np.ndarray, t: float, n: int) -> np.ndarray:
+    return 2.0 * lap - n / t
+
+
+def quantity_general_values(
+    p: HarnackParams, w: np.ndarray, lap: np.ndarray, grad_sq: np.ndarray, t: float, n: int
+) -> np.ndarray:
+    return p.alpha * lap - p.beta * grad_sq - p.b * w / t - p.c * n / t
+
+
+def evolution_rhs_values(
+    p: HarnackParams,
+    t: float,
+    n: int,
+    w: np.ndarray,
+    grad_w: list[np.ndarray],
+    grad_sq: np.ndarray,
+    hess: np.ndarray,
+    ricci: np.ndarray,
+    q: np.ndarray,
+    lap_q: np.ndarray,
+    grad_q: list[np.ndarray],
+) -> np.ndarray:
+    """The right side of :func:`evolution_rhs` from its ingredient fields:
+    the components and squared norm of grad w, the Hessian penalty at
+    ``p.lam``, the Ricci term, and Q with its Laplacian and gradient."""
+    ab = p.alpha - p.beta
+    k = 2.0 * ab * p.lam / p.alpha
+    cross = np.zeros(w.shape)
+    for cq, cw in zip(grad_q, grad_w):
+        cross += cq * cw
+    vals = (
+        lap_q
+        - 2.0 * cross
+        - 2.0 * ab * hess
+        - 2.0 * ab * ricci
+        - (k / t) * q
+        - (p.b + k * p.beta) * grad_sq / t
+        + (1.0 - k) * p.b * w / (t * t)
+        + (1.0 - k) * p.c * n / (t * t)
+        + ab * n * p.lam * p.lam / (2.0 * t * t)
+    )
+    if p.variant is Variant.V:
+        vals += p.b * n / (2.0 * t * t)
+    return vals
 
 
 def quantity_H(u: ScalarField, t: float) -> ScalarField:
     """H = 2 Lap u - |grad u|^2 - 2n/t."""
     _check_time(t)
-    n = u.manifold.dimension
-    vals = 2.0 * laplacian(u).values - grad_norm_sq(u).values - 2.0 * n / t
+    vals = quantity_H_values(
+        laplacian(u).values, grad_norm_sq(u).values, t, u.manifold.dimension
+    )
     return ScalarField(vals, u.manifold)
 
 
@@ -97,20 +160,15 @@ def quantity_P(v: ScalarField, t: float) -> ScalarField:
 def quantity_liyau(v: ScalarField, t: float) -> ScalarField:
     """The Li-Yau quantity 2 Lap v - n/t."""
     _check_time(t)
-    n = v.manifold.dimension
-    vals = 2.0 * laplacian(v).values - n / t
+    vals = quantity_liyau_values(laplacian(v).values, t, v.manifold.dimension)
     return ScalarField(vals, v.manifold)
 
 
 def quantity_general(w: ScalarField, t: float, p: HarnackParams) -> ScalarField:
     """alpha Lap w - beta |grad w|^2 - b w/t - c n/t."""
     _check_time(t)
-    n = w.manifold.dimension
-    vals = (
-        p.alpha * laplacian(w).values
-        - p.beta * grad_norm_sq(w).values
-        - p.b * w.values / t
-        - p.c * n / t
+    vals = quantity_general_values(
+        p, w.values, laplacian(w).values, grad_norm_sq(w).values, t, w.manifold.dimension
     )
     return ScalarField(vals, w.manifold)
 
@@ -134,29 +192,22 @@ def evolution_rhs(w: ScalarField, t: float, p: HarnackParams) -> ScalarField:
     _check_time(t)
     m = w.manifold
     n = m.dimension
-    ab = p.alpha - p.beta
-    k = 2.0 * ab * p.lam / p.alpha
-
-    q = quantity_general(w, t, p)
-    gq = grad_components(q)
-    gw = grad_components(w)
-    cross = np.zeros(m.node_count)
-    for cq, cw in zip(gq, gw):
-        cross += cq * cw
-
-    vals = (
-        laplacian(q).values
-        - 2.0 * cross
-        - 2.0 * ab * hessian_penalty(w, p.lam, t).values
-        - 2.0 * ab * ricci_quadratic(w).values
-        - (k / t) * q.values
-        - (p.b + k * p.beta) * grad_norm_sq(w).values / t
-        + (1.0 - k) * p.b * w.values / (t * t)
-        + (1.0 - k) * p.c * n / (t * t)
-        + ab * n * p.lam * p.lam / (2.0 * t * t)
+    grad_w = grad_components(w)
+    grad_sq = components_norm_sq(grad_w)
+    q = ScalarField(quantity_general_values(p, w.values, laplacian(w).values, grad_sq, t, n), m)
+    vals = evolution_rhs_values(
+        p,
+        t,
+        n,
+        w.values,
+        grad_w,
+        grad_sq,
+        hessian_penalty(w, p.lam, t).values,
+        ricci_quadratic(w).values,
+        q.values,
+        laplacian(q).values,
+        grad_components(q),
     )
-    if p.variant is Variant.V:
-        vals += p.b * n / (2.0 * t * t)
     return ScalarField(vals, m)
 
 

@@ -5,9 +5,11 @@ Forward flows integrate df/dt = Lap f with Crank-Nicolson.  Backward flows
 dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
 FlowState carries tau in its ``time`` field.
 
-Every stored state is strictly positive; a step that produces a nonpositive
-node fails loudly (it signals dt too large for the data's frequency
-content) instead of being masked by a positivity-preserving scheme.
+Every stored state is finite and strictly positive; a step that produces a
+nonpositive node fails loudly (it signals dt too large for the data's
+frequency content) instead of being masked by a positivity-preserving
+scheme.  Every positivity and residual test is written so that NaN or inf
+fails it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Direction(enum.Enum):
 
 
 class PositivityLossError(RuntimeError):
-    """A time step produced a nonpositive node value."""
+    """A time step produced a nonpositive (or non-finite) node value."""
 
     def __init__(self, node: int, value: float, time: float):
         self.node = node
@@ -64,11 +66,13 @@ class FlowState:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        if self.time <= 0:
-            raise ValueError(f"flow time must be positive, got {self.time}")
-        fmin = float(self.f.values.min())
-        if fmin <= 0:
-            raise ValueError(f"flow state must be strictly positive, min value {fmin:.6e}")
+        if not 0 < self.time < np.inf:
+            raise ValueError(f"flow time must be positive and finite, got {self.time}")
+        if not _finite_positive(self.f.values):
+            raise ValueError(
+                f"flow state must be finite and strictly positive, min value "
+                f"{float(self.f.values.min()):.6e}, max value {float(self.f.values.max()):.6e}"
+            )
 
     @property
     def manifold(self) -> ManifoldDescriptor:
@@ -93,6 +97,11 @@ class Trajectory:
     @property
     def direction(self) -> Direction:
         return self.states[0].direction
+
+
+def _finite_positive(values: np.ndarray) -> bool:
+    """True when every value is finite and > 0 (NaN and inf fail)."""
+    return bool(values.min() > 0) and bool(np.isfinite(values).all())
 
 
 def tau_of_t(t: float, t_ref: float) -> float:
@@ -130,7 +139,8 @@ def _cn_solve(m: ManifoldDescriptor, a: float, f_old: np.ndarray) -> np.ndarray:
         dx, _ = cg(op, resid, rtol=1e-2, atol=0.0, maxiter=m.node_count)
         x = x + dx
         resid_norm = float(np.linalg.norm(rhs - matvec(x)))
-    if resid_norm > CN_SOLVE_RTOL * rhs_norm:
+    # written so that a NaN or inf residual or right side fails
+    if not (np.isfinite(rhs_norm) and resid_norm <= CN_SOLVE_RTOL * rhs_norm):
         raise SolverError(
             f"Crank-Nicolson solve stalled at relative residual "
             f"{resid_norm / rhs_norm:.3e}"
@@ -145,8 +155,9 @@ def step(state: FlowState, dt: float) -> FlowState:
     m = state.manifold
     new_values = _cn_solve(m, dt / 2.0, state.f.values)
     new_time = state.time + dt
-    if new_values.min() <= 0:
-        node = int(np.argmin(new_values))
+    if not _finite_positive(new_values):
+        # the first non-finite node, else the smallest value
+        node = int(np.argmin(np.where(np.isfinite(new_values), new_values, -np.inf)))
         raise PositivityLossError(node, float(new_values[node]), new_time)
     return FlowState(ScalarField(new_values, m), new_time, state.direction)
 
@@ -166,8 +177,8 @@ def solve(
     """
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
-    if float(f0.values.min()) <= 0:
-        raise ValueError("initial data must be strictly positive")
+    if not _finite_positive(f0.values):
+        raise ValueError("initial data must be finite and strictly positive")
     if t_end <= t0:
         raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
     if dt <= 0:

@@ -51,9 +51,25 @@ Config grammar (YAML, nested key-value)
       b_range: [-3.0, 1.0]
       step: 0.05
 
+Every section accepts only the keys shown (per kind for manifold and
+initial_data); an unknown or misspelled key is a config error naming it, as
+is a residual_ratio_window that is not two numbers with lo < hi.
 Torus-only suites (evolution_residual, and the dissipation cross-check
 inside entropy) are rejected at parse time on sphere configs; pathwise is
 rejected on backward configs (the integrated bound is a forward statement).
+
+How the diagnostics are computed
+--------------------------------
+After the solve, one pass over the snapshots (``entropy.entropy_series``)
+computes u, v, their Laplacians, the gradient of u, |grad v|^2 and, on the
+torus, the lam = 2 Hessian penalties of u and v, each once per snapshot.
+From those it derives the Harnack sign maxima (H, Li-Yau, the P-H identity
+gap), F and W in both forms, both dissipation integrals, and, when
+evolution_residual is requested, the canonical H tuple's residual (its Q
+held in a three-snapshot window).  The values equal the per-state reference
+functions of ``harnack`` and ``entropy`` bit for bit.  The ten random
+residual tuples call ``harnack.evolution_residual`` at one index each, on
+the fine and on the once-coarsened trajectory.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -91,15 +107,17 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .entropy import entropy_series
+from .entropy import SnapshotReport, entropy_series
 from .geometry import ManifoldDescriptor, build_sphere, build_torus, integrate
-from .harnack import (
+# log_v, quantity_P, quantity_liyau and assert_nonpositive are unused here but
+# stay importable from this module: perfbench/tracing.py wraps them by name
+from .harnack import (  # noqa: F401
     CAO_HAMILTON_H_PARAMS,
     LI_YAU_PARAMS,
     NI_PARAMS,
@@ -148,6 +166,8 @@ DIAGNOSTIC_COLUMNS = (
     "W_direct", "W_via_P", "dF_fd", "dF_formula", "dW_fd", "dW_formula",
     "residual_maxnorm",
 )
+# the SnapshotReport field behind each diagnostics.csv column
+_DIAGNOSTIC_FIELDS = DIAGNOSTIC_COLUMNS[:-1] + ("residual",)
 
 
 class ConfigError(ValueError):
@@ -204,47 +224,99 @@ def discretization_tolerance(m: ManifoldDescriptor, c: float, dt: float) -> floa
 # config parsing
 
 
+# the keys each config section accepts; anything else is rejected, so a
+# misspelled optional key cannot silently fall back to its default
+_TOP_KEYS = ("manifold", "initial_data", "flow", "suites", "tolerances", "output", "paramscan")
+_MANIFOLD_KEYS = {
+    "torus": ("kind", "dimension", "side_lengths", "resolution"),
+    "sphere": ("kind", "subdivision"),
+}
+_INITIAL_DATA_KEYS = {
+    "constant": ("kind", "value"),
+    "trig_polynomial": ("kind", "floor", "modes"),
+    "random_smooth": ("kind", "seed", "mode_cutoff", "amplitude", "floor"),
+}
+_MODE_KEYS = ("index", "amplitude", "phase")
+_FLOW_KEYS = ("t0", "t_end", "dt", "direction")
+_TOLERANCE_KEYS = (
+    "tol_disc_constant", "quadrature_tol", "pair_count", "rng_seed", "residual_ratio_window",
+)
+_OUTPUT_KEYS = ("directory", "export_trajectory")
+_PARAMSCAN_KEYS = ("alpha_range", "beta_range", "b_range", "step")
+
+
+def _check_keys(mapping, allowed, context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {context}; valid keys: {', '.join(allowed)}"
+            )
+
+
 def _need(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
     if key not in mapping:
         raise ConfigError(f"missing field '{key}' in {context}")
     return mapping[key]
 
 
+def _parse_window(raw) -> tuple[float, float]:
+    context = "tolerances.residual_ratio_window"
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(f"{context} must be two numbers [lo, hi], got {raw!r}")
+    try:
+        lo, hi = float(raw[0]), float(raw[1])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} must be two numbers [lo, hi], got {raw!r}") from None
+    if not lo < hi:
+        raise ConfigError(f"{context} needs lo < hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _parse_manifold(raw: dict) -> ManifoldSpec:
     kind = _need(raw, "kind", "manifold")
+    if not isinstance(kind, str) or kind not in _MANIFOLD_KEYS:
+        raise ConfigError(f"manifold.kind must be 'torus' or 'sphere', got {kind!r}")
+    _check_keys(raw, _MANIFOLD_KEYS[kind], "manifold")
     if kind == "torus":
         n = int(_need(raw, "dimension", "manifold"))
         sides = tuple(float(x) for x in _need(raw, "side_lengths", "manifold"))
         res = tuple(int(x) for x in _need(raw, "resolution", "manifold"))
         return ManifoldSpec(kind="torus", dimension=n, side_lengths=sides, resolution=res)
-    if kind == "sphere":
-        return ManifoldSpec(kind="sphere", subdivision=int(_need(raw, "subdivision", "manifold")))
-    raise ConfigError(f"manifold.kind must be 'torus' or 'sphere', got {kind!r}")
+    return ManifoldSpec(kind="sphere", subdivision=int(_need(raw, "subdivision", "manifold")))
 
 
 def _parse_initial_data(raw: dict) -> InitialData:
     kind = _need(raw, "kind", "initial_data")
+    if not isinstance(kind, str) or kind not in _INITIAL_DATA_KEYS:
+        raise ConfigError(
+            f"initial_data.kind must be constant, trig_polynomial or random_smooth, got {kind!r}"
+        )
+    _check_keys(raw, _INITIAL_DATA_KEYS[kind], "initial_data")
     if kind == "constant":
         return ConstantData(value=float(_need(raw, "value", "initial_data")))
     if kind == "trig_polynomial":
-        modes = tuple(
-            TrigMode(
-                index=tuple(int(i) for i in _need(mode, "index", "initial_data.modes")),
-                amplitude=float(_need(mode, "amplitude", "initial_data.modes")),
-                phase=float(mode.get("phase", 0.0)),
+        modes = []
+        for mode in _need(raw, "modes", "initial_data"):
+            _check_keys(mode, _MODE_KEYS, "initial_data.modes")
+            modes.append(
+                TrigMode(
+                    index=tuple(int(i) for i in _need(mode, "index", "initial_data.modes")),
+                    amplitude=float(_need(mode, "amplitude", "initial_data.modes")),
+                    phase=float(mode.get("phase", 0.0)),
+                )
             )
-            for mode in _need(raw, "modes", "initial_data")
+        return TrigPolynomialData(
+            floor=float(_need(raw, "floor", "initial_data")), modes=tuple(modes)
         )
-        return TrigPolynomialData(floor=float(_need(raw, "floor", "initial_data")), modes=modes)
-    if kind == "random_smooth":
-        return RandomSmoothData(
-            seed=int(_need(raw, "seed", "initial_data")),
-            mode_cutoff=int(_need(raw, "mode_cutoff", "initial_data")),
-            amplitude=float(_need(raw, "amplitude", "initial_data")),
-            floor=float(_need(raw, "floor", "initial_data")),
-        )
-    raise ConfigError(
-        f"initial_data.kind must be constant, trig_polynomial or random_smooth, got {kind!r}"
+    return RandomSmoothData(
+        seed=int(_need(raw, "seed", "initial_data")),
+        mode_cutoff=int(_need(raw, "mode_cutoff", "initial_data")),
+        amplitude=float(_need(raw, "amplitude", "initial_data")),
+        floor=float(_need(raw, "floor", "initial_data")),
     )
 
 
@@ -255,11 +327,13 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping at top level")
+    _check_keys(raw, _TOP_KEYS, "config")
 
     manifold = _parse_manifold(_need(raw, "manifold", "config"))
     initial_data = _parse_initial_data(_need(raw, "initial_data", "config"))
 
     flow = _need(raw, "flow", "config")
+    _check_keys(flow, _FLOW_KEYS, "flow")
     t0 = float(_need(flow, "t0", "flow"))
     t_end = float(_need(flow, "t_end", "flow"))
     dt = float(_need(flow, "dt", "flow"))
@@ -300,13 +374,13 @@ def parse_config_text(text: str) -> RunConfig:
             )
 
     tol_raw = _need(raw, "tolerances", "config")
-    window = tol_raw.get("residual_ratio_window", (3.0, 5.0))
+    _check_keys(tol_raw, _TOLERANCE_KEYS, "tolerances")
     tolerances = Tolerances(
         tol_disc_constant=float(_need(tol_raw, "tol_disc_constant", "tolerances")),
         quadrature_tol=float(_need(tol_raw, "quadrature_tol", "tolerances")),
         pair_count=int(tol_raw.get("pair_count", 100)),
         rng_seed=int(_need(tol_raw, "rng_seed", "tolerances")),
-        residual_ratio_window=(float(window[0]), float(window[1])),
+        residual_ratio_window=_parse_window(tol_raw.get("residual_ratio_window", (3.0, 5.0))),
     )
     if tolerances.tol_disc_constant <= 0:
         raise ConfigError("tolerances.tol_disc_constant must be positive")
@@ -314,12 +388,14 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("tolerances.pair_count must be at least 1")
 
     out_raw = raw.get("output", {})
+    _check_keys(out_raw, _OUTPUT_KEYS, "output")
     output_dir = str(out_raw.get("directory", "out"))
     export_trajectory = bool(out_raw.get("export_trajectory", False))
 
+    scan_raw = raw.get("paramscan", {})
+    _check_keys(scan_raw, _PARAMSCAN_KEYS, "paramscan")
     scan = None
     if "paramscan" in suites:
-        scan_raw = raw.get("paramscan", {})
         try:
             scan = ScanSpec(
                 alpha_range=tuple(float(x) for x in scan_raw.get("alpha_range", (0.5, 4.0))),
@@ -365,6 +441,15 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+# rows per write of the column-wise CSV writers
+_CSV_CHUNK_ROWS = 1024
+
+
+def _repr_column(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every float in a column, formatted in one pass."""
+    return list(map(repr, values.tolist()))
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -447,38 +532,12 @@ def _config_echo(config: RunConfig) -> dict:
 # suites
 
 
-@dataclass
-class SnapshotDiagnostics:
-    max_H: list = field(default_factory=list)
-    argmax_H: list = field(default_factory=list)
-    max_liyau: list = field(default_factory=list)
-    p_vs_h_max: float = 0.0
-
-
-def _harnack_sign_diagnostics(traj: Trajectory) -> SnapshotDiagnostics:
-    diag = SnapshotDiagnostics()
-    for state in traj.states:
-        t = state.time
-        u = log_u(state)
-        v = log_v(state)
-        h_field = quantity_H(u, t)
-        p_field = quantity_P(v, t)
-        ly_field = quantity_liyau(v, t)
-        rep = assert_nonpositive(h_field, tol=0.0)
-        diag.max_H.append(rep.max_value)
-        diag.argmax_H.append(rep.argmax_node)
-        diag.max_liyau.append(float(ly_field.values.max()))
-        diag.p_vs_h_max = max(
-            diag.p_vs_h_max, float(np.max(np.abs(p_field.values - h_field.values)))
-        )
-    return diag
-
-
-def _suite_harnack_signs(traj: Trajectory, diag: SnapshotDiagnostics, tol_disc: float) -> dict:
-    worst_h = max(diag.max_H)
-    worst_ly = max(diag.max_liyau)
+def _suite_harnack_signs(reports: list[SnapshotReport], tol_disc: float) -> dict:
+    worst_h = max(r.max_H for r in reports)
+    worst_ly = max(r.max_liyau for r in reports)
+    p_vs_h_max = max(r.P_vs_H_gap for r in reports)
     identity_tol = 1e-9
-    passed = worst_h <= tol_disc and worst_ly <= tol_disc and diag.p_vs_h_max <= identity_tol
+    passed = worst_h <= tol_disc and worst_ly <= tol_disc and p_vs_h_max <= identity_tol
     return {
         "pass": bool(passed),
         "tol": tol_disc,
@@ -486,7 +545,7 @@ def _suite_harnack_signs(traj: Trajectory, diag: SnapshotDiagnostics, tol_disc: 
         "worst_max_P": worst_h,  # P == H pointwise; the identity gap is gated below
         "worst_max_liyau": worst_ly,
         "worst_slack": max(worst_h - tol_disc, worst_ly - tol_disc),
-        "p_vs_h_max_abs_diff": diag.p_vs_h_max,
+        "p_vs_h_max_abs_diff": p_vs_h_max,
         "p_vs_h_identity_tol": identity_tol,
     }
 
@@ -524,13 +583,12 @@ def _coarse_config_trajectory(config: RunConfig) -> Trajectory:
     return solve(m, f0, config.t0, config.t_end, 2.0 * config.dt, config.direction)
 
 
-def _suite_evolution_residual(config: RunConfig, traj: Trajectory) -> tuple[dict, list]:
-    # the canonical H tuple's residual at every interior snapshot (this is
-    # the diagnostics column); random tuples get a two-level convergence check
-    canonical = [None] * len(traj)
-    for i in range(1, len(traj) - 1):
-        canonical[i] = evolution_residual(traj, CAO_HAMILTON_H_PARAMS, i)
-
+def _suite_evolution_residual(
+    config: RunConfig, traj: Trajectory, reports: list[SnapshotReport]
+) -> dict:
+    # the canonical H tuple's residual at every interior snapshot comes from
+    # the snapshot pass (it is the diagnostics column); random tuples get a
+    # two-level convergence check
     coarse = _coarse_config_trajectory(config)
     # matching interior comparison time: an even fine index early in the run,
     # while the datum still has structure (heat flow flattens everything on
@@ -571,15 +629,19 @@ def _suite_evolution_residual(config: RunConfig, traj: Trajectory) -> tuple[dict
         "pass": bool(all_pass),
         "ratio_window": [lo, hi],
         "comparison_time": traj.states[fine_idx].time,
-        "canonical_max_residual": max(v for v in canonical if v is not None),
+        "canonical_max_residual": max(r.residual for r in reports if r.residual is not None),
         "worst_slack": worst_slack,
         "tuples": rows,
     }
-    return summary, canonical
+    return summary
 
 
 def _suite_entropy(
-    config: RunConfig, traj: Trajectory, tol_disc: float, mass: float, reports: list
+    config: RunConfig,
+    traj: Trajectory,
+    tol_disc: float,
+    mass: float,
+    reports: list[SnapshotReport],
 ) -> dict:
     m = traj.manifold
     scale = max(1.0, abs(mass))
@@ -676,24 +738,19 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
         "alpha_minus_beta", "b_plus_beta", "quarter_square_plus_b", "survivor",
     )
     with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
+        fp.write(",".join(header) + "\n")
 
         def sink(block: dict) -> None:
-            lam = block["lam"]
-            for i in range(block["alpha"].size):
-                writer.writerow(
-                    [
-                        _fmt(block["alpha"][i]),
-                        _fmt(block["beta"][i]),
-                        _fmt(block["b"][i]),
-                        "" if np.isnan(lam[i]) else _fmt(lam[i]),
-                        _fmt(block["alpha_minus_beta"][i]),
-                        _fmt(block["b_plus_beta"][i]),
-                        _fmt(block["quarter_square_plus_b"][i]),
-                        _fmt(bool(block["survivor"][i])),
-                    ]
-                )
+            # column-wise formatting, the same strings _fmt gives; rows are
+            # joined in bounded chunks so the text of a whole block is never
+            # held at once
+            for lo in range(0, block["alpha"].size, _CSV_CHUNK_ROWS):
+                part = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in block.items()}
+                columns = [_repr_column(part[name]) for name in header[:3]]
+                columns.append(["" if x != x else repr(x) for x in part["lam"].tolist()])
+                columns += [_repr_column(part[name]) for name in header[4:7]]
+                columns.append(["1" if x else "0" for x in part["survivor"].tolist()])
+                fp.write("".join(",".join(row) + "\n" for row in zip(*columns)))
 
         result = case_one_uniqueness_scan(config.scan, on_block=sink)
 
@@ -759,19 +816,19 @@ def run_config(config: RunConfig) -> RunOutcome:
     masses = np.array([integrate(s.f) for s in traj.states])
     mass_drift = float(np.max(np.abs(masses - mass0)) / max(1e-300, abs(mass0)))
 
-    diag = _harnack_sign_diagnostics(traj)
+    # one pass over the snapshots yields every per-snapshot diagnostic
+    reports = entropy_series(
+        traj,
+        with_dissipation=m.is_torus,
+        with_residual="evolution_residual" in config.suites,
+    )
     suites: dict[str, dict] = {}
     if "harnack_signs" in config.suites:
-        suites["harnack_signs"] = _suite_harnack_signs(traj, diag, tol_disc)
-
-    entropy_reports = entropy_series(traj, with_dissipation=m.is_torus)
+        suites["harnack_signs"] = _suite_harnack_signs(reports, tol_disc)
     if "entropy" in config.suites:
-        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, entropy_reports)
-
-    residual_column = [None] * len(traj)
+        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, reports)
     if "evolution_residual" in config.suites:
-        res_summary, residual_column = _suite_evolution_residual(config, traj)
-        suites["evolution_residual"] = res_summary
+        suites["evolution_residual"] = _suite_evolution_residual(config, traj, reports)
 
     pair_reports = None
     if "pathwise" in config.suites:
@@ -782,26 +839,11 @@ def run_config(config: RunConfig) -> RunOutcome:
         suites["paramscan"] = _suite_paramscan(config, out_dir)
 
     # ---- reports
-    rows = []
-    for i, (state, rep) in enumerate(zip(traj.states, entropy_reports)):
-        rows.append(
-            (
-                state.time,
-                diag.max_H[i],
-                diag.argmax_H[i],
-                diag.max_liyau[i],
-                rep.F_direct,
-                rep.F_via_H,
-                rep.W_direct,
-                rep.W_via_P,
-                rep.dF_fd,
-                rep.dF_formula,
-                rep.dW_fd,
-                rep.dW_formula,
-                residual_column[i],
-            )
-        )
-    _write_csv(out_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, rows)
+    _write_csv(
+        out_dir / "diagnostics.csv",
+        DIAGNOSTIC_COLUMNS,
+        [tuple(getattr(r, name) for name in _DIAGNOSTIC_FIELDS) for r in reports],
+    )
 
     if pair_reports is not None:
         _write_csv(
@@ -856,9 +898,8 @@ def _export_trajectory(path: Path, config: RunConfig, traj: Trajectory) -> None:
         fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
         fp.write(f"# dt={_fmt(traj.step_size)}\n")
         fp.write(f"# direction={config.direction.value}\n")
-        writer = csv.writer(fp, lineterminator="\n")
         for state in traj.states:
-            writer.writerow([_fmt(state.time)] + [_fmt(v) for v in state.f.values])
+            fp.write(",".join([_fmt(state.time)] + _repr_column(state.f.values)) + "\n")
 
 
 @dataclass(frozen=True)

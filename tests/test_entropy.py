@@ -117,6 +117,44 @@ def test_entropy_series_sphere_has_no_dissipation_columns():
     assert all(r.dF_formula is None and r.dW_formula is None for r in reports)
     with pytest.raises(ValueError):
         hl.entropy_series(traj, with_dissipation=True)
+    with pytest.raises(ValueError):
+        hl.entropy_series(traj, with_dissipation=False, with_residual=True)
+
+
+@pytest.mark.parametrize(
+    "m", [hl.build_torus(2, [1.0, 1.0], [16, 16]), hl.build_sphere(2)], ids=["T2_16", "S2_sub2"]
+)
+def test_entropy_series_equals_reference_functions(m):
+    # the one-pass kernel must reproduce the per-state reference functions
+    # bit for bit: exact ==, so reordering the floating-point operations of
+    # either side fails here
+    data = hl.RandomSmoothData(seed=9, mode_cutoff=3, amplitude=0.5, floor=1.0)
+    traj = hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.2, 0.01)
+    torus = m.is_torus
+    reports = hl.entropy_series(traj, with_dissipation=torus, with_residual=torus)
+    assert len(reports) == len(traj)
+    for i, (state, rep) in enumerate(zip(traj.states, reports)):
+        t = state.time
+        u, v = hl.log_u(state), hl.log_v(state)
+        h = hl.quantity_H(u, t)
+        sign = hl.assert_nonpositive(h, tol=0.0)
+        assert rep.time == t
+        assert (rep.max_H, rep.argmax_H) == (sign.max_value, sign.argmax_node)
+        assert rep.max_liyau == float(hl.quantity_liyau(v, t).values.max())
+        assert rep.P_vs_H_gap == float(np.max(np.abs(hl.quantity_P(v, t).values - h.values)))
+        assert (rep.F_direct, rep.F_via_H) == hl.entropy_F(state)
+        assert (rep.W_direct, rep.W_via_P) == hl.entropy_W(state)
+        if torus:
+            assert rep.dF_formula == hl.dissipation_F(state)
+            assert rep.dW_formula == hl.dissipation_W(state)
+            interior = 0 < i < len(traj) - 1
+            expected = (
+                hl.evolution_residual(traj, hl.CAO_HAMILTON_H_PARAMS, i) if interior else None
+            )
+            assert rep.residual == expected
+        else:
+            assert rep.dF_formula is None and rep.dW_formula is None
+            assert rep.residual is None
 
 
 def single_mode_state(res, t0=0.1):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab.geometry import BackendError, RicciKind
+from harnacklab.geometry import (
+    BackendError,
+    RicciKind,
+    components_norm_sq,
+    grad_components,
+    torus_stiffness_apply,
+)
 
 
 def torus_field(m, func):
@@ -180,6 +186,45 @@ def test_hessian_penalty_single_mode_symbolic():
         errs.append(np.max(np.abs(pen.values - exact)) / np.max(np.abs(exact)))
     assert errs[0] < 0.06
     assert 3.3 < errs[0] / errs[1] < 4.7
+
+
+def _roll_reference_operators(m, values, lam, t):
+    # the torus stencils written with np.roll, in the library's operation order
+    a = values.reshape(m.torus_resolution)
+    hs = [s / r for s, r in zip(m.torus_side_lengths, m.torus_resolution)]
+    stiff = np.zeros_like(a)
+    hess = np.zeros_like(a)
+    for ax, h in enumerate(hs):
+        diag = (np.roll(a, -1, ax) - 2.0 * a + np.roll(a, 1, ax)) / (h * h)
+        stiff += diag
+        hess += (diag - lam / (2.0 * t)) ** 2
+    for ax1 in range(m.dimension):
+        for ax2 in range(ax1 + 1, m.dimension):
+            app = np.roll(np.roll(a, -1, ax1), -1, ax2)
+            apm = np.roll(np.roll(a, -1, ax1), 1, ax2)
+            amp = np.roll(np.roll(a, 1, ax1), -1, ax2)
+            amm = np.roll(np.roll(a, 1, ax1), 1, ax2)
+            mixed = (app - apm - amp + amm) / (4.0 * hs[ax1] * hs[ax2])
+            hess += 2.0 * mixed * mixed
+    grads = [
+        ((np.roll(a, -1, ax) - np.roll(a, 1, ax)) / (2.0 * h)).ravel() for ax, h in enumerate(hs)
+    ]
+    return stiff.ravel(), grads, hess.ravel()
+
+
+@pytest.mark.parametrize(
+    "args", [(1, [1.0], [16]), (2, [1.0, 2.0], [16, 8]), (3, [1.0, 1.0, 0.5], [8, 10, 12])]
+)
+def test_torus_stencils_match_np_roll_exactly(args):
+    m = hl.build_torus(*args)
+    values = np.random.default_rng(4).uniform(0.5, 2.0, m.node_count)
+    field = hl.ScalarField(values, m)
+    stiff, grads, hess = _roll_reference_operators(m, values, 1.3, 0.7)
+    assert np.array_equal(torus_stiffness_apply(m, values), stiff)
+    comps = grad_components(field)
+    assert all(np.array_equal(c, g) for c, g in zip(comps, grads))
+    assert np.array_equal(hl.grad_norm_sq(field).values, components_norm_sq(grads))
+    assert np.array_equal(hl.hessian_penalty(field, 1.3, 0.7).values, hess)
 
 
 def test_hessian_penalty_sphere_unsupported():

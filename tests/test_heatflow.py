@@ -61,6 +61,35 @@ def test_positivity_loss_raises():
     assert 0 <= err.value.node < m.node_count
 
 
+def test_overflowing_step_raises():
+    # a 1e308 node overflows the stencil, so the solve goes NaN; that must
+    # fail the residual check instead of returning a NaN state
+    m = unit_circle(16)
+    values = np.ones(16)
+    values[3] = 1e308
+    state = hl.FlowState(hl.ScalarField(values, m), 1.0)
+    with np.errstate(all="ignore"), pytest.raises(hl.SolverError):
+        hl.step(state, 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_rejects_nonfinite_solve(monkeypatch, bad):
+    from harnacklab import heatflow
+
+    m = unit_circle(16)
+
+    def broken_solve(m, a, f_old):
+        out = f_old.copy()
+        out[5] = bad
+        return out
+
+    monkeypatch.setattr(heatflow, "_cn_solve", broken_solve)
+    state = hl.FlowState(hl.constant_field(m, 1.0), 1.0)
+    with pytest.raises(hl.PositivityLossError) as err:
+        hl.step(state, 0.01)
+    assert err.value.node == 5
+
+
 def test_step_rejects_nonpositive_dt():
     m = unit_circle(16)
     state = hl.FlowState(hl.constant_field(m, 1.0), 1.0)
@@ -135,6 +164,11 @@ def test_solve_validates_inputs():
     good = hl.constant_field(m, 1.0)
     with pytest.raises(ValueError):
         hl.solve(m, hl.ScalarField(np.zeros(16), m), 0.1, 0.2, 0.01)  # nonpositive data
+    for bad in (np.nan, np.inf):
+        values = np.ones(16)
+        values[2] = bad
+        with pytest.raises(ValueError):
+            hl.solve(m, hl.ScalarField(values, m), 0.1, 0.2, 0.01)  # non-finite data
     with pytest.raises(ValueError):
         hl.solve(m, good, 0.2, 0.1, 0.01)  # t_end <= t0
     with pytest.raises(ValueError):
@@ -150,6 +184,13 @@ def test_flow_state_invariants():
         hl.FlowState(hl.constant_field(m, 1.0), time=0.0)
     with pytest.raises(ValueError):
         hl.FlowState(hl.constant_field(m, -1.0), time=1.0)
+    with pytest.raises(ValueError):
+        hl.FlowState(hl.constant_field(m, 1.0), time=np.nan)
+    for bad in (np.nan, np.inf):
+        values = np.ones(16)
+        values[7] = bad
+        with pytest.raises(ValueError):
+            hl.FlowState(hl.ScalarField(values, m), time=1.0)
 
 
 def test_tau_of_t():

@@ -1,6 +1,8 @@
 """Config parsing, the run/calibrate/scan drivers, and report files."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from harnacklab.runner import (
     parse_config_text,
     run_config,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 CONSTANT_CONFIG = """
 manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}
@@ -64,12 +68,52 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("direction: forward", "direction: sideways"), "direction"),
         (lambda s: s.replace("harnack_signs", "mystery_suite"), "suite"),
         (lambda s: s.replace("tol_disc_constant: 10.0", "tol_disc_constant: -1.0"), "positive"),
+        # misspelled or foreign keys are rejected by name in every section
+        (lambda s: s.replace("pair_count: 20", "pair_cont: 20"), "'pair_cont'"),
+        (lambda s: s.replace("dimension: 2", "dimension: 2, subdivision: 3"), "'subdivision'"),
+        (lambda s: s.replace("value: 1.0}", "value: 1.0, seed: 3}"), "'seed'"),
+        (lambda s: s.replace("direction: forward}", "direction: forward, dtau: 1}"), "'dtau'"),
+        (lambda s: s.replace("output: {", "output: {export: true, "), "'export'"),
+        (lambda s: s + "paramscan: {stepsize: 0.1}\n", "'stepsize'"),
+        (lambda s: s + "tolerance: {}\n", "'tolerance'"),
+        (lambda s: s.replace("flow: {t0: 1.0, t_end: 1.5, dt: 0.01, direction: forward}",
+                             "flow: 3"), "mapping"),
+        # the residual window is two numbers with lo < hi
+        (lambda s: s.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [5, 3]"),
+         "lo < hi"),
+        (lambda s: s.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [3]"),
+         "residual_ratio_window"),
+        (lambda s: s.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [a, 5]"),
+         "residual_ratio_window"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config_text(mangle(CONSTANT_CONFIG))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    runner.parse_config(path)
+
+
+def test_parse_rejects_unknown_mode_key():
+    text = """
+manifold: {kind: torus, dimension: 1, side_lengths: [1.0], resolution: [64]}
+initial_data: {kind: trig_polynomial, floor: 0.8, modes: [{index: [1], amplitude: 0.4, phaze: 1}]}
+flow: {t0: 0.1, t_end: 0.3, dt: 2.0e-3}
+suites: [harnack_signs]
+tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert "phaze" in str(err.value)
+
+
+def test_parse_accepts_residual_window(tmp_path):
+    text = CONSTANT_CONFIG.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [2, 6]")
+    assert parse_config_text(text).tolerances.residual_ratio_window == (2.0, 6.0)
 
 
 def test_parse_rejects_bad_yaml():
@@ -218,7 +262,8 @@ def test_backward_run_reports_implied_derivatives(tmp_path):
 
 
 def test_trajectory_export(tmp_path):
-    config = constant_config(tmp_path, export_trajectory=True)
+    data = hl.RandomSmoothData(seed=3, mode_cutoff=2, amplitude=0.4, floor=1.0)
+    config = constant_config(tmp_path, export_trajectory=True, initial_data=data)
     run_config(config)
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("# manifold_hash=")
@@ -228,6 +273,11 @@ def test_trajectory_export(tmp_path):
     row = lines[3].split(",")
     assert len(row) == 1 + 16 * 16
     assert float(row[0]) == pytest.approx(1.0)
+    # every row is exactly the _fmt text of time and node values
+    m = config.manifold.build()
+    traj = hl.solve(m, hl.build_initial_field(data, m), config.t0, config.t_end, config.dt)
+    for line, state in zip(lines[3:], traj.states):
+        assert line == ",".join(runner._fmt(x) for x in [state.time, *state.f.values])
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +358,37 @@ paramscan: {alpha_range: [1.5, 2.5], beta_range: [0.5, 1.5], b_range: [-1.5, -0.
     lines = (tmp_path / "scan" / "paramscan.csv").read_text().splitlines()
     assert lines[0] == "alpha,beta,b,lam,alpha_minus_beta,b_plus_beta,quarter_square_plus_b,survivor"
     assert len(lines) == 1 + 21 * 21 * 21
+
+
+def test_paramscan_csv_matches_rowwise_reference(tmp_path):
+    # the column-wise writer must give exactly the bytes of csv.writer with
+    # _fmt per value; 2091-row blocks cross the chunk boundary, and alpha = beta
+    # points carry an empty (NaN) lam
+    spec = hl.ScanSpec(
+        alpha_range=(1.5, 2.5), beta_range=(-2.0, 3.0), b_range=(-3.0, 1.0), step=0.1
+    )
+    config = constant_config(tmp_path, suites=("paramscan",), scan=spec)
+    runner.run_scan(config)
+    header = (
+        "alpha", "beta", "b", "lam",
+        "alpha_minus_beta", "b_plus_beta", "quarter_square_plus_b", "survivor",
+    )
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(header)
+
+        def sink(block):
+            for i in range(block["alpha"].size):
+                lam = block["lam"][i]
+                row = [runner._fmt(block[name][i]) for name in header[:7]]
+                row[3] = "" if np.isnan(lam) else runner._fmt(lam)
+                writer.writerow(row + [runner._fmt(bool(block["survivor"][i]))])
+
+        hl.case_one_uniqueness_scan(spec, on_block=sink)
+    written = (tmp_path / "out" / "paramscan.csv").read_bytes()
+    assert written == ref.read_bytes()
+    assert b",," in written
 
 
 def test_main_calibrate(tmp_path, capsys):
