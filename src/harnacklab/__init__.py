@@ -4,9 +4,9 @@ with nonnegative Ricci curvature."""
 
 from .geometry import (
     BackendError,
+    FlatTorus,
     ManifoldDescriptor,
-    ManifoldKind,
-    RicciKind,
+    RoundSphere,
     ScalarField,
     build_sphere,
     build_torus,

@@ -13,10 +13,11 @@ identity test) and its own dissipation integral.  Weights are taken as f
 directly, which avoids catastrophic cancellation at small t.
 
 :func:`entropy_series` walks a trajectory once.  Per snapshot it computes
-u, v, their Laplacians, the gradient of u, |grad v|^2 and (on the torus)
-the lam = 2 Hessian penalty of u and of v, each exactly once, and derives
-from them the Harnack sign maxima, both entropies, both dissipation
-integrals and, on request, the canonical H tuple's evolution residual.
+u, v, their Laplacians, the gradient of u, |grad v|^2 and (on a backend
+with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
+exactly once, and derives from them the Harnack sign maxima, both entropies,
+both dissipation integrals and, on request, the canonical H tuple's
+evolution residual.
 """
 
 from __future__ import annotations
@@ -160,9 +161,7 @@ def dissipation_W(state: FlowState) -> float:
     return _dissipation(state, log_v(state))
 
 
-def entropy_series(
-    traj: Trajectory, with_dissipation: bool | None = None, with_residual: bool = False
-) -> list[SnapshotReport]:
+def entropy_series(traj: Trajectory, with_residual: bool = False) -> list[SnapshotReport]:
     """One SnapshotReport per snapshot, from a single pass over the trajectory.
 
     Every report value equals, bit for bit, what the reference functions
@@ -171,19 +170,15 @@ def entropy_series(
 
     Derivatives are centered at interior snapshots; the one-sided end values
     are flagged with ``fd_centered=False`` and are meant to be excluded from
-    pass/fail gates.  ``with_dissipation`` defaults to the backend's ability
-    (torus yes, sphere no).  ``with_residual`` adds the canonical H tuple's
-    evolution residual (torus only); its Q is held in a rolling window of
-    three snapshots, so extra memory stays O(nodes).
+    pass/fail gates.  The dissipation integrals are computed exactly when
+    the backend has a Hessian (the torus).  ``with_residual`` adds the
+    canonical H tuple's evolution residual (torus only); its Q is held in a
+    rolling window of three snapshots, so extra memory stays O(nodes).
     """
     if len(traj) < 3:
         raise ValueError(f"entropy series needs at least 3 states, got {len(traj)}")
     m = traj.manifold
-    if with_dissipation is None:
-        with_dissipation = m.is_torus
-    if with_dissipation and not m.is_torus:
-        raise ValueError("dissipation integrals are only available on the torus")
-    if with_residual and not m.is_torus:
+    if with_residual and not m.has_hessian:
         raise ValueError("the evolution residual is only available on the torus")
 
     n = m.dimension
@@ -199,7 +194,7 @@ def entropy_series(
         v = v_from_u(u, t)
         lap_u = laplacian(u).values
         lap_v = laplacian(v).values
-        if m.is_torus:
+        if m.has_hessian:
             grad_u = grad_components(u)
             grad_sq_u = components_norm_sq(grad_u)
         else:
@@ -223,10 +218,9 @@ def entropy_series(
         row["F_direct"], row["F_via_H"] = _entropy_pair(m, t, f, grad_sq_u, h_vals)
         row["W_direct"], row["W_via_P"] = _entropy_pair(m, t, f, grad_sq_v, p_vals)
 
-        if with_dissipation or with_residual:
+        if m.has_hessian:
             hess_u = hessian_penalty(u, DISSIPATION_LAMBDA, t).values
             ricci_u = ricci_quadratic(u).values
-        if with_dissipation:
             row["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
             row["dW_formula"] = _dissipation_value(
                 m,

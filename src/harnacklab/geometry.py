@@ -1,9 +1,17 @@
 """Discrete closed manifolds and their differential-geometric primitives.
 
-Two manifold families are supported: flat tori T^n (n = 1, 2, 3) as periodic
-uniform grids, and the round unit sphere S^2 as an icosphere mesh.  They are
-the canonical closed examples with Ric = 0 and Ric > 0, and both have
-closed-form geodesic distances.
+Each manifold family is one backend class that owns its operators.
+:class:`FlatTorus` is a flat torus T^n (n = 1, 2, 3) on a periodic uniform
+grid; :class:`RoundSphere` is the round unit sphere S^2 as an icosphere
+mesh.  They are the canonical closed examples with Ric = 0 and Ric > 0, and
+both have closed-form geodesic distances.  Both derive from
+:class:`ManifoldDescriptor`, which holds what every backend has (dimension,
+nodes, quadrature weights, positions, mesh scale) and declares the
+operators on flat value arrays: ``stiffness``, ``laplacian``,
+``grad_norm_sq``, ``ricci_quadratic`` and ``geodesic_distance``.  Only the
+torus supplies ``grad_components`` and ``hessian_penalty``; the base class
+raises :class:`BackendError` for them.  The module-level functions of the
+same names apply the operators to a :class:`ScalarField`.
 
 Operator conventions
 --------------------
@@ -12,25 +20,16 @@ Laplacian of cos is negative.  On the torus all operators are 2nd-order
 central-difference stencils with periodic wrap; on the sphere the Laplacian
 is the cotangent-weight operator divided by lumped (barycentric) vertex
 areas, and squared gradients come from per-triangle linear-element gradients
-area-averaged to vertices.
+area-averaged to vertices.  ``stiffness`` is the symmetric weighted form W
+with Lap = W / quadrature weight, which the Crank-Nicolson solve uses.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-
-
-class ManifoldKind(enum.Enum):
-    FLAT_TORUS = "flat_torus"
-    ROUND_SPHERE = "round_sphere"
-
-
-class RicciKind(enum.Enum):
-    ZERO = "zero"
-    UNIT_SPHERE_METRIC = "unit_sphere_metric"
 
 
 class BackendError(ValueError):
@@ -38,47 +37,49 @@ class BackendError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class SphereMesh:
-    """Icosphere connectivity and the precomputed arrays the operators need."""
-
-    faces: np.ndarray          # (F, 3) vertex indices
-    face_areas: np.ndarray     # (F,)
-    grad_vectors: np.ndarray   # (F, 3, 3): per face, per corner, gradient of the hat function
-    edge_i: np.ndarray         # (E,) endpoints with edge_i < edge_j
-    edge_j: np.ndarray
-    edge_weights: np.ndarray   # (E,) cotangent weights (w_ij = (cot a + cot b)/2)
-
-
-@dataclass(frozen=True, eq=False)
 class ManifoldDescriptor:
-    """A discretized closed manifold with quadrature and Ricci data.
+    """A discretized closed manifold with quadrature data and its operators.
 
     ``quadrature_weights`` sum to the total volume: the product of the side
     lengths on a torus, the total triangle area (which converges to 4*pi) on
     the sphere.  ``mesh_scale`` is the h that enters discretization
     tolerances: the largest grid spacing on a torus, the largest edge length
-    on a sphere.
+    on a sphere.  ``has_hessian`` tells whether the backend supplies
+    ``grad_components`` and ``hessian_penalty``.
     """
 
-    kind: ManifoldKind
+    has_hessian: ClassVar[bool] = False
+
     dimension: int
     node_count: int
     quadrature_weights: np.ndarray
-    ricci_form_kind: RicciKind
     positions: np.ndarray
     mesh_scale: float
-    torus_side_lengths: tuple[float, ...] | None = None
-    torus_resolution: tuple[int, ...] | None = None
-    sphere_subdivision: int | None = None
-    sphere_mesh: SphereMesh | None = field(default=None, repr=False)
 
     @property
     def total_volume(self) -> float:
         return float(np.sum(self.quadrature_weights))
 
-    @property
-    def is_torus(self) -> bool:
-        return self.kind is ManifoldKind.FLAT_TORUS
+    def stiffness(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def geodesic_distance(self, x1: int, x2: int) -> float:
+        raise NotImplementedError
+
+    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
+        raise BackendError("componentwise gradients are only available on the torus")
+
+    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
+        raise BackendError("hessian_penalty is only available on the torus")
 
 
 @dataclass(eq=False)
@@ -105,10 +106,111 @@ def constant_field(m: ManifoldDescriptor, value: float) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# builders
+# flat torus
 
 
-def build_torus(n: int, side_lengths, resolution) -> ManifoldDescriptor:
+def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
+    """``np.roll(a, shift, axis)`` for shift = +-1, by two slice copies.
+
+    Same element values as np.roll, without its general-case overhead; the
+    torus stencils call it on every operator application and CG matvec.
+    """
+    out = np.empty_like(a)
+    lead = (slice(None),) * axis
+    if shift == 1:
+        out[lead + (slice(1, None),)] = a[lead + (slice(None, -1),)]
+        out[lead + (slice(None, 1),)] = a[lead + (slice(-1, None),)]
+    else:
+        out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
+        out[lead + (slice(-1, None),)] = a[lead + (slice(None, 1),)]
+    return out
+
+
+def components_norm_sq(components: list[np.ndarray]) -> np.ndarray:
+    """Sum of the squared components, accumulated in axis order.
+
+    Applied to :func:`grad_components` this is the torus |grad f|^2, so a
+    caller that already holds the components need not take them again.
+    """
+    out = np.zeros(components[0].shape)
+    for comp in components:
+        out += comp * comp
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class FlatTorus(ManifoldDescriptor):
+    """Periodic uniform grid on a flat torus, Ric = 0.  Built by :func:`build_torus`."""
+
+    has_hessian: ClassVar[bool] = True
+
+    side_lengths: tuple[float, ...]
+    resolution: tuple[int, ...]
+    spacings: tuple[float, ...]
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Periodic stencil sum.
+
+        Exact on constants: each axis contributes (f+ - f) + (f- - f) which
+        vanishes identically in floating point.
+        """
+        a = values.reshape(self.resolution)
+        out = np.zeros_like(a)
+        for ax, h in enumerate(self.spacings):
+            out += (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
+        return out.ravel()
+
+    def stiffness(self, values: np.ndarray) -> np.ndarray:
+        return self.quadrature_weights * self.laplacian(values)
+
+    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
+        """Central-difference gradient components, one flat array per axis."""
+        a = values.reshape(self.resolution)
+        return [
+            ((_roll(a, -1, ax) - _roll(a, 1, ax)) / (2.0 * h)).ravel()
+            for ax, h in enumerate(self.spacings)
+        ]
+
+    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
+        return components_norm_sq(self.grad_components(values))
+
+    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
+        """Pointwise squared Frobenius norm of (discrete Hessian - lam/(2t) * identity)."""
+        if t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        a = values.reshape(self.resolution)
+        spacings = self.spacings
+        shift = lam / (2.0 * t)
+        out = np.zeros_like(a)
+        for ax, h in enumerate(spacings):
+            diag = (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
+            out += (diag - shift) ** 2
+        for ax1 in range(self.dimension):
+            for ax2 in range(ax1 + 1, self.dimension):
+                h1, h2 = spacings[ax1], spacings[ax2]
+                ap, am = _roll(a, -1, ax1), _roll(a, 1, ax1)
+                app = _roll(ap, -1, ax2)
+                apm = _roll(ap, 1, ax2)
+                amp = _roll(am, -1, ax2)
+                amm = _roll(am, 1, ax2)
+                mixed = (app - apm - amp + amm) / (4.0 * h1 * h2)
+                out += 2.0 * mixed * mixed
+        return out.ravel()
+
+    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
+        return np.zeros(self.node_count)
+
+    def minimum_image(self, delta: np.ndarray) -> np.ndarray:
+        """|delta| per coordinate, reduced to the nearest periodic image."""
+        delta = np.abs(delta)
+        return np.minimum(delta, np.asarray(self.side_lengths) - delta)
+
+    def geodesic_distance(self, x1: int, x2: int) -> float:
+        """Minimum over coordinate wraps of the Euclidean distance."""
+        return float(np.linalg.norm(self.minimum_image(self.positions[x1] - self.positions[x2])))
+
+
+def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
     """Periodic uniform grid on a flat torus with Ric = 0.
 
     Each resolution must be even (so central differences commute with the
@@ -125,23 +227,71 @@ def build_torus(n: int, side_lengths, resolution) -> ManifoldDescriptor:
     if any(r < 8 or r % 2 != 0 for r in res):
         raise ValueError(f"resolutions must be even and >= 8, got {res}")
 
-    spacings = [s / r for s, r in zip(sides, res)]
+    spacings = tuple(s / r for s, r in zip(sides, res))
     node_count = int(np.prod(res))
     axes = [np.arange(r) * h for r, h in zip(res, spacings)]
     grids = np.meshgrid(*axes, indexing="ij")
     positions = np.stack([g.ravel() for g in grids], axis=1)
     cell_volume = float(np.prod(spacings))
-    return ManifoldDescriptor(
-        kind=ManifoldKind.FLAT_TORUS,
+    return FlatTorus(
         dimension=n,
         node_count=node_count,
         quadrature_weights=np.full(node_count, cell_volume),
-        ricci_form_kind=RicciKind.ZERO,
         positions=positions,
         mesh_scale=float(max(spacings)),
-        torus_side_lengths=sides,
-        torus_resolution=res,
+        side_lengths=sides,
+        resolution=res,
+        spacings=spacings,
     )
+
+
+# ---------------------------------------------------------------------------
+# round sphere
+
+
+@dataclass(frozen=True, eq=False)
+class RoundSphere(ManifoldDescriptor):
+    """Icosphere mesh of the round unit sphere, Ric(X,X) = |X|^2.  Built by
+    :func:`build_sphere`, with the connectivity arrays the operators need."""
+
+    faces: np.ndarray          # (F, 3) vertex indices
+    face_areas: np.ndarray     # (F,)
+    grad_vectors: np.ndarray   # (F, 3, 3): per face, per corner, gradient of the hat function
+    edge_i: np.ndarray         # (E,) endpoints with edge_i < edge_j
+    edge_j: np.ndarray
+    edge_weights: np.ndarray   # (E,) cotangent weights (w_ij = (cot a + cot b)/2)
+
+    def stiffness(self, values: np.ndarray) -> np.ndarray:
+        """Cotangent-weight edge-difference form Sum_j w_ij (f_j - f_i).
+
+        Symmetric with zero row sums by construction; each edge term is exactly
+        zero on constant fields.
+        """
+        diff = self.edge_weights * (values[self.edge_j] - values[self.edge_i])
+        out = np.zeros(self.node_count)
+        np.add.at(out, self.edge_i, diff)
+        np.add.at(out, self.edge_j, -diff)
+        return out
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        return self.stiffness(values) / self.quadrature_weights
+
+    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
+        fv = values[self.faces]                            # (F, 3)
+        grad = np.einsum("fm,fmd->fd", fv, self.grad_vectors)
+        gsq = np.einsum("fd,fd->f", grad, grad)            # (F,)
+        out = np.zeros(self.node_count)
+        np.add.at(out, self.faces.ravel(), np.repeat(self.face_areas / 3.0 * gsq, 3))
+        out /= self.quadrature_weights
+        return out
+
+    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
+        return self.grad_norm_sq(values)
+
+    def geodesic_distance(self, x1: int, x2: int) -> float:
+        """Great-circle distance arccos(p1 . p2)."""
+        p1, p2 = self.positions[x1], self.positions[x2]
+        return float(np.arccos(np.clip(np.dot(p1, p2), -1.0, 1.0)))
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +339,7 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.array(vlist), np.array(new_faces, dtype=np.int64)
 
 
-def build_sphere(subdivision: int) -> ManifoldDescriptor:
+def build_sphere(subdivision: int) -> RoundSphere:
     """Icosphere mesh of the round unit sphere, Ric(X,X) = |X|^2.
 
     ``subdivision`` is the number of 4-way refinement passes applied to the
@@ -243,7 +393,12 @@ def build_sphere(subdivision: int) -> ManifoldDescriptor:
     edge_weights = wc.data[upper]
 
     edge_lengths = np.linalg.norm(verts[edge_i] - verts[edge_j], axis=1)
-    mesh = SphereMesh(
+    return RoundSphere(
+        dimension=2,
+        node_count=node_count,
+        quadrature_weights=lumped,
+        positions=verts,
+        mesh_scale=float(edge_lengths.max()),
         faces=faces,
         face_areas=face_areas,
         grad_vectors=grad_vectors,
@@ -251,121 +406,23 @@ def build_sphere(subdivision: int) -> ManifoldDescriptor:
         edge_j=edge_j,
         edge_weights=edge_weights,
     )
-    return ManifoldDescriptor(
-        kind=ManifoldKind.ROUND_SPHERE,
-        dimension=2,
-        node_count=node_count,
-        quadrature_weights=lumped,
-        ricci_form_kind=RicciKind.UNIT_SPHERE_METRIC,
-        positions=verts,
-        mesh_scale=float(edge_lengths.max()),
-        sphere_subdivision=subdivision,
-        sphere_mesh=mesh,
-    )
 
 
 # ---------------------------------------------------------------------------
-# differential operators
-
-
-def _grid(field: ScalarField) -> np.ndarray:
-    return field.values.reshape(field.manifold.torus_resolution)
-
-
-def _torus_spacings(m: ManifoldDescriptor) -> list[float]:
-    return [s / r for s, r in zip(m.torus_side_lengths, m.torus_resolution)]
-
-
-def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """``np.roll(a, shift, axis)`` for shift = +-1, by two slice copies.
-
-    Same element values as np.roll, without its general-case overhead; the
-    torus stencils call it on every operator application and CG matvec.
-    """
-    out = np.empty_like(a)
-    lead = (slice(None),) * axis
-    if shift == 1:
-        out[lead + (slice(1, None),)] = a[lead + (slice(None, -1),)]
-        out[lead + (slice(None, 1),)] = a[lead + (slice(-1, None),)]
-    else:
-        out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
-        out[lead + (slice(-1, None),)] = a[lead + (slice(None, 1),)]
-    return out
-
-
-def torus_stiffness_apply(m: ManifoldDescriptor, values: np.ndarray) -> np.ndarray:
-    """Raw periodic stencil sum, without the quadrature normalization.
-
-    Exact on constants: each axis contributes (f+ - f) + (f- - f) which
-    vanishes identically in floating point.
-    """
-    a = values.reshape(m.torus_resolution)
-    out = np.zeros_like(a)
-    for ax, h in enumerate(_torus_spacings(m)):
-        out += (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
-    return out.ravel()
-
-
-def sphere_stiffness_apply(m: ManifoldDescriptor, values: np.ndarray) -> np.ndarray:
-    """Cotangent-weight edge-difference form Sum_j w_ij (f_j - f_i).
-
-    Symmetric with zero row sums by construction; each edge term is exactly
-    zero on constant fields.
-    """
-    mesh = m.sphere_mesh
-    diff = mesh.edge_weights * (values[mesh.edge_j] - values[mesh.edge_i])
-    out = np.zeros(m.node_count)
-    np.add.at(out, mesh.edge_i, diff)
-    np.add.at(out, mesh.edge_j, -diff)
-    return out
+# operators on fields
 
 
 def laplacian(field: ScalarField) -> ScalarField:
-    m = field.manifold
-    if m.is_torus:
-        out = torus_stiffness_apply(m, field.values)
-    else:
-        out = sphere_stiffness_apply(m, field.values) / m.quadrature_weights
-    return ScalarField(out, m)
+    return ScalarField(field.manifold.laplacian(field.values), field.manifold)
 
 
 def grad_components(field: ScalarField) -> list[np.ndarray]:
     """Central-difference gradient components, one flat array per axis (torus only)."""
-    m = field.manifold
-    if not m.is_torus:
-        raise BackendError("componentwise gradients are only available on the torus")
-    a = _grid(field)
-    return [
-        ((_roll(a, -1, ax) - _roll(a, 1, ax)) / (2.0 * h)).ravel()
-        for ax, h in enumerate(_torus_spacings(m))
-    ]
-
-
-def components_norm_sq(components: list[np.ndarray]) -> np.ndarray:
-    """Sum of the squared components, accumulated in axis order.
-
-    Applied to :func:`grad_components` this is the torus |grad f|^2, so a
-    caller that already holds the components need not take them again.
-    """
-    out = np.zeros(components[0].shape)
-    for comp in components:
-        out += comp * comp
-    return out
+    return field.manifold.grad_components(field.values)
 
 
 def grad_norm_sq(field: ScalarField) -> ScalarField:
-    m = field.manifold
-    if m.is_torus:
-        out = components_norm_sq(grad_components(field))
-    else:
-        mesh = m.sphere_mesh
-        fv = field.values[mesh.faces]                      # (F, 3)
-        grad = np.einsum("fm,fmd->fd", fv, mesh.grad_vectors)
-        gsq = np.einsum("fd,fd->f", grad, grad)            # (F,)
-        out = np.zeros(m.node_count)
-        np.add.at(out, mesh.faces.ravel(), np.repeat(mesh.face_areas / 3.0 * gsq, 3))
-        out /= m.quadrature_weights
-    return ScalarField(out, m)
+    return ScalarField(field.manifold.grad_norm_sq(field.values), field.manifold)
 
 
 def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
@@ -374,37 +431,12 @@ def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
     Torus only: a convergent covariant Hessian on unstructured meshes is out
     of proportion to its single cross-check role here.
     """
-    m = field.manifold
-    if not m.is_torus:
-        raise BackendError("hessian_penalty is only available on the torus")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    a = _grid(field)
-    spacings = _torus_spacings(m)
-    shift = lam / (2.0 * t)
-    out = np.zeros_like(a)
-    for ax, h in enumerate(spacings):
-        diag = (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
-        out += (diag - shift) ** 2
-    for ax1 in range(m.dimension):
-        for ax2 in range(ax1 + 1, m.dimension):
-            h1, h2 = spacings[ax1], spacings[ax2]
-            ap, am = _roll(a, -1, ax1), _roll(a, 1, ax1)
-            app = _roll(ap, -1, ax2)
-            apm = _roll(ap, 1, ax2)
-            amp = _roll(am, -1, ax2)
-            amm = _roll(am, 1, ax2)
-            mixed = (app - apm - amp + amm) / (4.0 * h1 * h2)
-            out += 2.0 * mixed * mixed
-    return ScalarField(out.ravel(), m)
+    return ScalarField(field.manifold.hessian_penalty(field.values, lam, t), field.manifold)
 
 
 def ricci_quadratic(field: ScalarField) -> ScalarField:
     """Ric(grad f, grad f): zero on the flat torus, |grad f|^2 on the unit sphere."""
-    m = field.manifold
-    if m.ricci_form_kind is RicciKind.ZERO:
-        return ScalarField(np.zeros(m.node_count), m)
-    return grad_norm_sq(field)
+    return ScalarField(field.manifold.ricci_quadratic(field.values), field.manifold)
 
 
 def integrate(field: ScalarField) -> float:
@@ -412,15 +444,5 @@ def integrate(field: ScalarField) -> float:
 
 
 def geodesic_distance(m: ManifoldDescriptor, x1: int, x2: int) -> float:
-    """Exact geodesic distance between two nodes.
-
-    Torus: minimum over coordinate wraps of the Euclidean distance.
-    Sphere: great-circle distance arccos(p1 . p2).
-    """
-    p1, p2 = m.positions[x1], m.positions[x2]
-    if m.is_torus:
-        delta = np.abs(p1 - p2)
-        sides = np.asarray(m.torus_side_lengths)
-        delta = np.minimum(delta, sides - delta)
-        return float(np.linalg.norm(delta))
-    return float(np.arccos(np.clip(np.dot(p1, p2), -1.0, 1.0)))
+    """Exact geodesic distance between two nodes."""
+    return m.geodesic_distance(x1, x2)

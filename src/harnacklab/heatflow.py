@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .geometry import (
-    ManifoldDescriptor,
-    ScalarField,
-    sphere_stiffness_apply,
-    torus_stiffness_apply,
-)
+from .geometry import ManifoldDescriptor, ScalarField
 
 # relative residual required of every Crank-Nicolson linear solve
 CN_SOLVE_RTOL = 1e-12
@@ -109,12 +104,6 @@ def tau_of_t(t: float, t_ref: float) -> float:
     return t_ref - t
 
 
-def _stiffness_apply(m: ManifoldDescriptor, values: np.ndarray) -> np.ndarray:
-    if m.is_torus:
-        return m.quadrature_weights * torus_stiffness_apply(m, values)
-    return sphere_stiffness_apply(m, values)
-
-
 def _cn_solve(m: ManifoldDescriptor, a: float, f_old: np.ndarray) -> np.ndarray:
     """Solve (M - a W) f_new = (M + a W) f_old.
 
@@ -127,9 +116,9 @@ def _cn_solve(m: ManifoldDescriptor, a: float, f_old: np.ndarray) -> np.ndarray:
     mass = m.quadrature_weights
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        return mass * x - a * _stiffness_apply(m, x)
+        return mass * x - a * m.stiffness(x)
 
-    rhs = mass * f_old + a * _stiffness_apply(m, f_old)
+    rhs = mass * f_old + a * m.stiffness(f_old)
     op = LinearOperator((m.node_count, m.node_count), matvec=matvec, dtype=float)
     x, _ = cg(op, rhs, x0=f_old, rtol=CN_SOLVE_RTOL, atol=0.0, maxiter=20 * m.node_count)
     rhs_norm = float(np.linalg.norm(rhs))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldDescriptor, ScalarField
+from .geometry import FlatTorus, ManifoldDescriptor, ScalarField
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,13 @@ class RandomSmoothData:
 InitialData = ConstantData | TrigPolynomialData | RandomSmoothData
 
 
-def _torus_mode_field(m: ManifoldDescriptor, index, phase: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.asarray(index, dtype=float) / np.asarray(m.torus_side_lengths)
+def _torus_mode_field(m: FlatTorus, index, phase: float) -> np.ndarray:
+    k = 2.0 * np.pi * np.asarray(index, dtype=float) / np.asarray(m.side_lengths)
     return np.cos(m.positions @ k + phase)
 
 
 def _build_trig(m: ManifoldDescriptor, data: TrigPolynomialData) -> np.ndarray:
-    if not m.is_torus:
+    if not isinstance(m, FlatTorus):
         raise ValueError("trigonometric initial data is only defined on tori")
     values = np.full(m.node_count, data.floor)
     for mode in data.modes:
@@ -94,7 +94,7 @@ def _build_trig(m: ManifoldDescriptor, data: TrigPolynomialData) -> np.ndarray:
     return values
 
 
-def _random_smooth_torus(m: ManifoldDescriptor, data: RandomSmoothData) -> np.ndarray:
+def _random_smooth_torus(m: FlatTorus, data: RandomSmoothData) -> np.ndarray:
     rng = np.random.default_rng(data.seed)
     cutoff = data.mode_cutoff
     ghat = np.zeros(m.node_count)
@@ -135,7 +135,10 @@ def build_initial_field(data: InitialData, m: ManifoldDescriptor) -> ScalarField
     elif isinstance(data, TrigPolynomialData):
         values = _build_trig(m, data)
     elif isinstance(data, RandomSmoothData):
-        ghat = _random_smooth_torus(m, data) if m.is_torus else _random_smooth_sphere(m, data)
+        if isinstance(m, FlatTorus):
+            ghat = _random_smooth_torus(m, data)
+        else:
+            ghat = _random_smooth_sphere(m, data)
         values = data.floor + data.amplitude * (1.0 + ghat) / 2.0
     else:
         raise TypeError(f"unknown initial data spec {type(data).__name__}")
@@ -147,7 +150,7 @@ def build_initial_field(data: InitialData, m: ManifoldDescriptor) -> ScalarField
 
 
 def wrapped_gaussian(
-    m: ManifoldDescriptor, center: tuple[float, ...], heat_time: float, floor: float = 1e-120
+    m: FlatTorus, center: tuple[float, ...], heat_time: float, floor: float = 1e-120
 ) -> ScalarField:
     """The heat-kernel profile (4 pi t)^{-n/2} exp(-d^2 / 4t) on a torus.
 
@@ -156,23 +159,18 @@ def wrapped_gaussian(
     tiny positive floor (which keeps the far tail representable and the
     state strictly positive) is the periodization in double precision.
     """
-    if not m.is_torus:
+    if not isinstance(m, FlatTorus):
         raise ValueError("wrapped Gaussian data is only defined on tori")
     if heat_time <= 0:
         raise ValueError(f"heat_time must be positive, got {heat_time}")
-    sides = np.asarray(m.torus_side_lengths)
-    delta = np.abs(m.positions - np.asarray(center, dtype=float))
-    delta = np.minimum(delta, sides - delta)
-    dist_sq = np.sum(delta * delta, axis=1)
+    dist_sq = wrapped_distance_sq(m, center)
     norm = (4.0 * np.pi * heat_time) ** (-m.dimension / 2.0)
     return ScalarField(norm * np.exp(-dist_sq / (4.0 * heat_time)) + floor, m)
 
 
-def wrapped_distance_sq(m: ManifoldDescriptor, center: tuple[float, ...]) -> np.ndarray:
+def wrapped_distance_sq(m: FlatTorus, center: tuple[float, ...]) -> np.ndarray:
     """Squared minimum-image distance to ``center`` at every node (torus)."""
-    sides = np.asarray(m.torus_side_lengths)
-    delta = np.abs(m.positions - np.asarray(center, dtype=float))
-    delta = np.minimum(delta, sides - delta)
+    delta = m.minimum_image(m.positions - np.asarray(center, dtype=float))
     return np.sum(delta * delta, axis=1)
 
 
@@ -184,7 +182,7 @@ class SingleModeSolution:
     Fourier mode, so it evolves in closed form; mu = |k|^2.
     """
 
-    manifold: ManifoldDescriptor
+    manifold: FlatTorus
     mode: TrigMode
     floor: float
     t0: float
@@ -195,7 +193,7 @@ class SingleModeSolution:
             2.0
             * np.pi
             * np.asarray(self.mode.index, dtype=float)
-            / np.asarray(self.manifold.torus_side_lengths)
+            / np.asarray(self.manifold.side_lengths)
         )
 
     @property

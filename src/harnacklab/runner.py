@@ -69,7 +69,8 @@ evolution_residual is requested, the canonical H tuple's residual (its Q
 held in a three-snapshot window).  The values equal the per-state reference
 functions of ``harnack`` and ``entropy`` bit for bit.  The ten random
 residual tuples call ``harnack.evolution_residual`` at one index each, on
-the fine and on the once-coarsened trajectory.
+the fine and on the once-coarsened trajectory; the coarse flow is solved
+only through the step after that index.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -107,7 +108,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -467,49 +468,23 @@ def _write_json(path: Path, obj) -> None:
 
 
 def manifold_hash(spec: ManifoldSpec) -> str:
-    blob = json.dumps(
-        {
-            "kind": spec.kind,
-            "dimension": spec.dimension,
-            "side_lengths": spec.side_lengths,
-            "resolution": spec.resolution,
-            "subdivision": spec.subdivision,
-        },
-        sort_keys=True,
-    )
+    blob = json.dumps(asdict(spec), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# the config's initial_data.kind of each initial-data type
+_DATA_KINDS = {
+    ConstantData: "constant",
+    TrigPolynomialData: "trig_polynomial",
+    RandomSmoothData: "random_smooth",
+}
 
 
 def _config_echo(config: RunConfig) -> dict:
     data = config.initial_data
-    if isinstance(data, ConstantData):
-        data_echo = {"kind": "constant", "value": data.value}
-    elif isinstance(data, TrigPolynomialData):
-        data_echo = {
-            "kind": "trig_polynomial",
-            "floor": data.floor,
-            "modes": [
-                {"index": list(mode.index), "amplitude": mode.amplitude, "phase": mode.phase}
-                for mode in data.modes
-            ],
-        }
-    else:
-        data_echo = {
-            "kind": "random_smooth",
-            "seed": data.seed,
-            "mode_cutoff": data.mode_cutoff,
-            "amplitude": data.amplitude,
-            "floor": data.floor,
-        }
     return {
-        "manifold": {
-            "kind": config.manifold.kind,
-            "dimension": config.manifold.dimension,
-            "side_lengths": config.manifold.side_lengths,
-            "resolution": config.manifold.resolution,
-            "subdivision": config.manifold.subdivision,
-        },
-        "initial_data": data_echo,
+        "manifold": asdict(config.manifold),
+        "initial_data": {"kind": _DATA_KINDS[type(data)], **asdict(data)},
         "flow": {
             "t0": config.t0,
             "t_end": config.t_end,
@@ -517,13 +492,7 @@ def _config_echo(config: RunConfig) -> dict:
             "direction": config.direction.value,
         },
         "suites": list(config.suites),
-        "tolerances": {
-            "tol_disc_constant": config.tolerances.tol_disc_constant,
-            "quadrature_tol": config.tolerances.quadrature_tol,
-            "pair_count": config.tolerances.pair_count,
-            "rng_seed": config.tolerances.rng_seed,
-            "residual_ratio_window": list(config.tolerances.residual_ratio_window),
-        },
+        "tolerances": asdict(config.tolerances),
         "strict": config.strict,
     }
 
@@ -532,10 +501,17 @@ def _config_echo(config: RunConfig) -> dict:
 # suites
 
 
+def _column(reports: list[SnapshotReport], name: str) -> np.ndarray:
+    """One SnapshotReport field across snapshots.  The suites reduce these
+    with np.max/np.maximum, which propagate NaN into every gate (builtin max
+    skips a NaN that is not first)."""
+    return np.array([getattr(r, name) for r in reports], dtype=float)
+
+
 def _suite_harnack_signs(reports: list[SnapshotReport], tol_disc: float) -> dict:
-    worst_h = max(r.max_H for r in reports)
-    worst_ly = max(r.max_liyau for r in reports)
-    p_vs_h_max = max(r.P_vs_H_gap for r in reports)
+    worst_h = float(np.max(_column(reports, "max_H")))
+    worst_ly = float(np.max(_column(reports, "max_liyau")))
+    p_vs_h_max = float(np.max(_column(reports, "P_vs_H_gap")))
     identity_tol = 1e-9
     passed = worst_h <= tol_disc and worst_ly <= tol_disc and p_vs_h_max <= identity_tol
     return {
@@ -544,7 +520,7 @@ def _suite_harnack_signs(reports: list[SnapshotReport], tol_disc: float) -> dict
         "worst_max_H": worst_h,
         "worst_max_P": worst_h,  # P == H pointwise; the identity gap is gated below
         "worst_max_liyau": worst_ly,
-        "worst_slack": max(worst_h - tol_disc, worst_ly - tol_disc),
+        "worst_slack": float(np.maximum(worst_h - tol_disc, worst_ly - tol_disc)),
         "p_vs_h_max_abs_diff": p_vs_h_max,
         "p_vs_h_identity_tol": identity_tol,
     }
@@ -570,33 +546,29 @@ def _draw_residual_params(seed: int, per_variant: int = 5) -> list[HarnackParams
     return tuples
 
 
-def _coarse_config_trajectory(config: RunConfig) -> Trajectory:
-    spec = config.manifold
-    coarse = ManifoldSpec(
-        kind="torus",
-        dimension=spec.dimension,
-        side_lengths=spec.side_lengths,
-        resolution=tuple(r // 2 for r in spec.resolution),
-    )
-    m = coarse.build()
-    f0 = build_initial_field(config.initial_data, m)
-    return solve(m, f0, config.t0, config.t_end, 2.0 * config.dt, config.direction)
-
-
 def _suite_evolution_residual(
     config: RunConfig, traj: Trajectory, reports: list[SnapshotReport]
 ) -> dict:
     # the canonical H tuple's residual at every interior snapshot comes from
     # the snapshot pass (it is the diagnostics column); random tuples get a
-    # two-level convergence check
-    coarse = _coarse_config_trajectory(config)
-    # matching interior comparison time: an even fine index early in the run,
-    # while the datum still has structure (heat flow flattens everything on
-    # the diffusive time scale, after which residuals are roundoff scraps)
+    # two-level convergence check.  Matching interior comparison time: an
+    # even fine index early in the run, while the datum still has structure
+    # (heat flow flattens everything on the diffusive time scale, after which
+    # residuals are roundoff scraps)
     fine_idx = int(round(0.05 * (len(traj) - 1)))
     fine_idx -= fine_idx % 2
     fine_idx = max(2, min(fine_idx, len(traj) - 3 - (len(traj) - 3) % 2))
     coarse_idx = fine_idx // 2
+
+    # the once-coarsened flow, solved only through coarse_idx + 1, the last
+    # state the residual reads; its clock is t0 + k dt, so each state equals
+    # the one a solve to t_end would give
+    spec = config.manifold
+    m = build_torus(spec.dimension, spec.side_lengths, tuple(r // 2 for r in spec.resolution))
+    f0 = build_initial_field(config.initial_data, m)
+    dt = 2.0 * config.dt
+    t_read = config.t0 + (coarse_idx + 1) * dt
+    coarse = solve(m, f0, config.t0, t_read, dt, config.direction)
     lo, hi = config.tolerances.residual_ratio_window
 
     tuples = _draw_residual_params(config.tolerances.rng_seed)
@@ -652,20 +624,21 @@ def _suite_entropy(
     xcheck_tol = c * (dt * dt + h * h) * scale
     identity_tol = 1e-11 * scale
 
-    worst_F = max(r.F_direct for r in reports)
-    worst_W = max(r.W_direct for r in reports)
-    centered = [r for r in reports if r.fd_centered]
-    worst_dF = max(r.dF_fd for r in centered)
-    worst_dW = max(r.dW_fd for r in centered)
-    stokes_worst = 0.0
-    stokes_tol_worst = np.inf
-    wf_gap = 0.0
-    for r in reports:
-        gap = max(abs(r.F_direct - r.F_via_H), abs(r.W_direct - r.W_via_P))
-        s_tol = config.tolerances.quadrature_tol * max(1.0, r.time * r.time * scale)
-        stokes_worst = max(stokes_worst, gap - s_tol)
-        stokes_tol_worst = min(stokes_tol_worst, s_tol)
-        wf_gap = max(wf_gap, abs(r.W_direct - r.F_direct))
+    f_direct, w_direct = _column(reports, "F_direct"), _column(reports, "W_direct")
+    centered = _column(reports, "fd_centered").astype(bool)
+    df_fd, dw_fd = _column(reports, "dF_fd"), _column(reports, "dW_fd")
+    times = _column(reports, "time")
+    worst_F = float(np.max(f_direct))
+    worst_W = float(np.max(w_direct))
+    worst_dF = float(np.max(df_fd[centered]))
+    worst_dW = float(np.max(dw_fd[centered]))
+    gaps = np.maximum(
+        np.abs(f_direct - _column(reports, "F_via_H")),
+        np.abs(w_direct - _column(reports, "W_via_P")),
+    )
+    s_tols = config.tolerances.quadrature_tol * np.maximum(1.0, times * times * scale)
+    stokes_worst = float(np.maximum(0.0, np.max(gaps - s_tols)))
+    wf_gap = float(np.maximum(0.0, np.max(np.abs(w_direct - f_direct))))
     ok = (
         worst_F <= tol_value
         and worst_W <= tol_value
@@ -689,11 +662,12 @@ def _suite_entropy(
         summary["implied_dF_dt_min"] = -worst_dF
         summary["implied_dW_dt_min"] = -worst_dW
         summary["implied_dF_dt_gate"] = -tol_value
-    if m.is_torus:
-        diss_max = max(max(r.dF_formula for r in reports), max(r.dW_formula for r in reports))
-        xcheck = max(abs(r.dF_fd - r.dF_formula) for r in centered)
-        xcheck_w = max(abs(r.dW_fd - r.dW_formula) for r in centered)
-        diss_identity = max(abs(r.dF_formula - r.dW_formula) for r in reports)
+    if m.has_hessian:
+        df_formula, dw_formula = _column(reports, "dF_formula"), _column(reports, "dW_formula")
+        diss_max = float(np.maximum(np.max(df_formula), np.max(dw_formula)))
+        xcheck = float(np.max(np.abs(df_fd - df_formula)[centered]))
+        xcheck_w = float(np.max(np.abs(dw_fd - dw_formula)[centered]))
+        diss_identity = float(np.max(np.abs(df_formula - dw_formula)))
         ok = (
             ok
             and diss_max <= 1e-12 * scale
@@ -704,15 +678,13 @@ def _suite_entropy(
         summary.update(
             {
                 "dissipation_max": diss_max,
-                "xcheck_worst_gap": max(xcheck, xcheck_w),
+                "xcheck_worst_gap": float(np.maximum(xcheck, xcheck_w)),
                 "xcheck_tol": xcheck_tol,
                 "dissipation_F_vs_W_gap": diss_identity,
             }
         )
     summary["pass"] = bool(ok)
-    summary["worst_slack"] = max(
-        worst_F - tol_value, worst_W - tol_value, worst_dF - tol_value, worst_dW - tol_value
-    )
+    summary["worst_slack"] = float(np.max([worst_F, worst_W, worst_dF, worst_dW]) - tol_value)
     return summary
 
 
@@ -817,11 +789,7 @@ def run_config(config: RunConfig) -> RunOutcome:
     mass_drift = float(np.max(np.abs(masses - mass0)) / max(1e-300, abs(mass0)))
 
     # one pass over the snapshots yields every per-snapshot diagnostic
-    reports = entropy_series(
-        traj,
-        with_dissipation=m.is_torus,
-        with_residual="evolution_residual" in config.suites,
-    )
+    reports = entropy_series(traj, with_residual="evolution_residual" in config.suites)
     suites: dict[str, dict] = {}
     if "harnack_signs" in config.suites:
         suites["harnack_signs"] = _suite_harnack_signs(reports, tol_disc)

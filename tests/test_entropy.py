@@ -116,9 +116,7 @@ def test_entropy_series_sphere_has_no_dissipation_columns():
     reports = hl.entropy_series(traj)
     assert all(r.dF_formula is None and r.dW_formula is None for r in reports)
     with pytest.raises(ValueError):
-        hl.entropy_series(traj, with_dissipation=True)
-    with pytest.raises(ValueError):
-        hl.entropy_series(traj, with_dissipation=False, with_residual=True)
+        hl.entropy_series(traj, with_residual=True)
 
 
 @pytest.mark.parametrize(
@@ -130,8 +128,8 @@ def test_entropy_series_equals_reference_functions(m):
     # either side fails here
     data = hl.RandomSmoothData(seed=9, mode_cutoff=3, amplitude=0.5, floor=1.0)
     traj = hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.2, 0.01)
-    torus = m.is_torus
-    reports = hl.entropy_series(traj, with_dissipation=torus, with_residual=torus)
+    torus = m.has_hessian
+    reports = hl.entropy_series(traj, with_residual=torus)
     assert len(reports) == len(traj)
     for i, (state, rep) in enumerate(zip(traj.states, reports)):
         t = state.time

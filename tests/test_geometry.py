@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab.geometry import (
-    BackendError,
-    RicciKind,
-    components_norm_sq,
-    grad_components,
-    torus_stiffness_apply,
-)
+from harnacklab.geometry import BackendError, components_norm_sq, grad_components
 
 
 def torus_field(m, func):
@@ -26,7 +20,7 @@ def test_build_torus_unit_square():
     assert m.node_count == 4096
     assert np.allclose(m.quadrature_weights, 1.0 / 4096)
     assert abs(m.total_volume - 1.0) < 1e-12
-    assert m.ricci_form_kind is RicciKind.ZERO
+    assert isinstance(m, hl.FlatTorus)
 
 
 def test_build_torus_circle():
@@ -56,7 +50,7 @@ def test_build_sphere_area():
     assert abs(m.total_volume - 4 * np.pi) / (4 * np.pi) < 0.01
     assert m.dimension == 2
     assert m.node_count == 10 * 4**4 + 2
-    assert m.ricci_form_kind is RicciKind.UNIT_SPHERE_METRIC
+    assert isinstance(m, hl.RoundSphere)
 
 
 def test_build_sphere_area_converges_monotonically():
@@ -190,8 +184,8 @@ def test_hessian_penalty_single_mode_symbolic():
 
 def _roll_reference_operators(m, values, lam, t):
     # the torus stencils written with np.roll, in the library's operation order
-    a = values.reshape(m.torus_resolution)
-    hs = [s / r for s, r in zip(m.torus_side_lengths, m.torus_resolution)]
+    a = values.reshape(m.resolution)
+    hs = [s / r for s, r in zip(m.side_lengths, m.resolution)]
     stiff = np.zeros_like(a)
     hess = np.zeros_like(a)
     for ax, h in enumerate(hs):
@@ -220,7 +214,7 @@ def test_torus_stencils_match_np_roll_exactly(args):
     values = np.random.default_rng(4).uniform(0.5, 2.0, m.node_count)
     field = hl.ScalarField(values, m)
     stiff, grads, hess = _roll_reference_operators(m, values, 1.3, 0.7)
-    assert np.array_equal(torus_stiffness_apply(m, values), stiff)
+    assert np.array_equal(m.laplacian(values), stiff)
     comps = grad_components(field)
     assert all(np.array_equal(c, g) for c, g in zip(comps, grads))
     assert np.array_equal(hl.grad_norm_sq(field).values, components_norm_sq(grads))

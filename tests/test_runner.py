@@ -233,6 +233,39 @@ def test_gate_failure_exit_code(tmp_path):
     assert not outcome.summary["suites"]["harnack_signs"]["pass"]
 
 
+@pytest.fixture(scope="module")
+def smoke_snapshots():
+    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    m = config.manifold.build()
+    f0 = hl.build_initial_field(config.initial_data, m)
+    traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
+    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
+    return config, traj, hl.entropy_series(traj), tol_disc, hl.integrate(f0)
+
+
+SIGN_FIELDS = ("max_H", "max_liyau", "P_vs_H_gap")
+
+
+@pytest.mark.parametrize(
+    "field", SIGN_FIELDS + ("F_direct", "W_via_P", "dF_fd", "dF_formula")
+)
+def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
+    # builtin max skips a NaN that is not first; the gates must not
+    from dataclasses import replace
+
+    config, traj, reports, tol_disc, mass = smoke_snapshots
+
+    def suite(reports):
+        if field in SIGN_FIELDS:
+            return runner._suite_harnack_signs(reports, tol_disc)
+        return runner._suite_entropy(config, traj, tol_disc, mass, reports)
+
+    assert suite(reports)["pass"] is True
+    poisoned = list(reports)
+    poisoned[5] = replace(poisoned[5], **{field: float("nan")})
+    assert suite(poisoned)["pass"] is False
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # the config grammar cannot express positivity-losing data (raised
     # cosines keep their coefficient sum inside the floor), so inject a
