@@ -61,7 +61,6 @@ from .pathwise import (
     sample_pairs,
 )
 from .paramspace import (
-    DEFAULT_SCAN,
     CaseTag,
     NamedMatch,
     ParamClassification,

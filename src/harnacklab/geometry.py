@@ -210,16 +210,10 @@ class FlatTorus(ManifoldDescriptor):
         return float(np.linalg.norm(self.minimum_image(self.positions[x1] - self.positions[x2])))
 
 
-def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
-    """Periodic uniform grid on a flat torus with Ric = 0.
-
-    Each resolution must be even (so central differences commute with the
-    half-period symmetries used in tests) and at least 8.
-    """
+def check_torus_args(n: int, sides: tuple[float, ...], res: tuple[int, ...]) -> None:
+    """Raise ValueError unless :func:`build_torus` accepts these arguments."""
     if not 1 <= n <= 3:
         raise ValueError(f"torus dimension must be 1, 2 or 3, got {n}")
-    sides = tuple(float(s) for s in side_lengths)
-    res = tuple(int(r) for r in resolution)
     if len(sides) != n or len(res) != n:
         raise ValueError("side_lengths and resolution must have length n")
     if any(s <= 0 for s in sides):
@@ -227,6 +221,16 @@ def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
     if any(r < 8 or r % 2 != 0 for r in res):
         raise ValueError(f"resolutions must be even and >= 8, got {res}")
 
+
+def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
+    """Periodic uniform grid on a flat torus with Ric = 0.
+
+    Each resolution must be even (so central differences commute with the
+    half-period symmetries used in tests) and at least 8.
+    """
+    sides = tuple(float(s) for s in side_lengths)
+    res = tuple(int(r) for r in resolution)
+    check_torus_args(n, sides, res)
     spacings = tuple(s / r for s, r in zip(sides, res))
     node_count = int(np.prod(res))
     axes = [np.arange(r) * h for r, h in zip(res, spacings)]
@@ -339,6 +343,12 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.array(vlist), np.array(new_faces, dtype=np.int64)
 
 
+def check_sphere_args(subdivision: int) -> None:
+    """Raise ValueError unless :func:`build_sphere` accepts this argument."""
+    if subdivision < 2:
+        raise ValueError(f"sphere subdivision must be >= 2, got {subdivision}")
+
+
 def build_sphere(subdivision: int) -> RoundSphere:
     """Icosphere mesh of the round unit sphere, Ric(X,X) = |X|^2.
 
@@ -346,8 +356,7 @@ def build_sphere(subdivision: int) -> RoundSphere:
     icosahedron (vertex count 10 * 4**s + 2).  Vertex quadrature weights are
     lumped barycentric triangle areas.
     """
-    if subdivision < 2:
-        raise ValueError(f"sphere subdivision must be >= 2, got {subdivision}")
+    check_sphere_args(subdivision)
     verts, faces = _icosahedron()
     for _ in range(subdivision):
         verts, faces = _subdivide(verts, faces)

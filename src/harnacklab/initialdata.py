@@ -71,6 +71,8 @@ class RandomSmoothData:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.mode_cutoff < 1:
             raise ValueError(f"mode cutoff must be >= 1, got {self.mode_cutoff}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 InitialData = ConstantData | TrigPolynomialData | RandomSmoothData
@@ -196,25 +198,14 @@ class SingleModeSolution:
             / np.asarray(self.manifold.side_lengths)
         )
 
-    @property
-    def decay_rate(self) -> float:
-        k = self.wave_vector
-        return float(np.dot(k, k))
-
     def initial_data(self) -> TrigPolynomialData:
         return TrigPolynomialData(floor=self.floor, modes=(self.mode,))
-
-    def field_at(self, t: float) -> ScalarField:
-        m = self.manifold
-        amp = self.mode.amplitude * np.exp(-self.decay_rate * (t - self.t0))
-        cos = _torus_mode_field(m, self.mode.index, self.mode.phase)
-        return ScalarField(self.floor + self.mode.amplitude + amp * cos, m)
 
     def quantity_H_at(self, t: float) -> np.ndarray:
         """Exact H = -2 Lap f / f + |grad f|^2 / f^2 - 2n/t for the closed form."""
         m = self.manifold
         k = self.wave_vector
-        mu = self.decay_rate
+        mu = float(np.dot(k, k))
         amp = self.mode.amplitude * np.exp(-mu * (t - self.t0))
         theta = m.positions @ k + self.mode.phase
         f = self.floor + self.mode.amplitude + amp * np.cos(theta)

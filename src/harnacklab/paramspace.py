@@ -131,10 +131,12 @@ def classify(p: HarnackParams) -> ParamClassification:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    alpha_range: tuple[float, float]
-    beta_range: tuple[float, float]
-    b_range: tuple[float, float]
-    step: float
+    # spec values from the analysis: alpha over (0, 4], beta and b wide enough
+    # to bracket the ray on both sides
+    alpha_range: tuple[float, float] = (0.5, 4.0)
+    beta_range: tuple[float, float] = (-2.0, 3.0)
+    b_range: tuple[float, float] = (-3.0, 1.0)
+    step: float = 0.05
 
     def __post_init__(self):
         for name, (lo, hi) in (
@@ -146,13 +148,6 @@ class ScanSpec:
                 raise ValueError(f"degenerate {name} range [{lo}, {hi}]")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-
-
-# spec values from the analysis: alpha over (0, 4], beta and b wide enough
-# to bracket the ray on both sides
-DEFAULT_SCAN = ScanSpec(
-    alpha_range=(0.5, 4.0), beta_range=(-2.0, 3.0), b_range=(-3.0, 1.0), step=0.05
-)
 
 
 @dataclass(eq=False)

@@ -85,6 +85,18 @@ def test_parse_round_trip(tmp_path):
          "residual_ratio_window"),
         (lambda s: s.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [a, 5]"),
          "residual_ratio_window"),
+        # every value is converted by its field's type and checked by its
+        # dataclass, so a malformed one is a config error, never a traceback
+        (lambda s: s.replace("dt: 0.01", "dt: fast"), "flow.dt"),
+        (lambda s: s.replace("resolution: [16, 16]", "resolution: 16"), "resolution"),
+        (lambda s: s.replace("suites: [harnack_signs, entropy, pathwise]",
+                             "suites: harnack_signs"), "suites must be a list"),
+        (lambda s: s.replace("value: 1.0}", "value: -1.0}"), "initial_data"),
+        (lambda s: s.replace("resolution: [16, 16]", "resolution: [6, 6]"), "resolution"),
+        (lambda s: s.replace("pair_count: 20", "pair_count: 2.5"), "pair_count"),
+        (lambda s: s.replace("dt: 0.01", "dt: .nan"), "finite"),
+        (lambda s: s.replace("dimension: 2", "dimension: 4"), "dimension"),
+        (lambda s: s.replace("rng_seed: 7", "rng_seed: -7"), "rng_seed"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -109,6 +121,32 @@ tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert "phaze" in str(err.value)
+
+
+def test_parse_rejects_mode_index_of_wrong_length():
+    text = """
+manifold: {kind: torus, dimension: 1, side_lengths: [1.0], resolution: [64]}
+initial_data: {kind: trig_polynomial, floor: 0.8, modes: [{index: [1, 0], amplitude: 0.4}]}
+flow: {t0: 0.1, t_end: 0.3, dt: 2.0e-3}
+suites: [harnack_signs]
+tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
+"""
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert "initial_data.modes" in str(err.value)
+
+
+def test_parse_fills_defaults_from_the_dataclasses():
+    text = CONSTANT_CONFIG.replace("  pair_count: 20\n", "").replace(
+        "suites: [harnack_signs, entropy, pathwise]", "suites: [paramscan]"
+    )
+    config = parse_config_text(text)
+    assert config.tolerances == runner.Tolerances(
+        tol_disc_constant=10.0, quadrature_tol=1.0e-6, rng_seed=7
+    )
+    assert config.tolerances.pair_count == 100
+    assert config.tolerances.residual_ratio_window == (3.0, 5.0)
+    assert config.scan == hl.ScanSpec()
 
 
 def test_parse_accepts_residual_window(tmp_path):
@@ -240,17 +278,19 @@ def smoke_snapshots():
     f0 = hl.build_initial_field(config.initial_data, m)
     traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
     tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
-    return config, traj, hl.entropy_series(traj), tol_disc, hl.integrate(f0)
+    reports = hl.entropy_series(traj, with_residual=True)
+    return config, traj, reports, tol_disc, hl.integrate(f0)
 
 
 SIGN_FIELDS = ("max_H", "max_liyau", "P_vs_H_gap")
 
 
 @pytest.mark.parametrize(
-    "field", SIGN_FIELDS + ("F_direct", "W_via_P", "dF_fd", "dF_formula")
+    "field", SIGN_FIELDS + ("F_direct", "W_via_P", "dF_fd", "dF_formula", "residual")
 )
 def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
-    # builtin max skips a NaN that is not first; the gates must not
+    # builtin max skips a NaN that is not first; the gates must not, and an
+    # inf must fail them too
     from dataclasses import replace
 
     config, traj, reports, tol_disc, mass = smoke_snapshots
@@ -258,12 +298,15 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
     def suite(reports):
         if field in SIGN_FIELDS:
             return runner._suite_harnack_signs(reports, tol_disc)
+        if field == "residual":
+            return runner._suite_evolution_residual(config, traj, reports)
         return runner._suite_entropy(config, traj, tol_disc, mass, reports)
 
     assert suite(reports)["pass"] is True
-    poisoned = list(reports)
-    poisoned[5] = replace(poisoned[5], **{field: float("nan")})
-    assert suite(poisoned)["pass"] is False
+    for bad in (float("nan"), float("inf")):
+        poisoned = list(reports)
+        poisoned[5] = replace(poisoned[5], **{field: bad})
+        assert suite(poisoned)["pass"] is False
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
@@ -373,6 +416,14 @@ def test_main_config_error_exit(tmp_path, capsys):
     code = main(["run", str(tmp_path / "missing.yaml")])
     assert code == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_malformed_value_is_a_config_error(tmp_path, capsys):
+    text = (CONFIG_DIR / "torus_smoke.yaml").read_text()
+    assert "dt: 2.0e-3" in text
+    code = main(["run", write_config(tmp_path, text.replace("dt: 2.0e-3", "dt: fast"))])
+    assert code == EXIT_CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_main_scan(tmp_path, capsys):
