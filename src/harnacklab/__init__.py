@@ -46,7 +46,7 @@ from .harnack import (
     quantity_liyau,
 )
 from .entropy import (
-    SnapshotReport,
+    SnapshotSeries,
     dissipation_F,
     dissipation_W,
     entropy_F,

@@ -17,12 +17,13 @@ u, v, their Laplacians, the gradient of u, |grad v|^2 and (on a backend
 with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
 exactly once, and derives from them the Harnack sign maxima, both entropies,
 both dissipation integrals and, on request, the canonical H tuple's
-evolution residual.
+evolution residual, and returns them as one :class:`SnapshotSeries` with an
+array per field.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,35 +59,34 @@ DISSIPATION_LAMBDA = 2.0
 
 
 @dataclass(frozen=True)
-class SnapshotReport:
-    """All diagnostics for one snapshot.
+class SnapshotSeries:
+    """All per-snapshot diagnostics of a trajectory, one array per field.
 
     Harnack signs: ``max_H`` at ``argmax_H`` (ties go to the lowest node),
     ``max_liyau``, and ``P_vs_H_gap`` = max |P - H|, a roundoff cross-check
     since P is built from v's own operators.  Entropies: ``F``/``W`` direct
-    and via H/P.  ``dF_formula``/``dW_formula`` are the closed-form
-    dissipation integrals (torus only, None elsewhere); ``dF_fd``/``dW_fd``
-    are finite differences across neighboring snapshots, centered at
-    interior snapshots and one-sided at the ends (``fd_centered`` flags
-    which).  ``residual`` is the canonical H tuple's evolution residual at
-    interior snapshots when requested, else None.
+    and via H/P.  ``dF_fd``/``dW_fd`` are finite differences across
+    neighboring snapshots, centered at interior snapshots and one-sided at
+    the two ends (gates read ``[1:-1]``).  ``dF_formula``/``dW_formula`` are
+    the closed-form dissipation integrals, None on a backend without a
+    Hessian.  ``residual`` holds the canonical H tuple's evolution residual
+    at the ``len - 2`` interior snapshots when requested, else None.
     """
 
-    time: float
-    max_H: float
-    argmax_H: int
-    max_liyau: float
-    P_vs_H_gap: float
-    F_direct: float
-    F_via_H: float
-    W_direct: float
-    W_via_P: float
-    dF_formula: float | None
-    dW_formula: float | None
-    dF_fd: float
-    dW_fd: float
-    fd_centered: bool
-    residual: float | None
+    time: np.ndarray
+    max_H: np.ndarray
+    argmax_H: np.ndarray
+    max_liyau: np.ndarray
+    P_vs_H_gap: np.ndarray
+    F_direct: np.ndarray
+    F_via_H: np.ndarray
+    W_direct: np.ndarray
+    W_via_P: np.ndarray
+    dF_fd: np.ndarray
+    dW_fd: np.ndarray
+    dF_formula: np.ndarray | None = None
+    dW_formula: np.ndarray | None = None
+    residual: np.ndarray | None = None
 
 
 def _entropy_pair(
@@ -161,19 +161,17 @@ def dissipation_W(state: FlowState) -> float:
     return _dissipation(state, log_v(state))
 
 
-def entropy_series(traj: Trajectory, with_residual: bool = False) -> list[SnapshotReport]:
-    """One SnapshotReport per snapshot, from a single pass over the trajectory.
+def entropy_series(traj: Trajectory, with_residual: bool = False) -> SnapshotSeries:
+    """The SnapshotSeries of a trajectory, from a single pass over it.
 
-    Every report value equals, bit for bit, what the reference functions
+    Every value equals, bit for bit, what the reference functions
     (``quantity_H``/``quantity_P``/``quantity_liyau``, ``entropy_F``/``_W``,
     ``dissipation_F``/``_W``, ``evolution_residual``) give on the same state.
 
-    Derivatives are centered at interior snapshots; the one-sided end values
-    are flagged with ``fd_centered=False`` and are meant to be excluded from
-    pass/fail gates.  The dissipation integrals are computed exactly when
-    the backend has a Hessian (the torus).  ``with_residual`` adds the
-    canonical H tuple's evolution residual (torus only); its Q is held in a
-    rolling window of three snapshots, so extra memory stays O(nodes).
+    The dissipation integrals are computed exactly when the backend has a
+    Hessian (the torus).  ``with_residual`` adds the canonical H tuple's
+    evolution residual (torus only); its Q is held in a rolling window of
+    three snapshots, so extra memory stays O(nodes).
     """
     if len(traj) < 3:
         raise ValueError(f"entropy series needs at least 3 states, got {len(traj)}")
@@ -185,7 +183,7 @@ def entropy_series(traj: Trajectory, with_residual: bool = False) -> list[Snapsh
     dt = traj.step_size
     last = len(traj) - 1
     params = CAO_HAMILTON_H_PARAMS
-    rows: list[dict] = []
+    cols: defaultdict[str, list] = defaultdict(list)  # field -> one value per snapshot
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
     for i, state in enumerate(traj.states):
         t = state.time
@@ -204,32 +202,24 @@ def entropy_series(traj: Trajectory, with_residual: bool = False) -> list[Snapsh
         h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
         p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
         sign = assert_nonpositive(ScalarField(h_vals, m), tol=0.0)
-        row = {
-            "time": t,
-            "max_H": sign.max_value,
-            "argmax_H": sign.argmax_node,
-            "max_liyau": float(quantity_liyau_values(lap_v, t, n).max()),
-            "P_vs_H_gap": float(np.max(np.abs(p_vals - h_vals))),
-            "dF_formula": None,
-            "dW_formula": None,
-            "residual": None,
-        }
-        rows.append(row)
-        row["F_direct"], row["F_via_H"] = _entropy_pair(m, t, f, grad_sq_u, h_vals)
-        row["W_direct"], row["W_via_P"] = _entropy_pair(m, t, f, grad_sq_v, p_vals)
+        cols["time"].append(t)
+        cols["max_H"].append(sign.max_value)
+        cols["argmax_H"].append(sign.argmax_node)
+        cols["max_liyau"].append(float(quantity_liyau_values(lap_v, t, n).max()))
+        cols["P_vs_H_gap"].append(float(np.max(np.abs(p_vals - h_vals))))
+        for name, value in zip(
+            ("F_direct", "F_via_H", "W_direct", "W_via_P"),
+            _entropy_pair(m, t, f, grad_sq_u, h_vals) + _entropy_pair(m, t, f, grad_sq_v, p_vals),
+        ):
+            cols[name].append(value)
 
         if m.has_hessian:
             hess_u = hessian_penalty(u, DISSIPATION_LAMBDA, t).values
             ricci_u = ricci_quadratic(u).values
-            row["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
-            row["dW_formula"] = _dissipation_value(
-                m,
-                t,
-                f,
-                hessian_penalty(v, DISSIPATION_LAMBDA, t).values,
-                ricci_quadratic(v).values,
-                grad_sq_v,
-            )
+            cols["dF_formula"].append(_dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u))
+            hess_v = hessian_penalty(v, DISSIPATION_LAMBDA, t).values
+            ricci_v = ricci_quadratic(v).values
+            cols["dW_formula"].append(_dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v))
         if with_residual:
             q = quantity_general_values(params, u.values, lap_u, grad_sq_u, t, n)
             rhs = None
@@ -243,30 +233,13 @@ def entropy_series(traj: Trajectory, with_residual: bool = False) -> list[Snapsh
             if i >= 2:
                 (q_prev, _), (_, rhs_mid), (q_next, _) = window
                 dq_dt = (q_next - q_prev) / (2.0 * dt)
-                rows[i - 1]["residual"] = float(np.max(np.abs(dq_dt - rhs_mid)))
+                cols["residual"].append(float(np.max(np.abs(dq_dt - rhs_mid))))
 
-    f_arr = np.array([row["F_direct"] for row in rows])
-    w_arr = np.array([row["W_direct"] for row in rows])
-    reports: list[SnapshotReport] = []
-    for i, row in enumerate(rows):
-        if 0 < i < last:
-            df = (f_arr[i + 1] - f_arr[i - 1]) / (2.0 * dt)
-            dw = (w_arr[i + 1] - w_arr[i - 1]) / (2.0 * dt)
-            centered = True
-        elif i == 0:
-            df = (f_arr[1] - f_arr[0]) / dt
-            dw = (w_arr[1] - w_arr[0]) / dt
-            centered = False
-        else:
-            df = (f_arr[last] - f_arr[last - 1]) / dt
-            dw = (w_arr[last] - w_arr[last - 1]) / dt
-            centered = False
-        reports.append(
-            SnapshotReport(
-                **row,
-                dF_fd=float(df),
-                dW_fd=float(dw),
-                fd_centered=centered,
-            )
-        )
-    return reports
+    series = {name: np.array(values) for name, values in cols.items()}
+    # np.gradient differences the interior as (x[i+1] - x[i-1]) / (2 dt) and
+    # the two ends one-sided as (x[1] - x[0]) / dt and (x[-1] - x[-2]) / dt
+    return SnapshotSeries(
+        **series,
+        dF_fd=np.gradient(series["F_direct"], dt),
+        dW_fd=np.gradient(series["W_direct"], dt),
+    )

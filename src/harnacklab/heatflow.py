@@ -172,6 +172,8 @@ def solve(
         raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not np.isfinite((t_end - t0) / dt) or t0 + dt == t0:
+        raise ValueError(f"dt = {dt} is too small to advance the clock from t0 = {t0}")
     span = t_end - t0
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):

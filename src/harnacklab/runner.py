@@ -32,7 +32,7 @@ Config grammar (YAML, nested key-value)
     flow:
       t0: 0.05
       t_end: 1.0
-      dt: 5.0e-4                  # must divide t_end - t0
+      dt: 5.0e-4                  # must divide t_end - t0 and advance t0
       direction: forward          # forward | backward (time is then tau)
     suites: [harnack_signs, entropy, pathwise]   # any of: harnack_signs,
                                   # evolution_residual, entropy, pathwise, paramscan
@@ -68,8 +68,13 @@ torus, the lam = 2 Hessian penalties of u and v, each once per snapshot.
 From those it derives the Harnack sign maxima (H, Li-Yau, the P-H identity
 gap), F and W in both forms, both dissipation integrals, and, when
 evolution_residual is requested, the canonical H tuple's residual (its Q
-held in a three-snapshot window).  The values equal the per-state reference
-functions of ``harnack`` and ``entropy`` bit for bit.  The ten random
+held in a three-snapshot window).  It returns them as one
+``SnapshotSeries``, an array per field, with dF/dt and dW/dt differenced
+from the F and W arrays.  The values equal the per-state reference
+functions of ``harnack`` and ``entropy`` bit for bit.  The suites reduce
+these arrays with np.max/np.maximum, so a NaN or inf at any snapshot fails
+its gate (builtin max skips a NaN that is not first), and they skip the
+one-sided end differences.  The ten random
 residual tuples call ``harnack.evolution_residual`` at one index each, on
 the fine and on the once-coarsened trajectory; the coarse flow is solved
 only through the step after that index.
@@ -77,6 +82,10 @@ only through the step after that index.
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
 ------------------------------------------------------------------
+Every CSV is written column by column through one writer: a float column
+as repr over tolist(), any other value as ``_fmt`` gives it (integers as
+integers, booleans as 1/0, None as an empty cell).
+
 ``trajectory_meta.json``
     manifold hash and shape, solver stats, the tolerance constant in
     effect and the resulting tol_disc, initial mass and relative drift.
@@ -94,7 +103,7 @@ timestamps, shortest round-trip float formatting, LF line endings)
     x1,x2,t1,t2,gamma,lhs,rhs,slack,pass  -- one row per sampled pair.
 ``paramscan.csv``
     alpha,beta,b,lam,alpha_minus_beta,b_plus_beta,quarter_square_plus_b,survivor
-    -- one row per grid point.
+    -- one row per grid point; lam is empty where alpha = beta.
 ``summary.json``
     per-suite pass/fail with worst-case slacks; overall_pass; the tolerance
     model actually applied.  Never contains paths.
@@ -106,8 +115,8 @@ timestamps, shortest round-trip float formatting, LF line endings)
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import itertools
 import json
 import sys
 import types
@@ -118,7 +127,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .entropy import SnapshotReport, entropy_series
+from .entropy import SnapshotSeries, entropy_series
 from .geometry import ManifoldDescriptor, build_sphere, build_torus, integrate
 from .geometry import check_sphere_args, check_torus_args
 # log_v, quantity_P, quantity_liyau and assert_nonpositive are unused here but
@@ -172,8 +181,6 @@ DIAGNOSTIC_COLUMNS = (
     "W_direct", "W_via_P", "dF_fd", "dF_formula", "dW_fd", "dW_formula",
     "residual_maxnorm",
 )
-# the SnapshotReport field behind each diagnostics.csv column
-_DIAGNOSTIC_FIELDS = DIAGNOSTIC_COLUMNS[:-1] + ("residual",)
 
 
 class ConfigError(ValueError):
@@ -213,6 +220,8 @@ class Tolerances:
     def __post_init__(self):
         if self.tol_disc_constant <= 0:
             raise ValueError(f"tol_disc_constant must be positive, got {self.tol_disc_constant}")
+        if self.quadrature_tol <= 0:
+            raise ValueError(f"quadrature_tol must be positive, got {self.quadrature_tol}")
         if self.pair_count < 1:
             raise ValueError(f"pair_count must be at least 1, got {self.pair_count}")
         if self.rng_seed < 0:
@@ -384,6 +393,8 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError(f"flow.t_end must exceed t0, got {t_end} <= {t0}")
     if dt <= 0:
         raise ConfigError(f"flow.dt must be positive, got {dt}")
+    if not np.isfinite((t_end - t0) / dt) or t0 + dt == t0:
+        raise ConfigError(f"flow.dt = {dt} is too small to advance the clock from t0 = {t0}")
     n_steps = round((t_end - t0) / dt)
     if n_steps < 2 or abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, t_end - t0):
         raise ConfigError(f"flow.dt = {dt} does not divide t_end - t0 = {t_end - t0}")
@@ -459,21 +470,45 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# rows per write of the column-wise CSV writers
+# rows per write of the CSV column writer
 _CSV_CHUNK_ROWS = 1024
 
 
-def _repr_column(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every float in a column, formatted in one pass."""
-    return list(map(repr, values.tolist()))
+def _column_text(part):
+    """The ``_fmt`` text of each value of one column slice, formatted in one
+    pass for arrays: repr over tolist() for floats (a 2-D array gives each
+    row's values joined by commas), 1/0 for booleans.  A None column, a None
+    value and a masked entry of a masked array are blank."""
+    if part is None:
+        return itertools.repeat("")
+    if isinstance(part, np.ndarray) and part.dtype == float:
+        if part.ndim == 2:
+            return [",".join(map(repr, row)) for row in part.tolist()]
+        text = list(map(repr, np.ma.getdata(part).tolist()))
+        for i in np.flatnonzero(np.ma.getmaskarray(part)):
+            text[i] = ""
+        return text
+    if isinstance(part, np.ndarray) and part.dtype == bool:
+        return np.where(part, "1", "0").tolist()
+    return map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _write_columns(fp, columns) -> None:
+    """Write one CSV row per index of the equal-length ``columns`` (arrays,
+    sequences or None), joining rows _CSV_CHUNK_ROWS at a time so the text of
+    a long table is never held at once."""
+    n = max(len(col) for col in columns if col is not None)
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        hi = lo + _CSV_CHUNK_ROWS
+        cells = [_column_text(None if col is None else col[lo:hi]) for col in columns]
+        fp.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _open_csv(path: Path, header):
+    """``path`` opened for writing, with the header row written."""
+    fp = open(path, "w", newline="")
+    fp.write(",".join(header) + "\n")
+    return fp
 
 
 def _write_json(path: Path, obj) -> None:
@@ -509,17 +544,10 @@ def _config_echo(config: RunConfig) -> dict:
 # suites
 
 
-def _column(reports: list[SnapshotReport], name: str) -> np.ndarray:
-    """One SnapshotReport field across snapshots.  The suites reduce these
-    with np.max/np.maximum, which propagate NaN into every gate (builtin max
-    skips a NaN that is not first)."""
-    return np.array([getattr(r, name) for r in reports], dtype=float)
-
-
-def _suite_harnack_signs(reports: list[SnapshotReport], tol_disc: float) -> dict:
-    worst_h = float(np.max(_column(reports, "max_H")))
-    worst_ly = float(np.max(_column(reports, "max_liyau")))
-    p_vs_h_max = float(np.max(_column(reports, "P_vs_H_gap")))
+def _suite_harnack_signs(series: SnapshotSeries, tol_disc: float) -> dict:
+    worst_h = float(np.max(series.max_H))
+    worst_ly = float(np.max(series.max_liyau))
+    p_vs_h_max = float(np.max(series.P_vs_H_gap))
     identity_tol = 1e-9
     passed = worst_h <= tol_disc and worst_ly <= tol_disc and p_vs_h_max <= identity_tol
     return {
@@ -555,7 +583,7 @@ def _draw_residual_params(seed: int, per_variant: int = 5) -> list[HarnackParams
 
 
 def _suite_evolution_residual(
-    config: RunConfig, traj: Trajectory, reports: list[SnapshotReport]
+    config: RunConfig, traj: Trajectory, series: SnapshotSeries
 ) -> dict:
     # the canonical H tuple's residual at every interior snapshot comes from
     # the snapshot pass (it is the diagnostics column); random tuples get a
@@ -602,9 +630,9 @@ def _suite_evolution_residual(
                 "pass": bool(slack <= 0),
             }
         )
-    # the canonical residual fills the interior rows; np.max keeps a NaN,
+    # the canonical residual at the interior snapshots; np.max keeps a NaN,
     # which the finiteness gate then fails, as it fails an inf
-    canonical = float(np.max(_column(reports[1:-1], "residual")))
+    canonical = float(np.max(series.residual))
     return {
         "pass": bool(all(row["pass"] for row in rows) and np.isfinite(canonical)),
         "ratio_window": [lo, hi],
@@ -620,7 +648,7 @@ def _suite_entropy(
     traj: Trajectory,
     tol_disc: float,
     mass: float,
-    reports: list[SnapshotReport],
+    series: SnapshotSeries,
 ) -> dict:
     m = traj.manifold
     scale = max(1.0, abs(mass))
@@ -631,19 +659,15 @@ def _suite_entropy(
     xcheck_tol = c * (dt * dt + h * h) * scale
     identity_tol = 1e-11 * scale
 
-    f_direct, w_direct = _column(reports, "F_direct"), _column(reports, "W_direct")
-    centered = _column(reports, "fd_centered").astype(bool)
-    df_fd, dw_fd = _column(reports, "dF_fd"), _column(reports, "dW_fd")
-    times = _column(reports, "time")
+    # the one-sided end differences dF_fd[0], dF_fd[-1] are not gated
+    f_direct, w_direct = series.F_direct, series.W_direct
+    df_fd, dw_fd = series.dF_fd, series.dW_fd
     worst_F = float(np.max(f_direct))
     worst_W = float(np.max(w_direct))
-    worst_dF = float(np.max(df_fd[centered]))
-    worst_dW = float(np.max(dw_fd[centered]))
-    gaps = np.maximum(
-        np.abs(f_direct - _column(reports, "F_via_H")),
-        np.abs(w_direct - _column(reports, "W_via_P")),
-    )
-    s_tols = config.tolerances.quadrature_tol * np.maximum(1.0, times * times * scale)
+    worst_dF = float(np.max(df_fd[1:-1]))
+    worst_dW = float(np.max(dw_fd[1:-1]))
+    gaps = np.maximum(np.abs(f_direct - series.F_via_H), np.abs(w_direct - series.W_via_P))
+    s_tols = config.tolerances.quadrature_tol * np.maximum(1.0, series.time * series.time * scale)
     stokes_worst = float(np.maximum(0.0, np.max(gaps - s_tols)))
     wf_gap = float(np.maximum(0.0, np.max(np.abs(w_direct - f_direct))))
     ok = (
@@ -670,10 +694,10 @@ def _suite_entropy(
         summary["implied_dW_dt_min"] = -worst_dW
         summary["implied_dF_dt_gate"] = -tol_value
     if m.has_hessian:
-        df_formula, dw_formula = _column(reports, "dF_formula"), _column(reports, "dW_formula")
+        df_formula, dw_formula = series.dF_formula, series.dW_formula
         diss_max = float(np.maximum(np.max(df_formula), np.max(dw_formula)))
-        xcheck = float(np.max(np.abs(df_fd - df_formula)[centered]))
-        xcheck_w = float(np.max(np.abs(dw_fd - dw_formula)[centered]))
+        xcheck = float(np.max(np.abs(df_fd - df_formula)[1:-1]))
+        xcheck_w = float(np.max(np.abs(dw_fd - dw_formula)[1:-1]))
         diss_identity = float(np.max(np.abs(df_formula - dw_formula)))
         ok = (
             ok
@@ -716,20 +740,12 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
         "alpha", "beta", "b", "lam",
         "alpha_minus_beta", "b_plus_beta", "quarter_square_plus_b", "survivor",
     )
-    with open(path, "w", newline="") as fp:
-        fp.write(",".join(header) + "\n")
+    with _open_csv(path, header) as fp:
 
         def sink(block: dict) -> None:
-            # column-wise formatting, the same strings _fmt gives; rows are
-            # joined in bounded chunks so the text of a whole block is never
-            # held at once
-            for lo in range(0, block["alpha"].size, _CSV_CHUNK_ROWS):
-                part = {name: col[lo : lo + _CSV_CHUNK_ROWS] for name, col in block.items()}
-                columns = [_repr_column(part[name]) for name in header[:3]]
-                columns.append(["" if x != x else repr(x) for x in part["lam"].tolist()])
-                columns += [_repr_column(part[name]) for name in header[4:7]]
-                columns.append(["1" if x else "0" for x in part["survivor"].tolist()])
-                fp.write("".join(",".join(row) + "\n" for row in zip(*columns)))
+            # an alpha = beta point has no lam (NaN): masked, a blank cell
+            block = {**block, "lam": np.ma.masked_invalid(block["lam"])}
+            _write_columns(fp, [block[name] for name in header])
 
         result = case_one_uniqueness_scan(config.scan, on_block=sink)
 
@@ -796,14 +812,14 @@ def run_config(config: RunConfig) -> RunOutcome:
     mass_drift = float(np.max(np.abs(masses - mass0)) / max(1e-300, abs(mass0)))
 
     # one pass over the snapshots yields every per-snapshot diagnostic
-    reports = entropy_series(traj, with_residual="evolution_residual" in config.suites)
+    series = entropy_series(traj, with_residual="evolution_residual" in config.suites)
     suites: dict[str, dict] = {}
     if "harnack_signs" in config.suites:
-        suites["harnack_signs"] = _suite_harnack_signs(reports, tol_disc)
+        suites["harnack_signs"] = _suite_harnack_signs(series, tol_disc)
     if "entropy" in config.suites:
-        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, reports)
+        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, series)
     if "evolution_residual" in config.suites:
-        suites["evolution_residual"] = _suite_evolution_residual(config, traj, reports)
+        suites["evolution_residual"] = _suite_evolution_residual(config, traj, series)
 
     pair_reports = None
     if "pathwise" in config.suites:
@@ -814,21 +830,19 @@ def run_config(config: RunConfig) -> RunOutcome:
         suites["paramscan"] = _suite_paramscan(config, out_dir)
 
     # ---- reports
-    _write_csv(
-        out_dir / "diagnostics.csv",
-        DIAGNOSTIC_COLUMNS,
-        [tuple(getattr(r, name) for name in _DIAGNOSTIC_FIELDS) for r in reports],
-    )
+    # residual_maxnorm is blank at the two end rows
+    residual = None if series.residual is None else [None, *series.residual.tolist(), None]
+    with _open_csv(out_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS) as fp:
+        _write_columns(fp, [getattr(series, name) for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual])
 
     if pair_reports is not None:
-        _write_csv(
-            out_dir / "pathwise.csv",
-            ("x1", "x2", "t1", "t2", "gamma", "lhs", "rhs", "slack", "pass"),
-            [
-                (r.pair.x1, r.pair.x2, r.pair.t1, r.pair.t2, r.gamma, r.lhs, r.rhs, r.slack, r.passed)
-                for r in pair_reports
-            ],
-        )
+        header = ("x1", "x2", "t1", "t2", "gamma", "lhs", "rhs", "slack", "pass")
+        rows = [
+            (r.pair.x1, r.pair.x2, r.pair.t1, r.pair.t2, r.gamma, r.lhs, r.rhs, r.slack, r.passed)
+            for r in pair_reports
+        ]
+        with _open_csv(out_dir / "pathwise.csv", header) as fp:
+            _write_columns(fp, list(zip(*rows)))
 
     meta = {
         "manifold_hash": manifold_hash(config.manifold),
@@ -873,8 +887,8 @@ def _export_trajectory(path: Path, config: RunConfig, traj: Trajectory) -> None:
         fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
         fp.write(f"# dt={_fmt(traj.step_size)}\n")
         fp.write(f"# direction={config.direction.value}\n")
-        for state in traj.states:
-            fp.write(",".join([_fmt(state.time)] + _repr_column(state.f.values)) + "\n")
+        for state in traj.states:  # one row per state: time, then the node values
+            _write_columns(fp, [[state.time], state.f.values[None, :]])
 
 
 @dataclass(frozen=True)

@@ -88,18 +88,20 @@ def test_dissipation_sphere_unsupported():
 
 def test_entropy_series_constant_trajectory(torus2):
     traj = hl.solve(torus2, hl.constant_field(torus2, 2.0), 0.5, 1.0, 0.05)
-    reports = hl.entropy_series(traj)
+    series = hl.entropy_series(traj)
     vol = torus2.total_volume
-    for rep in reports:
-        expected = -2 * torus2.dimension * rep.time * 2.0 * vol
-        assert rep.F_direct == pytest.approx(expected, rel=1e-12)
-        assert rep.dF_formula == pytest.approx(-8.0, rel=1e-12)
-    centered = [r for r in reports if r.fd_centered]
-    assert len(centered) == len(reports) - 2
-    assert not reports[0].fd_centered and not reports[-1].fd_centered
-    for rep in centered:
-        assert rep.dF_fd == pytest.approx(-8.0, rel=1e-11)
-        assert rep.dW_fd == pytest.approx(-8.0, rel=1e-11)
+    for t, F, dF in zip(series.time, series.F_direct, series.dF_formula):
+        expected = -2 * torus2.dimension * t * 2.0 * vol
+        assert F == pytest.approx(expected, rel=1e-12)
+        assert dF == pytest.approx(-8.0, rel=1e-12)
+    # centered differences in the interior, one-sided at the two ends
+    F, dt = series.F_direct, traj.step_size
+    assert len(series.dF_fd) == len(traj)
+    assert series.dF_fd[0] == (F[1] - F[0]) / dt and series.dF_fd[-1] == (F[-1] - F[-2]) / dt
+    assert series.dF_fd[3] == (F[4] - F[2]) / (2.0 * dt)
+    for dF, dW in zip(series.dF_fd[1:-1], series.dW_fd[1:-1]):
+        assert dF == pytest.approx(-8.0, rel=1e-11)
+        assert dW == pytest.approx(-8.0, rel=1e-11)
 
 
 def test_entropy_series_needs_three_states(torus2):
@@ -113,8 +115,8 @@ def test_entropy_series_sphere_has_no_dissipation_columns():
     s = hl.build_sphere(2)
     f0 = hl.build_initial_field(hl.RandomSmoothData(seed=1, mode_cutoff=2, amplitude=0.4, floor=1.0), s)
     traj = hl.solve(s, f0, 0.1, 0.2, 0.01)
-    reports = hl.entropy_series(traj)
-    assert all(r.dF_formula is None and r.dW_formula is None for r in reports)
+    series = hl.entropy_series(traj)
+    assert series.dF_formula is None and series.dW_formula is None
     with pytest.raises(ValueError):
         hl.entropy_series(traj, with_residual=True)
 
@@ -129,30 +131,33 @@ def test_entropy_series_equals_reference_functions(m):
     data = hl.RandomSmoothData(seed=9, mode_cutoff=3, amplitude=0.5, floor=1.0)
     traj = hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.2, 0.01)
     torus = m.has_hessian
-    reports = hl.entropy_series(traj, with_residual=torus)
-    assert len(reports) == len(traj)
-    for i, (state, rep) in enumerate(zip(traj.states, reports)):
+    series = hl.entropy_series(traj, with_residual=torus)
+    assert len(series.time) == len(traj)
+    for i, state in enumerate(traj.states):
         t = state.time
         u, v = hl.log_u(state), hl.log_v(state)
         h = hl.quantity_H(u, t)
         sign = hl.assert_nonpositive(h, tol=0.0)
-        assert rep.time == t
-        assert (rep.max_H, rep.argmax_H) == (sign.max_value, sign.argmax_node)
-        assert rep.max_liyau == float(hl.quantity_liyau(v, t).values.max())
-        assert rep.P_vs_H_gap == float(np.max(np.abs(hl.quantity_P(v, t).values - h.values)))
-        assert (rep.F_direct, rep.F_via_H) == hl.entropy_F(state)
-        assert (rep.W_direct, rep.W_via_P) == hl.entropy_W(state)
+        assert series.time[i] == t
+        assert (series.max_H[i], series.argmax_H[i]) == (sign.max_value, sign.argmax_node)
+        assert series.max_liyau[i] == float(hl.quantity_liyau(v, t).values.max())
+        assert series.P_vs_H_gap[i] == float(
+            np.max(np.abs(hl.quantity_P(v, t).values - h.values))
+        )
+        assert (series.F_direct[i], series.F_via_H[i]) == hl.entropy_F(state)
+        assert (series.W_direct[i], series.W_via_P[i]) == hl.entropy_W(state)
         if torus:
-            assert rep.dF_formula == hl.dissipation_F(state)
-            assert rep.dW_formula == hl.dissipation_W(state)
-            interior = 0 < i < len(traj) - 1
-            expected = (
-                hl.evolution_residual(traj, hl.CAO_HAMILTON_H_PARAMS, i) if interior else None
-            )
-            assert rep.residual == expected
+            assert series.dF_formula[i] == hl.dissipation_F(state)
+            assert series.dW_formula[i] == hl.dissipation_W(state)
+            # the residual holds the interior snapshots only
+            if 0 < i < len(traj) - 1:
+                expected = hl.evolution_residual(traj, hl.CAO_HAMILTON_H_PARAMS, i)
+                assert series.residual[i - 1] == expected
         else:
-            assert rep.dF_formula is None and rep.dW_formula is None
-            assert rep.residual is None
+            assert series.dF_formula is None and series.dW_formula is None
+            assert series.residual is None
+    if torus:
+        assert len(series.residual) == len(traj) - 2
 
 
 def single_mode_state(res, t0=0.1):
@@ -183,11 +188,10 @@ def test_dissipation_matches_finite_difference():
         m = hl.build_torus(1, [1.0], [res])
         data = hl.TrigPolynomialData(floor=0.8, modes=(hl.TrigMode((1,), 0.4),))
         traj = hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.3, dt)
-        reports = hl.entropy_series(traj)
+        series = hl.entropy_series(traj)
         idx = int(round(0.1 / dt))  # t = 0.2
-        rep = reports[idx]
-        assert rep.fd_centered
-        gaps.append(abs(rep.dF_fd - rep.dF_formula))
+        assert 0 < idx < len(traj) - 1  # a centered difference
+        gaps.append(abs(series.dF_fd[idx] - series.dF_formula[idx]))
     assert 3.2 < gaps[0] / gaps[1] < 4.8
 
 
@@ -195,9 +199,8 @@ def test_backward_series_monotone_in_tau():
     m = hl.build_torus(1, [1.0], [64])
     data = hl.TrigPolynomialData(floor=1.0, modes=(hl.TrigMode((1,), 0.15),))
     traj = hl.solve(m, hl.build_initial_field(data, m), 0.05, 0.45, 2e-3, hl.Direction.BACKWARD)
-    reports = hl.entropy_series(traj)
+    series = hl.entropy_series(traj)
     tol = 1e-8
-    for rep in reports:
-        if rep.fd_centered:
-            assert rep.dF_fd <= tol      # nonincreasing in tau
-            assert -rep.dF_fd >= -tol    # hence nondecreasing in t
+    for dF in series.dF_fd[1:-1]:
+        assert dF <= tol      # nonincreasing in tau
+        assert -dF >= -tol    # hence nondecreasing in t

@@ -173,6 +173,9 @@ def test_solve_validates_inputs():
         hl.solve(m, good, 0.2, 0.1, 0.01)  # t_end <= t0
     with pytest.raises(ValueError):
         hl.solve(m, good, 0.1, 0.2, 0.03)  # dt does not divide
+    for tiny in (5.0e-324, 1.0e-300):
+        with pytest.raises(ValueError):
+            hl.solve(m, good, 0.1, 0.2, tiny)  # step count overflows, or t0 + dt == t0
     other = unit_circle(32)
     with pytest.raises(ValueError):
         hl.solve(other, good, 0.1, 0.2, 0.01)  # wrong manifold

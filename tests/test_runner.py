@@ -97,6 +97,10 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("dt: 0.01", "dt: .nan"), "finite"),
         (lambda s: s.replace("dimension: 2", "dimension: 4"), "dimension"),
         (lambda s: s.replace("rng_seed: 7", "rng_seed: -7"), "rng_seed"),
+        # a dt too small to count the steps or to advance the clock
+        (lambda s: s.replace("dt: 0.01", "dt: 5.0e-324"), "flow.dt = 5e-324"),
+        (lambda s: s.replace("dt: 0.01", "dt: 1.0e-300"), "flow.dt = 1e-300"),
+        (lambda s: s.replace("quadrature_tol: 1.0e-6", "quadrature_tol: -1.0"), "quadrature_tol"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -278,8 +282,8 @@ def smoke_snapshots():
     f0 = hl.build_initial_field(config.initial_data, m)
     traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
     tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
-    reports = hl.entropy_series(traj, with_residual=True)
-    return config, traj, reports, tol_disc, hl.integrate(f0)
+    series = hl.entropy_series(traj, with_residual=True)
+    return config, traj, series, tol_disc, hl.integrate(f0)
 
 
 SIGN_FIELDS = ("max_H", "max_liyau", "P_vs_H_gap")
@@ -293,20 +297,20 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
     # inf must fail them too
     from dataclasses import replace
 
-    config, traj, reports, tol_disc, mass = smoke_snapshots
+    config, traj, series, tol_disc, mass = smoke_snapshots
 
-    def suite(reports):
+    def suite(series):
         if field in SIGN_FIELDS:
-            return runner._suite_harnack_signs(reports, tol_disc)
+            return runner._suite_harnack_signs(series, tol_disc)
         if field == "residual":
-            return runner._suite_evolution_residual(config, traj, reports)
-        return runner._suite_entropy(config, traj, tol_disc, mass, reports)
+            return runner._suite_evolution_residual(config, traj, series)
+        return runner._suite_entropy(config, traj, tol_disc, mass, series)
 
-    assert suite(reports)["pass"] is True
+    assert suite(series)["pass"] is True
     for bad in (float("nan"), float("inf")):
-        poisoned = list(reports)
-        poisoned[5] = replace(poisoned[5], **{field: bad})
-        assert suite(poisoned)["pass"] is False
+        values = getattr(series, field).copy()
+        values[5] = bad
+        assert suite(replace(series, **{field: values}))["pass"] is False
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
@@ -473,6 +477,74 @@ def test_paramscan_csv_matches_rowwise_reference(tmp_path):
     written = (tmp_path / "out" / "paramscan.csv").read_bytes()
     assert written == ref.read_bytes()
     assert b",," in written
+
+
+SPHERE_CONFIG = CONSTANT_CONFIG.replace(
+    "manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}",
+    "manifold: {kind: sphere, subdivision: 2}",
+).replace(
+    "initial_data: {kind: constant, value: 1.0}",
+    "initial_data: {kind: random_smooth, seed: 5, mode_cutoff: 2, amplitude: 0.4, floor: 1.0}",
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(CONFIG_DIR / "torus_smoke.yaml").read_text(), SPHERE_CONFIG],
+    ids=["torus_smoke", "sphere"],
+)
+def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
+    # the column writer must give exactly the bytes of csv.writer with _fmt
+    # per value, built from the series and pairs the run computes: the torus
+    # run fills dissipation and residual (blank at the two end rows), the
+    # sphere run leaves dissipation and residual blank
+    from dataclasses import replace
+
+    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    run_config(config)
+    m = config.manifold.build()
+    f0 = hl.build_initial_field(config.initial_data, m)
+    traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
+    series = hl.entropy_series(traj, with_residual="evolution_residual" in config.suites)
+    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
+    pairs = hl.check_integrated_harnack(
+        traj,
+        hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed),
+        tol=tol_disc,
+    )
+
+    def reference(header, rows) -> bytes:
+        path = tmp_path / "reference.csv"
+        with open(path, "w", newline="") as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([runner._fmt(x) for x in row])
+        return path.read_bytes()
+
+    residual = [None] * len(traj)
+    if series.residual is not None:
+        residual[1:-1] = series.residual
+    diag_rows = [
+        [None if getattr(series, name) is None else getattr(series, name)[i]
+         for name in runner.DIAGNOSTIC_COLUMNS[:-1]] + [residual[i]]
+        for i in range(len(traj))
+    ]
+    diag = (tmp_path / "out" / "diagnostics.csv").read_bytes()
+    assert diag == reference(runner.DIAGNOSTIC_COLUMNS, diag_rows)
+    pw_rows = [
+        (r.pair.x1, r.pair.x2, r.pair.t1, r.pair.t2, r.gamma, r.lhs, r.rhs, r.slack, r.passed)
+        for r in pairs
+    ]
+    header = ("x1", "x2", "t1", "t2", "gamma", "lhs", "rhs", "slack", "pass")
+    assert (tmp_path / "out" / "pathwise.csv").read_bytes() == reference(header, pw_rows)
+
+    rows = [line.split(",") for line in diag.decode().splitlines()[1:]]
+    torus = m.has_hessian
+    for i, cells in enumerate(rows):
+        assert len(cells) == len(runner.DIAGNOSTIC_COLUMNS)
+        assert (cells[9] != "" and cells[11] != "") is torus  # dF_formula, dW_formula
+        assert (cells[12] != "") is (torus and 0 < i < len(rows) - 1)  # residual_maxnorm
 
 
 def test_main_calibrate(tmp_path, capsys):
