@@ -21,15 +21,32 @@ central-difference stencils with periodic wrap; on the sphere the Laplacian
 is the cotangent-weight operator divided by lumped (barycentric) vertex
 areas, and squared gradients come from per-triangle linear-element gradients
 area-averaged to vertices.  ``stiffness`` is the symmetric weighted form W
-with Lap = W / quadrature weight, which the Crank-Nicolson solve uses.
+with Lap = W / quadrature weight.  On the sphere W is applied in its edge
+form -D^T (w * D f), with D the edge-difference matrix, so every edge term is
+exactly zero on constants; the face gradients and their vertex average are
+likewise two sparse matrices assembled at build time.
+
+Crank-Nicolson solve
+--------------------
+A step of size dt = 2a solves (M - a W) x = (M + a W) f, with M the diagonal
+quadrature mass.  Each backend supplies a direct solver for it,
+``cn_solver(a)``, built once per flow: on the torus the stencil is diagonal
+under the discrete Fourier transform, so the solve is one real FFT pair with
+the multiplier (1 + a lam_k) / (1 - a lam_k); on the sphere M - a W is
+factored once by a sparse LU.  Both solve for f - f[0] and add f[0] back, so
+constant data stays bit-for-bit stationary.  ``linear_solver`` names the
+method.  The flow checks the residual of every solve against ``stiffness``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 
 class BackendError(ValueError):
@@ -45,10 +62,12 @@ class ManifoldDescriptor:
     the sphere.  ``mesh_scale`` is the h that enters discretization
     tolerances: the largest grid spacing on a torus, the largest edge length
     on a sphere.  ``has_hessian`` tells whether the backend supplies
-    ``grad_components`` and ``hessian_penalty``.
+    ``grad_components`` and ``hessian_penalty``; ``linear_solver`` names the
+    method of its ``cn_solver``.
     """
 
     has_hessian: ClassVar[bool] = False
+    linear_solver: ClassVar[str]
 
     dimension: int
     node_count: int
@@ -73,6 +92,10 @@ class ManifoldDescriptor:
         raise NotImplementedError
 
     def geodesic_distance(self, x1: int, x2: int) -> float:
+        raise NotImplementedError
+
+    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The solver f -> x of (M - a W) x = (M + a W) f, for one fixed a > 0."""
         raise NotImplementedError
 
     def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
@@ -143,6 +166,7 @@ class FlatTorus(ManifoldDescriptor):
     """Periodic uniform grid on a flat torus, Ric = 0.  Built by :func:`build_torus`."""
 
     has_hessian: ClassVar[bool] = True
+    linear_solver: ClassVar[str] = "fft"
 
     side_lengths: tuple[float, ...]
     resolution: tuple[int, ...]
@@ -200,6 +224,29 @@ class FlatTorus(ManifoldDescriptor):
     def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
         return np.zeros(self.node_count)
 
+    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Crank-Nicolson solve by one real FFT pair.
+
+        The stencil's eigenvalue at wave number k is
+        lam_k = sum_axes (2 cos(2 pi k / r) - 2) / h^2, so the step multiplies
+        each Fourier coefficient by (1 + a lam_k) / (1 - a lam_k); the zero
+        mode's factor is exactly 1.  The last axis is the half spectrum.
+        """
+        n, res = self.dimension, self.resolution
+        lam = np.zeros(res[:-1] + (res[-1] // 2 + 1,))
+        for ax, (r, h) in enumerate(zip(res, self.spacings)):
+            k = np.arange(lam.shape[ax]).reshape([-1 if i == ax else 1 for i in range(n)])
+            lam = lam + (2.0 * np.cos(2.0 * np.pi * k / r) - 2.0) / (h * h)
+        factor = (1.0 + a * lam) / (1.0 - a * lam)
+        axes = tuple(range(n))
+
+        def solve(f: np.ndarray) -> np.ndarray:
+            c = f[0]
+            spectrum = np.fft.rfftn((f - c).reshape(res))
+            return c + np.fft.irfftn(spectrum * factor, s=res, axes=axes).ravel()
+
+        return solve
+
     def minimum_image(self, delta: np.ndarray) -> np.ndarray:
         """|delta| per coordinate, reduced to the nearest periodic image."""
         delta = np.abs(delta)
@@ -256,7 +303,10 @@ def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
 @dataclass(frozen=True, eq=False)
 class RoundSphere(ManifoldDescriptor):
     """Icosphere mesh of the round unit sphere, Ric(X,X) = |X|^2.  Built by
-    :func:`build_sphere`, with the connectivity arrays the operators need."""
+    :func:`build_sphere`, with the mesh arrays and the sparse (CSR) operator
+    matrices assembled from them."""
+
+    linear_solver: ClassVar[str] = "splu"
 
     faces: np.ndarray          # (F, 3) vertex indices
     face_areas: np.ndarray     # (F,)
@@ -264,30 +314,42 @@ class RoundSphere(ManifoldDescriptor):
     edge_i: np.ndarray         # (E,) endpoints with edge_i < edge_j
     edge_j: np.ndarray
     edge_weights: np.ndarray   # (E,) cotangent weights (w_ij = (cot a + cot b)/2)
+    edge_difference: sparse.csr_matrix   # (E, N): row e gives f[edge_j] - f[edge_i]
+    edge_scatter: sparse.csr_matrix      # (N, E): -D^T diag(edge_weights)
+    face_gradient: sparse.csr_matrix     # (3F, N): row 3f + d is component d of grad f on face f
+    face_average: sparse.csr_matrix      # (N, F): area/3 per corner over the vertex weight
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
         """Cotangent-weight edge-difference form Sum_j w_ij (f_j - f_i).
 
-        Symmetric with zero row sums by construction; each edge term is exactly
-        zero on constant fields.
+        Symmetric with zero row sums by construction; each edge difference,
+        and so the whole form, is exactly zero on constant fields.
         """
-        diff = self.edge_weights * (values[self.edge_j] - values[self.edge_i])
-        out = np.zeros(self.node_count)
-        np.add.at(out, self.edge_i, diff)
-        np.add.at(out, self.edge_j, -diff)
-        return out
+        return self.edge_scatter @ (self.edge_difference @ values)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         return self.stiffness(values) / self.quadrature_weights
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        fv = values[self.faces]                            # (F, 3)
-        grad = np.einsum("fm,fmd->fd", fv, self.grad_vectors)
-        gsq = np.einsum("fd,fd->f", grad, grad)            # (F,)
-        out = np.zeros(self.node_count)
-        np.add.at(out, self.faces.ravel(), np.repeat(self.face_areas / 3.0 * gsq, 3))
-        out /= self.quadrature_weights
-        return out
+        grad = (self.face_gradient @ values).reshape(-1, 3)
+        return self.face_average @ np.einsum("fd,fd->f", grad, grad)
+
+    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Crank-Nicolson solve by one sparse LU factorization of M - a W.
+
+        The factor lives as long as the returned solver, so a flow holds it
+        only while it runs.
+        """
+        mass = self.quadrature_weights
+        lhs = sparse.diags(mass) - a * (self.edge_scatter @ self.edge_difference)
+        lu = splu(lhs.tocsc())
+
+        def solve(f: np.ndarray) -> np.ndarray:
+            c = f[0]
+            d = f - c
+            return c + lu.solve(mass * d + a * self.stiffness(d))
+
+        return solve
 
     def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
         return self.grad_norm_sq(values)
@@ -343,6 +405,13 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.array(vlist), np.array(new_faces, dtype=np.int64)
 
 
+def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr_matrix:
+    """The sparse matrix whose row r holds ``values[r]`` at ``columns[r]``."""
+    rows, per_row = columns.shape
+    indptr = np.arange(0, rows * per_row + 1, per_row)
+    return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(rows, width))
+
+
 def check_sphere_args(subdivision: int) -> None:
     """Raise ValueError unless :func:`build_sphere` accepts this argument."""
     if subdivision < 2:
@@ -378,8 +447,6 @@ def build_sphere(subdivision: int) -> RoundSphere:
 
     # cotangent weights, accumulated per face corner then summed over the
     # (at most two) faces sharing each edge
-    from scipy.sparse import coo_matrix
-
     rows, cols, vals = [], [], []
     corner_pts = (p0, p1, p2)
     for k in range(3):
@@ -390,7 +457,7 @@ def build_sphere(subdivision: int) -> RoundSphere:
         rows.append(faces[:, i])
         cols.append(faces[:, j])
         vals.append(0.5 * cot)
-    w = coo_matrix(
+    w = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(node_count, node_count),
     ).tocsr()
@@ -400,6 +467,18 @@ def build_sphere(subdivision: int) -> RoundSphere:
     edge_i = wc.row[upper].astype(np.int64)
     edge_j = wc.col[upper].astype(np.int64)
     edge_weights = wc.data[upper]
+
+    # the operators as sparse matrices: one row per edge (its two endpoints)
+    # or per face (its three corners), transposed where they sum into vertices
+    endpoints = np.stack([edge_i, edge_j], axis=1)
+    edge_difference = _csr_rows(np.tile([-1.0, 1.0], (len(edge_i), 1)), endpoints, node_count)
+    edge_scatter = _csr_rows(
+        np.stack([edge_weights, -edge_weights], axis=1), endpoints, node_count
+    ).T.tocsr()
+    face_gradient = _csr_rows(
+        grad_vectors.transpose(0, 2, 1).reshape(-1, 3), np.repeat(faces, 3, axis=0), node_count
+    )
+    face_average = _csr_rows(face_areas[:, None] / 3.0 / lumped[faces], faces, node_count).T.tocsr()
 
     edge_lengths = np.linalg.norm(verts[edge_i] - verts[edge_j], axis=1)
     return RoundSphere(
@@ -414,6 +493,10 @@ def build_sphere(subdivision: int) -> RoundSphere:
         edge_i=edge_i,
         edge_j=edge_j,
         edge_weights=edge_weights,
+        edge_difference=edge_difference,
+        edge_scatter=edge_scatter,
+        face_gradient=face_gradient,
+        face_average=face_average,
     )
 
 

@@ -1,6 +1,11 @@
 """Heat-equation time integration on discrete manifolds.
 
-Forward flows integrate df/dt = Lap f with Crank-Nicolson.  Backward flows
+Forward flows integrate df/dt = Lap f with Crank-Nicolson.  Each step's
+linear system is solved by the backend's direct solver (``cn_solver``: an
+FFT on the torus, a sparse LU factored once on the sphere), built once per
+flow, and every solution's residual is checked against CN_SOLVE_RTOL.  The
+conjugate-gradient solver :func:`cg_solver` is kept as the reference the
+direct solvers are tested against.  Backward flows
 (df/dt = -Lap f) are run as forward flows in the variable tau with
 dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
 FlowState carries tau in its ``time`` field.
@@ -15,6 +20,7 @@ fails it.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,45 +110,75 @@ def tau_of_t(t: float, t_ref: float) -> float:
     return t_ref - t
 
 
-def _cn_solve(m: ManifoldDescriptor, a: float, f_old: np.ndarray) -> np.ndarray:
-    """Solve (M - a W) f_new = (M + a W) f_old.
+def cg_solver(m: ManifoldDescriptor, a: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Conjugate-gradient solver of (M - a W) x = (M + a W) f.
 
-    M is the diagonal quadrature mass, W the symmetric weighted stiffness, so
-    the system is the Crank-Nicolson operator I - a*Lap made SPD under the
-    quadrature inner product.  Conjugate gradient with one iterative
-    refinement pass; the final relative residual is checked against
-    CN_SOLVE_RTOL.  Exact on constant data (the initial residual is zero).
+    The reference for the backends' direct ``cn_solver``: the system is the
+    Crank-Nicolson operator I - a*Lap made SPD under the quadrature inner
+    product, solved to relative residual CN_SOLVE_RTOL with one iterative
+    refinement pass.  Exact on constant data (the initial residual is zero).
     """
     mass = m.quadrature_weights
 
     def matvec(x: np.ndarray) -> np.ndarray:
         return mass * x - a * m.stiffness(x)
 
-    rhs = mass * f_old + a * m.stiffness(f_old)
     op = LinearOperator((m.node_count, m.node_count), matvec=matvec, dtype=float)
-    x, _ = cg(op, rhs, x0=f_old, rtol=CN_SOLVE_RTOL, atol=0.0, maxiter=20 * m.node_count)
+
+    def solve_cg(f_old: np.ndarray) -> np.ndarray:
+        rhs = mass * f_old + a * m.stiffness(f_old)
+        x, _ = cg(op, rhs, x0=f_old, rtol=CN_SOLVE_RTOL, atol=0.0, maxiter=20 * m.node_count)
+        resid = rhs - matvec(x)
+        if np.linalg.norm(resid) > 1e-15 * np.linalg.norm(rhs):
+            dx, _ = cg(op, resid, rtol=1e-2, atol=0.0, maxiter=m.node_count)
+            x = x + dx
+        return x
+
+    return solve_cg
+
+
+def _cn_solve(
+    m: ManifoldDescriptor,
+    a: float,
+    solver: Callable[[np.ndarray], np.ndarray],
+    f_old: np.ndarray,
+) -> np.ndarray:
+    """Solve (M - a W) f_new = (M + a W) f_old with ``solver``, and check it.
+
+    M is the diagonal quadrature mass and W the symmetric weighted stiffness,
+    so the system is the Crank-Nicolson operator I - a*Lap.  ``solver`` is
+    the backend's ``cn_solver(a)`` (or :func:`cg_solver`); its solution's
+    relative residual, taken with ``m.stiffness``, must be at most
+    CN_SOLVE_RTOL.
+    """
+    x = solver(f_old)
+    mass = m.quadrature_weights
+    rhs = mass * f_old + a * m.stiffness(f_old)
     rhs_norm = float(np.linalg.norm(rhs))
-    resid = rhs - matvec(x)
-    resid_norm = float(np.linalg.norm(resid))
-    if resid_norm > 1e-15 * rhs_norm:
-        dx, _ = cg(op, resid, rtol=1e-2, atol=0.0, maxiter=m.node_count)
-        x = x + dx
-        resid_norm = float(np.linalg.norm(rhs - matvec(x)))
+    resid_norm = float(np.linalg.norm(rhs - (mass * x - a * m.stiffness(x))))
     # written so that a NaN or inf residual or right side fails
     if not (np.isfinite(rhs_norm) and resid_norm <= CN_SOLVE_RTOL * rhs_norm):
         raise SolverError(
-            f"Crank-Nicolson solve stalled at relative residual "
+            f"Crank-Nicolson solve missed its residual bound: relative residual "
             f"{resid_norm / rhs_norm:.3e}"
         )
     return x
 
 
-def step(state: FlowState, dt: float) -> FlowState:
-    """One Crank-Nicolson step of df/dt = Lap f (in the state's own clock)."""
+def step(
+    state: FlowState, dt: float, solver: Callable[[np.ndarray], np.ndarray] | None = None
+) -> FlowState:
+    """One Crank-Nicolson step of df/dt = Lap f (in the state's own clock).
+
+    ``solver`` solves the step's system for this dt (``cn_solver(dt / 2)``
+    of the state's manifold); without it, one is built for this step.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     m = state.manifold
-    new_values = _cn_solve(m, dt / 2.0, state.f.values)
+    if solver is None:
+        solver = m.cn_solver(dt / 2.0)
+    new_values = _cn_solve(m, dt / 2.0, solver, state.f.values)
     new_time = state.time + dt
     if not _finite_positive(new_values):
         # the first non-finite node, else the smallest value
@@ -162,7 +198,8 @@ def solve(
     """Integrate from t0 to t_end, storing every step.
 
     dt must divide t_end - t0 within rounding.  The total mass integral(f)
-    is conserved across every step to solver tolerance.
+    is conserved across every step to solver tolerance.  The backend's
+    solver for dt is built once and released when the flow returns.
     """
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
@@ -179,10 +216,11 @@ def solve(
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span} within rounding")
 
+    solver = m.cn_solver(dt / 2.0)
     states = [FlowState(f0.copy(), t0, direction)]
     current = states[0]
     for k in range(1, n_steps + 1):
-        advanced = step(current, dt)
+        advanced = step(current, dt, solver)
         # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
         current = FlowState(advanced.f, t0 + k * dt, direction)
         states.append(current)

@@ -11,6 +11,7 @@ checks rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,8 +57,11 @@ class RandomSmoothData:
     """floor + amplitude * (1 + ghat)/2 with ghat a seeded band-limited field in [-1, 1].
 
     ghat is a random trigonometric sum normalized by the closed-form bound
-    sum |coefficients|, so the value range is grid-independent.
+    sum |coefficients|, so the value range is grid-independent.  A config
+    may ask for at most MAX_MODES modes (see :meth:`mode_count`).
     """
+
+    MAX_MODES: ClassVar[int] = 10_000
 
     seed: int
     mode_cutoff: int
@@ -73,6 +77,13 @@ class RandomSmoothData:
             raise ValueError(f"mode cutoff must be >= 1, got {self.mode_cutoff}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    def mode_count(self, torus_dimension: int | None) -> int:
+        """The modes the datum sums: (2 cutoff + 1)^n on T^n (the zero mode
+        included), 8 cutoff plane waves on the sphere (``None``)."""
+        if torus_dimension is None:
+            return 8 * self.mode_cutoff
+        return (2 * self.mode_cutoff + 1) ** torus_dimension
 
 
 InitialData = ConstantData | TrigPolynomialData | RandomSmoothData
@@ -117,7 +128,7 @@ def _random_smooth_sphere(m: ManifoldDescriptor, data: RandomSmoothData) -> np.n
     # superposition of plane waves restricted to the sphere: smooth, with the
     # same closed-form sup bound as the torus construction
     rng = np.random.default_rng(data.seed)
-    n_waves = 8 * data.mode_cutoff
+    n_waves = data.mode_count(None)
     ghat = np.zeros(m.node_count)
     total = 0.0
     for _ in range(n_waves):

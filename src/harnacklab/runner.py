@@ -55,7 +55,10 @@ Each section is read into its dataclass (``ManifoldSpec``, the initial-data
 classes, ``Tolerances``, ``ScanSpec``), whose fields hold its keys, defaults
 and range checks.  An unknown key is a config error naming it; so is a value
 of the wrong type, a non-integral integer, a non-finite number or an
-out-of-range value, including a manifold the builders would reject.
+out-of-range value, including a manifold the builders would reject.  Run
+size is bounded: at most ``RunConfig.MAX_STEPS`` steps, and a random_smooth
+datum of at most ``RandomSmoothData.MAX_MODES`` modes ((2 mode_cutoff + 1)^n
+on a torus, 8 mode_cutoff plane waves on the sphere).
 Torus-only suites (evolution_residual, and the dissipation cross-check
 inside entropy) are rejected at parse time on sphere configs; pathwise is
 rejected on backward configs (the integrated bound is a forward statement).
@@ -87,8 +90,11 @@ as repr over tolist(), any other value as ``_fmt`` gives it (integers as
 integers, booleans as 1/0, None as an empty cell).
 
 ``trajectory_meta.json``
-    manifold hash and shape, solver stats, the tolerance constant in
-    effect and the resulting tol_disc, initial mass and relative drift.
+    manifold hash and shape; the solver (``linear_solver`` is the backend's
+    direct Crank-Nicolson solver, ``fft`` on a torus and ``splu`` on the
+    sphere, and ``rtol`` the relative residual every solve is checked
+    against); the tolerance constant in effect and the resulting tol_disc,
+    initial mass and relative drift.
 ``diagnostics.csv``
     one row per snapshot, fixed column order::
 
@@ -146,7 +152,14 @@ from .harnack import (  # noqa: F401
     quantity_liyau,
     quantity_P,
 )
-from .heatflow import Direction, PositivityLossError, SolverError, Trajectory, solve
+from .heatflow import (
+    CN_SOLVE_RTOL,
+    Direction,
+    PositivityLossError,
+    SolverError,
+    Trajectory,
+    solve,
+)
 from .initialdata import (
     ConstantData,
     InitialData,
@@ -233,6 +246,9 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
+    # the most Crank-Nicolson steps a config may ask for
+    MAX_STEPS: typing.ClassVar[int] = 20_000
+
     manifold: ManifoldSpec
     initial_data: InitialData
     t0: float
@@ -398,6 +414,11 @@ def parse_config_text(text: str) -> RunConfig:
     n_steps = round((t_end - t0) / dt)
     if n_steps < 2 or abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, t_end - t0):
         raise ConfigError(f"flow.dt = {dt} does not divide t_end - t0 = {t_end - t0}")
+    if n_steps > RunConfig.MAX_STEPS:
+        raise ConfigError(
+            f"flow.dt = {dt} makes {n_steps} steps from t0 to t_end; at most "
+            f"{RunConfig.MAX_STEPS} are allowed"
+        )
 
     suites = _convert(tuple[str, ...], _need(raw, "suites", "config"), "suites")
     for s in suites:
@@ -412,6 +433,13 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("trig_polynomial initial data is only defined on tori")
         if any(len(mode.index) != manifold.dimension for mode in initial_data.modes):
             raise ConfigError("initial_data.modes: each index needs one entry per torus axis")
+    if isinstance(initial_data, RandomSmoothData):
+        modes = initial_data.mode_count(manifold.dimension if manifold.kind == "torus" else None)
+        if modes > RandomSmoothData.MAX_MODES:
+            raise ConfigError(
+                f"initial_data.mode_cutoff = {initial_data.mode_cutoff} makes {modes} modes; "
+                f"at most {RandomSmoothData.MAX_MODES} are allowed"
+            )
     if "evolution_residual" in suites:
         if any(r % 4 != 0 or r < 16 for r in manifold.resolution):
             raise ConfigError(
@@ -860,7 +888,11 @@ def run_config(config: RunConfig) -> RunOutcome:
         "strict": config.strict,
         "mass_initial": mass0,
         "mass_drift_rel": mass_drift,
-        "solver": {"scheme": "crank_nicolson", "linear_solver": "cg", "rtol": 1e-12},
+        "solver": {
+            "scheme": "crank_nicolson",
+            "linear_solver": m.linear_solver,
+            "rtol": CN_SOLVE_RTOL,
+        },
     }
     _write_json(out_dir / "trajectory_meta.json", meta)
 

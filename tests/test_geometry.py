@@ -221,6 +221,39 @@ def test_torus_stencils_match_np_roll_exactly(args):
     assert np.array_equal(hl.hessian_penalty(field, 1.3, 0.7).values, hess)
 
 
+def _add_at_stiffness(m, values):
+    """The sphere stiffness as scattered edge differences (np.add.at form)."""
+    diff = m.edge_weights * (values[m.edge_j] - values[m.edge_i])
+    out = np.zeros(m.node_count)
+    np.add.at(out, m.edge_i, diff)
+    np.add.at(out, m.edge_j, -diff)
+    return out
+
+
+def _add_at_grad_norm_sq(m, values):
+    """The sphere |grad f|^2 as face gradients scattered to vertices (np.add.at form)."""
+    fv = values[m.faces]
+    grad = np.einsum("fm,fmd->fd", fv, m.grad_vectors)
+    gsq = np.einsum("fd,fd->f", grad, grad)
+    out = np.zeros(m.node_count)
+    np.add.at(out, m.faces.ravel(), np.repeat(m.face_areas / 3.0 * gsq, 3))
+    out /= m.quadrature_weights
+    return out
+
+
+@pytest.mark.parametrize("subdivision", [2, 4])
+def test_sphere_sparse_operators_match_add_at_reference(subdivision):
+    m = hl.build_sphere(subdivision)
+    rough = np.random.default_rng(6).uniform(0.5, 2.0, m.node_count)
+    smooth = np.exp(m.positions[:, 2]) + np.sin(3.0 * m.positions[:, 0])
+    for values in (rough, smooth):
+        for got, want in (
+            (m.stiffness(values), _add_at_stiffness(m, values)),
+            (m.grad_norm_sq(values), _add_at_grad_norm_sq(m, values)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_hessian_penalty_sphere_unsupported():
     m = hl.build_sphere(2)
     with pytest.raises(BackendError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab.heatflow import Direction
+from harnacklab.heatflow import Direction, cg_solver
 
 
 def unit_circle(res=128):
@@ -29,6 +29,48 @@ def test_constant_is_stationary_exactly():
     assert np.array_equal(stepped.f.values, state.f.values)
     assert stepped.time == pytest.approx(0.87)
     assert stepped.direction is Direction.FORWARD
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: hl.build_torus(3, [1.0, 2.0, 1.5], [8, 12, 16]), lambda: hl.build_sphere(3)],
+    ids=["T3", "S2"],
+)
+def test_constant_is_stationary_exactly_on_t3_and_s2(build):
+    # 0.7 is not dyadic: a solver that transformed or factored the constant
+    # itself, instead of f - f[0], would move it by rounding
+    m = build()
+    traj = hl.solve(m, hl.constant_field(m, 0.7), 0.1, 0.2, 0.01)
+    assert len(traj) == 11
+    assert all(np.array_equal(s.f.values, traj.states[0].f.values) for s in traj.states)
+
+
+# the backends' direct solvers against the conjugate-gradient reference
+ORACLE_MANIFOLDS = {
+    "T1_64": lambda: hl.build_torus(1, [1.0], [64]),
+    "T2_32": lambda: hl.build_torus(2, [1.0, 1.0], [32, 32]),
+    "T3_16": lambda: hl.build_torus(3, [1.0, 1.0, 1.0], [16, 16, 16]),
+    "S2_sub2": lambda: hl.build_sphere(2),
+    "S2_sub3": lambda: hl.build_sphere(3),
+}
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@pytest.mark.parametrize("name", ORACLE_MANIFOLDS)
+def test_direct_solver_matches_cg_oracle(name, direction):
+    m = ORACLE_MANIFOLDS[name]()
+    data = hl.RandomSmoothData(seed=3, mode_cutoff=2, amplitude=0.5, floor=1.0)
+    f0 = hl.build_initial_field(data, m)
+    dt = 2e-3
+    fast = hl.solve(m, f0, 0.1, 0.2, dt, direction)
+    assert len(fast) == 51
+    oracle = cg_solver(m, dt / 2.0)
+    state = hl.FlowState(f0, 0.1, direction)
+    for _ in range(50):
+        state = hl.step(state, dt, oracle)
+    ref = state.f.values
+    assert np.max(np.abs(fast.states[-1].f.values - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert fast.states[-1].direction is direction
 
 
 def test_single_mode_step_matches_discrete_eigenvalue():
@@ -72,13 +114,23 @@ def test_overflowing_step_raises():
         hl.step(state, 0.01)
 
 
+def test_overflowing_step_raises_on_the_sphere():
+    # the sphere's LU solve must fail the same residual check
+    m = hl.build_sphere(2)
+    values = np.ones(m.node_count)
+    values[3] = 1e308
+    state = hl.FlowState(hl.ScalarField(values, m), 1.0)
+    with np.errstate(all="ignore"), pytest.raises(hl.SolverError):
+        hl.step(state, 0.01)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_step_rejects_nonfinite_solve(monkeypatch, bad):
     from harnacklab import heatflow
 
     m = unit_circle(16)
 
-    def broken_solve(m, a, f_old):
+    def broken_solve(m, a, solver, f_old):
         out = f_old.copy()
         out[5] = bad
         return out

@@ -101,6 +101,11 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("dt: 0.01", "dt: 5.0e-324"), "flow.dt = 5e-324"),
         (lambda s: s.replace("dt: 0.01", "dt: 1.0e-300"), "flow.dt = 1e-300"),
         (lambda s: s.replace("quadrature_tol: 1.0e-6", "quadrature_tol: -1.0"), "quadrature_tol"),
+        # run size is bounded: the step count and the random datum's mode count
+        (lambda s: s.replace("dt: 0.01", "dt: 1.0e-5"), "makes 50000 steps"),
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: random_smooth, seed: 1, mode_cutoff: 100000, "
+                             "amplitude: 0.5, floor: 1.0}"), "initial_data.mode_cutoff"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -486,6 +491,19 @@ SPHERE_CONFIG = CONSTANT_CONFIG.replace(
     "initial_data: {kind: constant, value: 1.0}",
     "initial_data: {kind: random_smooth, seed: 5, mode_cutoff: 2, amplitude: 0.4, floor: 1.0}",
 )
+
+
+@pytest.mark.parametrize(
+    "text, linear_solver", [(CONSTANT_CONFIG, "fft"), (SPHERE_CONFIG, "splu")], ids=["torus", "sphere"]
+)
+def test_meta_names_the_backend_solver(tmp_path, text, linear_solver):
+    from dataclasses import replace
+
+    run_config(replace(parse_config_text(text), output_dir=str(tmp_path / "out")))
+    meta = json.loads((tmp_path / "out" / "trajectory_meta.json").read_text())
+    assert meta["solver"] == {
+        "scheme": "crank_nicolson", "linear_solver": linear_solver, "rtol": 1e-12
+    }
 
 
 @pytest.mark.parametrize(
