@@ -12,7 +12,9 @@ kept because each has its own via-quantity form (the discrete Stokes
 identity test) and its own dissipation integral.  Weights are taken as f
 directly, which avoids catastrophic cancellation at small t.
 
-:func:`entropy_series` walks a trajectory once.  Per snapshot it computes
+:func:`entropy_series` walks a trajectory once, as it is stepped, holding
+O(nodes) memory; a caller's ``on_state`` sees each state on the way, so
+one pass of the flow serves every consumer.  Per snapshot it computes
 u, v, their Laplacians, the gradient of u, |grad v|^2 and (on a backend
 with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
 exactly once, and derives from them the Harnack sign maxima, both entropies,
@@ -24,6 +26,7 @@ array per field.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +164,11 @@ def dissipation_W(state: FlowState) -> float:
     return _dissipation(state, log_v(state))
 
 
-def entropy_series(traj: Trajectory, with_residual: bool = False) -> SnapshotSeries:
+def entropy_series(
+    traj: Trajectory,
+    with_residual: bool = False,
+    on_state: Callable[[int, FlowState], None] | None = None,
+) -> SnapshotSeries:
     """The SnapshotSeries of a trajectory, from a single pass over it.
 
     Every value equals, bit for bit, what the reference functions
@@ -171,7 +178,8 @@ def entropy_series(traj: Trajectory, with_residual: bool = False) -> SnapshotSer
     The dissipation integrals are computed exactly when the backend has a
     Hessian (the torus).  ``with_residual`` adds the canonical H tuple's
     evolution residual (torus only); its Q is held in a rolling window of
-    three snapshots, so extra memory stays O(nodes).
+    three snapshots, so extra memory stays O(nodes).  ``on_state(i, state)``
+    is called with each state, in order, before its diagnostics.
     """
     if len(traj) < 3:
         raise ValueError(f"entropy series needs at least 3 states, got {len(traj)}")
@@ -185,7 +193,9 @@ def entropy_series(traj: Trajectory, with_residual: bool = False) -> SnapshotSer
     params = CAO_HAMILTON_H_PARAMS
     cols: defaultdict[str, list] = defaultdict(list)  # field -> one value per snapshot
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
-    for i, state in enumerate(traj.states):
+    for i, state in enumerate(traj):
+        if on_state is not None:
+            on_state(i, state)
         t = state.time
         f = state.f.values
         u = log_u(state)

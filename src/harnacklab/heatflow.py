@@ -3,16 +3,19 @@
 Forward flows integrate df/dt = Lap f with Crank-Nicolson.  Each step's
 linear system is solved by the backend's direct solver (``cn_solver``: an
 FFT on the torus, a sparse LU factored once on the sphere), built once per
-flow, and every solution's residual is checked against CN_SOLVE_RTOL.  The
+pass over a flow, and every solution's residual is checked against
+CN_SOLVE_RTOL.  The
 conjugate-gradient solver :func:`cg_solver` is kept as the reference the
 direct solvers are tested against.  Backward flows
 (df/dt = -Lap f) are run as forward flows in the variable tau with
 dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
 FlowState carries tau in its ``time`` field.
 
-Every stored state is finite and strictly positive; a step that produces a
-nonpositive node fails loudly (it signals dt too large for the data's
-frequency content) instead of being masked by a positivity-preserving
+A :class:`Trajectory` is the flow's sequence of snapshots, stepped only
+while it is iterated: one pass holds O(nodes) memory, however many steps the
+flow takes.  Every state is finite and strictly positive; a step that
+produces a nonpositive node fails loudly (it signals dt too large for the
+data's frequency content) instead of being masked by a positivity-preserving
 scheme.  Every positivity and residual test is written so that NaN or inf
 fails it.
 """
@@ -20,8 +23,9 @@ fails it.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -82,22 +86,64 @@ class FlowState:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Snapshots of one flow, stored at every step."""
+    """The states of one flow at the clock values t0 + k dt, k = 0..n_steps.
 
-    states: list[FlowState]
-    manifold: ManifoldDescriptor
+    Making a trajectory steps nothing: its manifold, length, direction and
+    ``times`` are known up front.  Iterating it steps the flow from
+    ``initial`` with the backend's Crank-Nicolson solver, built once per
+    pass and released when the pass ends, and yields each state as it is
+    computed, so a pass holds only the current state.  A second iteration
+    steps the flow again.  ``states`` stores one pass, for callers that
+    index the states; a trajectory whose states are stored iterates them
+    without stepping.
+    """
+
+    initial: FlowState
     step_size: float
+    n_steps: int
+
+    @classmethod
+    def of_states(cls, states: list[FlowState], step_size: float) -> Trajectory:
+        """A trajectory of the given states, ``step_size`` apart."""
+        traj = cls(states[0], step_size, len(states) - 1)
+        traj.states = list(states)
+        return traj
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.n_steps + 1
+
+    def __iter__(self) -> Iterator[FlowState]:
+        if "states" in self.__dict__:
+            return iter(self.states)
+        return self._step_through()
+
+    @cached_property
+    def states(self) -> list[FlowState]:
+        return list(self._step_through())
+
+    @property
+    def manifold(self) -> ManifoldDescriptor:
+        return self.initial.manifold
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+        return self.initial.time + np.arange(len(self)) * self.step_size
 
     @property
     def direction(self) -> Direction:
-        return self.states[0].direction
+        return self.initial.direction
+
+    def _step_through(self) -> Iterator[FlowState]:
+        dt = self.step_size
+        t0 = self.initial.time
+        solver = self.manifold.cn_solver(dt / 2.0)
+        current = self.initial
+        yield current
+        for k in range(1, self.n_steps + 1):
+            advanced = step(current, dt, solver)
+            # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
+            current = FlowState(advanced.f, t0 + k * dt, self.direction)
+            yield current
 
 
 def _finite_positive(values: np.ndarray) -> bool:
@@ -195,11 +241,11 @@ def solve(
     dt: float,
     direction: Direction = Direction.FORWARD,
 ) -> Trajectory:
-    """Integrate from t0 to t_end, storing every step.
+    """The trajectory from t0 to t_end, stepped as it is iterated.
 
-    dt must divide t_end - t0 within rounding.  The total mass integral(f)
-    is conserved across every step to solver tolerance.  The backend's
-    solver for dt is built once and released when the flow returns.
+    dt must divide t_end - t0 within rounding.  Nothing is solved here: the
+    arguments are checked and the initial field copied.  The total mass
+    integral(f) is conserved across every step to solver tolerance.
     """
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
@@ -215,13 +261,4 @@ def solve(
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span} within rounding")
-
-    solver = m.cn_solver(dt / 2.0)
-    states = [FlowState(f0.copy(), t0, direction)]
-    current = states[0]
-    for k in range(1, n_steps + 1):
-        advanced = step(current, dt, solver)
-        # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-        current = FlowState(advanced.f, t0 + k * dt, direction)
-        states.append(current)
-    return Trajectory(states=states, manifold=m, step_size=dt)
+    return Trajectory(FlowState(f0.copy(), t0, direction), dt, n_steps)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ManifoldDescriptor, geodesic_distance
-from .heatflow import Direction, Trajectory
+from .heatflow import Direction, FlowState, Trajectory
 
 
 @dataclass(frozen=True)
@@ -52,37 +52,56 @@ def gamma_infimum(m: ManifoldDescriptor, pair: SpaceTimePair) -> float:
     return d * d / (pair.t2 - pair.t1)
 
 
-def _snapshot_index(traj: Trajectory, t: float) -> int:
-    times = traj.times
+def _snapshot_index(times: np.ndarray, t: float) -> int:
     idx = int(np.argmin(np.abs(times - t)))
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not a snapshot time of the trajectory")
     return idx
 
 
+class PairValues:
+    """f at both points of each pair, (x1, t1) and (x2, t2), taken from the
+    states of one pass over a trajectory as :meth:`take` sees them."""
+
+    def __init__(self, traj: Trajectory, pairs: list[SpaceTimePair]):
+        times = traj.times
+        self.snapshot = np.array(
+            [[_snapshot_index(times, p.t1), _snapshot_index(times, p.t2)] for p in pairs], dtype=int
+        ).reshape(-1, 2)
+        self.node = np.array([[p.x1, p.x2] for p in pairs], dtype=int).reshape(-1, 2)
+        self.f = np.full(self.snapshot.shape, np.nan)  # NaN until taken
+
+    def take(self, index: int, state: FlowState) -> None:
+        """Record the values at snapshot ``index``, whose state is ``state``."""
+        hit = self.snapshot == index
+        self.f[hit] = state.f.values[self.node[hit]]
+
+
 def check_integrated_harnack(
-    traj: Trajectory, pairs: list[SpaceTimePair], tol: float
+    traj: Trajectory,
+    pairs: list[SpaceTimePair],
+    tol: float,
+    values: PairValues | None = None,
 ) -> list[PairReport]:
     """Evaluate the bound in log form for each pair.
 
     Pair times must be snapshot times of a forward trajectory (the bound is a
-    statement about the forward clock).
+    statement about the forward clock).  ``values`` holds f at the pairs'
+    points, taken during a pass over ``traj``; without it, they are taken in
+    a pass of this call's own.
     """
     if traj.direction is Direction.BACKWARD:
         raise ValueError("the integrated bound applies to forward trajectories only")
-    m = traj.manifold
-    n = m.dimension
+    if values is None:
+        values = PairValues(traj, pairs)
+        for index, state in enumerate(traj):
+            values.take(index, state)
+    n = traj.manifold.dimension
     reports = []
-    for pair in pairs:
-        i1 = _snapshot_index(traj, pair.t1)
-        i2 = _snapshot_index(traj, pair.t2)
-        gamma = gamma_infimum(m, pair)
-        lhs = float(np.log(traj.states[i1].f.values[pair.x1]))
-        rhs = (
-            float(np.log(traj.states[i2].f.values[pair.x2]))
-            + n * np.log(pair.t2 / pair.t1)
-            + gamma / 2.0
-        )
+    for pair, (f1, f2) in zip(pairs, values.f):
+        gamma = gamma_infimum(traj.manifold, pair)
+        lhs = float(np.log(f1))
+        rhs = float(np.log(f2)) + n * np.log(pair.t2 / pair.t1) + gamma / 2.0
         slack = lhs - rhs
         reports.append(
             PairReport(

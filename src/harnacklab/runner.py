@@ -65,9 +65,11 @@ rejected on backward configs (the integrated bound is a forward statement).
 
 How the diagnostics are computed
 --------------------------------
-After the solve, one pass over the snapshots (``entropy.entropy_series``)
-computes u, v, their Laplacians, the gradient of u, |grad v|^2 and, on the
-torus, the lam = 2 Hessian penalties of u and v, each once per snapshot.
+The fine flow is stepped once, in one streamed pass over its states
+(``entropy.entropy_series``), and no list of them is kept.  As each state
+is computed, the pass computes u, v, their Laplacians, the gradient of u,
+|grad v|^2 and, on the torus, the lam = 2 Hessian penalties of u and v,
+each once per snapshot.
 From those it derives the Harnack sign maxima (H, Li-Yau, the P-H identity
 gap), F and W in both forms, both dissipation integrals, and, when
 evolution_residual is requested, the canonical H tuple's residual (its Q
@@ -77,10 +79,14 @@ from the F and W arrays.  The values equal the per-state reference
 functions of ``harnack`` and ``entropy`` bit for bit.  The suites reduce
 these arrays with np.max/np.maximum, so a NaN or inf at any snapshot fails
 its gate (builtin max skips a NaN that is not first), and they skip the
-one-sided end differences.  The ten random
-residual tuples call ``harnack.evolution_residual`` at one index each, on
-the fine and on the once-coarsened trajectory; the coarse flow is solved
-only through the step after that index.
+one-sided end differences.  The same pass also takes, from each
+state, its mass (for ``mass_drift_rel``), its ``trajectory.csv`` row, the
+f-values at the pathwise pairs (drawn before the pass from the snapshot
+times, which are known without stepping) and, around the one fine index the
+ten random residual tuples read, three states.  Each tuple calls
+``harnack.evolution_residual`` at that index on those three states, and at
+the matching index on the once-coarsened flow, which is solved only
+through the step after it.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -105,6 +111,11 @@ integers, booleans as 1/0, None as an empty cell).
     rows (ends are excluded from gates); dF_formula/dW_formula are empty on
     the sphere; residual_maxnorm (the canonical H tuple) is filled
     at interior rows when evolution_residual is requested, else empty.
+    It reads as the second-order discretization residual only while the
+    datum has structure.  Once the flow has flattened it, the column is
+    solver roundoff: past t = 0.3 or so on the benchmark's torus2_full
+    (T^2 64x64 from t0 = 0.05), solvers that agree to 1e-12 per step give
+    values there that differ by up to 30%.
 ``pathwise.csv``
     x1,x2,t1,t2,gamma,lhs,rhs,slack,pass  -- one row per sampled pair.
 ``paramscan.csv``
@@ -115,12 +126,15 @@ integers, booleans as 1/0, None as an empty cell).
     model actually applied.  Never contains paths.
 ``trajectory.csv`` (only with output.export_trajectory)
     comment header (# manifold_hash=..., # dt=..., # direction=...), then
-    one row per state: time, then all node values.
+    one row per state: time, then all node values.  Rows are written
+    during the pass to ``trajectory.csv.part``, which is renamed when the
+    pass completes; a solver failure removes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -155,6 +169,7 @@ from .harnack import (  # noqa: F401
 from .heatflow import (
     CN_SOLVE_RTOL,
     Direction,
+    FlowState,
     PositivityLossError,
     SolverError,
     Trajectory,
@@ -176,7 +191,7 @@ from .paramspace import (
     case_one_uniqueness_scan,
     classify,
 )
-from .pathwise import check_integrated_harnack, sample_pairs
+from .pathwise import PairValues, SpaceTimePair, check_integrated_harnack, sample_pairs
 
 # calibrated C never drops below this, so constant-data calibrations still
 # yield a usable tolerance
@@ -610,19 +625,26 @@ def _draw_residual_params(seed: int, per_variant: int = 5) -> list[HarnackParams
     return tuples
 
 
+def _residual_indices(n_states: int) -> tuple[int, int]:
+    """The fine and once-coarsened snapshot indices the random residual
+    tuples compare at: an even fine index early in the run, while the datum
+    still has structure (heat flow flattens everything on the diffusive time
+    scale, after which residuals are roundoff scraps), and its coarse twin."""
+    fine_idx = int(round(0.05 * (n_states - 1)))
+    fine_idx -= fine_idx % 2
+    fine_idx = max(2, min(fine_idx, n_states - 3 - (n_states - 3) % 2))
+    return fine_idx, fine_idx // 2
+
+
 def _suite_evolution_residual(
-    config: RunConfig, traj: Trajectory, series: SnapshotSeries
+    config: RunConfig, window: list[FlowState], series: SnapshotSeries
 ) -> dict:
     # the canonical H tuple's residual at every interior snapshot comes from
     # the snapshot pass (it is the diagnostics column); random tuples get a
-    # two-level convergence check.  Matching interior comparison time: an
-    # even fine index early in the run, while the datum still has structure
-    # (heat flow flattens everything on the diffusive time scale, after which
-    # residuals are roundoff scraps)
-    fine_idx = int(round(0.05 * (len(traj) - 1)))
-    fine_idx -= fine_idx % 2
-    fine_idx = max(2, min(fine_idx, len(traj) - 3 - (len(traj) - 3) % 2))
-    coarse_idx = fine_idx // 2
+    # two-level convergence check at _residual_indices, read on the fine flow
+    # from ``window``, its three states around the fine index
+    _, coarse_idx = _residual_indices(len(series.time))
+    fine = Trajectory.of_states(window, config.dt)
 
     # the once-coarsened flow, solved only through coarse_idx + 1, the last
     # state the residual reads; its clock is t0 + k dt, so each state equals
@@ -639,7 +661,7 @@ def _suite_evolution_residual(
     rows = []
     slacks = []
     for p in tuples:
-        r_fine = evolution_residual(traj, p, fine_idx)
+        r_fine = evolution_residual(fine, p, 1)
         r_coarse = evolution_residual(coarse, p, coarse_idx)
         ratio = r_coarse / r_fine if r_fine > 0 else np.inf
         slack = max(lo - ratio, ratio - hi)  # <= 0 inside the window
@@ -664,7 +686,7 @@ def _suite_evolution_residual(
     return {
         "pass": bool(all(row["pass"] for row in rows) and np.isfinite(canonical)),
         "ratio_window": [lo, hi],
-        "comparison_time": traj.states[fine_idx].time,
+        "comparison_time": window[1].time,
         "canonical_max_residual": canonical,
         "worst_slack": float(np.max(slacks)),
         "tuples": rows,
@@ -747,9 +769,14 @@ def _suite_entropy(
     return summary
 
 
-def _suite_pathwise(config: RunConfig, traj: Trajectory, tol_disc: float) -> tuple[dict, list]:
-    pairs = sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
-    reports = check_integrated_harnack(traj, pairs, tol=tol_disc)
+def _suite_pathwise(
+    config: RunConfig,
+    traj: Trajectory,
+    tol_disc: float,
+    pairs: list[SpaceTimePair],
+    values: PairValues,
+) -> tuple[dict, list]:
+    reports = check_integrated_harnack(traj, pairs, tol=tol_disc, values=values)
     worst = float(np.max([r.slack for r in reports]))
     summary = {
         "pass": bool(all(r.passed for r in reports)),
@@ -823,8 +850,33 @@ def run_config(config: RunConfig) -> RunOutcome:
     if config.strict:
         tol_disc *= 0.5
 
+    traj = solve(m, f0, config.t0, config.t_end, config.dt, config.direction)
+    # entropy_series steps the fine flow in one pass, and the reports take
+    # what else they need from each state on the way, so no list of states
+    # is ever held: its mass, the three states around the residual tuples'
+    # fine index, the f-values at the pathwise pairs (drawn up front from
+    # the snapshot times) and its trajectory.csv row
+    with_residual = "evolution_residual" in config.suites
+    fine_idx, _ = _residual_indices(len(traj))
+    pairs = pair_values = None
+    if "pathwise" in config.suites:
+        pairs = sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
+        pair_values = PairValues(traj, pairs)
+    masses: list[float] = []
+    window: list[FlowState] = []
     try:
-        traj = solve(m, f0, config.t0, config.t_end, config.dt, config.direction)
+        with _trajectory_csv(out_dir / "trajectory.csv", config, traj) as export:
+
+            def take(k: int, state: FlowState) -> None:
+                masses.append(integrate(state.f))
+                if with_residual and abs(k - fine_idx) <= 1:
+                    window.append(state)
+                if pair_values is not None:
+                    pair_values.take(k, state)
+                if export is not None:
+                    _write_columns(export, [[state.time], state.f.values[None, :]])
+
+            series = entropy_series(traj, with_residual=with_residual, on_state=take)
     except (PositivityLossError, SolverError) as exc:
         summary = {
             "overall_pass": False,
@@ -835,23 +887,20 @@ def run_config(config: RunConfig) -> RunOutcome:
         _write_json(out_dir / "summary.json", summary)
         return RunOutcome(EXIT_SOLVER_FAILURE, summary, out_dir)
 
-    mass0 = integrate(traj.states[0].f)
-    masses = np.array([integrate(s.f) for s in traj.states])
-    mass_drift = float(np.max(np.abs(masses - mass0)) / max(1e-300, abs(mass0)))
+    mass0 = masses[0]
+    mass_drift = float(np.max(np.abs(np.array(masses) - mass0)) / max(1e-300, abs(mass0)))
 
-    # one pass over the snapshots yields every per-snapshot diagnostic
-    series = entropy_series(traj, with_residual="evolution_residual" in config.suites)
     suites: dict[str, dict] = {}
     if "harnack_signs" in config.suites:
         suites["harnack_signs"] = _suite_harnack_signs(series, tol_disc)
     if "entropy" in config.suites:
         suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, series)
-    if "evolution_residual" in config.suites:
-        suites["evolution_residual"] = _suite_evolution_residual(config, traj, series)
+    if with_residual:
+        suites["evolution_residual"] = _suite_evolution_residual(config, window, series)
 
     pair_reports = None
-    if "pathwise" in config.suites:
-        pw_summary, pair_reports = _suite_pathwise(config, traj, tol_disc)
+    if pairs is not None:
+        pw_summary, pair_reports = _suite_pathwise(config, traj, tol_disc, pairs, pair_values)
         suites["pathwise"] = pw_summary
 
     if "paramscan" in config.suites:
@@ -896,9 +945,6 @@ def run_config(config: RunConfig) -> RunOutcome:
     }
     _write_json(out_dir / "trajectory_meta.json", meta)
 
-    if config.export_trajectory:
-        _export_trajectory(out_dir / "trajectory.csv", config, traj)
-
     overall = all(s["pass"] for s in suites.values()) if suites else True
     exit_code = EXIT_PASS if overall else EXIT_GATE_FAILURE
     summary = {
@@ -914,13 +960,25 @@ def run_config(config: RunConfig) -> RunOutcome:
     return RunOutcome(exit_code, summary, out_dir)
 
 
-def _export_trajectory(path: Path, config: RunConfig, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as fp:
-        fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
-        fp.write(f"# dt={_fmt(traj.step_size)}\n")
-        fp.write(f"# direction={config.direction.value}\n")
-        for state in traj.states:  # one row per state: time, then the node values
-            _write_columns(fp, [[state.time], state.f.values[None, :]])
+@contextlib.contextmanager
+def _trajectory_csv(path: Path, config: RunConfig, traj: Trajectory):
+    """trajectory.csv, its comment header written, open for one row per
+    state (time, then the node values); None without export_trajectory.
+    The rows go to a side file that becomes ``path`` only when the block
+    completes, so a pass that fails leaves no partial export."""
+    if not config.export_trajectory:
+        yield None
+        return
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline="") as fp:
+            fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
+            fp.write(f"# dt={_fmt(traj.step_size)}\n")
+            fp.write(f"# direction={config.direction.value}\n")
+            yield fp
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -969,7 +1027,7 @@ def calibrate_tolerance(config: RunConfig, base_resolution: int = 32) -> Calibra
         sol = SingleModeSolution(m, mode, floor=floor_val, t0=t0)
         traj = solve(m, build_initial_field(sol.initial_data(), m), t0, t0 + span, dt)
         err = 0.0
-        for state in traj.states:
+        for state in traj:
             h_disc = quantity_H(log_u(state), state.time).values
             err = max(err, float(np.max(np.abs(h_disc - sol.quantity_H_at(state.time)))))
         errors.append(err)

@@ -308,7 +308,9 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
         if field in SIGN_FIELDS:
             return runner._suite_harnack_signs(series, tol_disc)
         if field == "residual":
-            return runner._suite_evolution_residual(config, traj, series)
+            fine_idx, _ = runner._residual_indices(len(traj))
+            window = traj.states[fine_idx - 1 : fine_idx + 2]
+            return runner._suite_evolution_residual(config, window, series)
         return runner._suite_entropy(config, traj, tol_disc, mass, series)
 
     assert suite(series)["pass"] is True
@@ -322,7 +324,7 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # the config grammar cannot express positivity-losing data (raised
     # cosines keep their coefficient sum inside the floor), so inject a
     # spiky admissible field to exercise the failure path
-    config = constant_config(tmp_path, dt=5.0, t0=1.0, t_end=21.0)
+    config = constant_config(tmp_path, dt=5.0, t0=1.0, t_end=21.0, export_trajectory=True)
 
     def spiky(data, m):
         x = m.positions[:, 0]
@@ -333,6 +335,9 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     assert outcome.exit_code == EXIT_SOLVER_FAILURE
     assert "positivity" in outcome.summary["solver_error"]
     assert "6" in outcome.summary["solver_error"]  # names the failing time
+    # the export is written during the pass, which failed after its first
+    # state: no partial trajectory.csv is left beside the summary
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.json"]
 
 
 def test_backward_run_reports_implied_derivatives(tmp_path):
@@ -563,6 +568,63 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
         assert len(cells) == len(runner.DIAGNOSTIC_COLUMNS)
         assert (cells[9] != "" and cells[11] != "") is torus  # dF_formula, dW_formula
         assert (cells[12] != "") is (torus and 0 < i < len(rows) - 1)  # residual_maxnorm
+
+
+@pytest.mark.parametrize(
+    "text, steps",
+    [
+        # the fine flow's 100 steps, then the coarse flow's coarse_idx + 1 = 3
+        ((CONFIG_DIR / "torus_smoke.yaml").read_text(), 100 + 3),
+        (SPHERE_CONFIG, 50),
+    ],
+    ids=["torus_smoke", "sphere"],
+)
+def test_fine_flow_is_stepped_once(tmp_path, monkeypatch, text, steps):
+    # a second pass over the fine flow would pass every report check and
+    # only double the solve time, so count the Crank-Nicolson steps
+    from dataclasses import replace
+
+    from harnacklab import heatflow
+
+    calls = []
+    step = heatflow.step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(heatflow, "step", counted)
+    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    assert run_config(config).exit_code == EXIT_PASS
+    assert len(calls) == steps
+
+
+def test_run_holds_no_trajectory(tmp_path):
+    # a stored trajectory holds (n_steps + 1) * node_count * 8 bytes; the run
+    # must peak below a quarter of that.  1600 steps, not fewer: the column
+    # writer holds up to 1024 rows of diagnostics text at once, about 1.4 kB
+    # a row against the 2 kB a snapshot the bound allows here, so with fewer
+    # rows than that the text alone comes close to the bound
+    import tracemalloc
+    from dataclasses import replace
+
+    text = """
+manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [32, 32]}
+initial_data: {kind: random_smooth, seed: 11, mode_cutoff: 3, amplitude: 0.4, floor: 1.0}
+flow: {t0: 0.05, t_end: 0.85, dt: 5.0e-4}
+suites: [harnack_signs, evolution_residual, entropy, pathwise]
+tolerances: {tol_disc_constant: 260.0, quadrature_tol: 1.0e-4, rng_seed: 11}
+"""
+    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    stored = (1600 + 1) * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        outcome = run_config(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.exit_code == EXIT_PASS
+    assert peak < stored / 4
 
 
 def test_main_calibrate(tmp_path, capsys):
