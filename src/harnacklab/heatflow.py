@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,16 +64,19 @@ class FlowState:
 
     ``time`` is t for forward flows and tau for backward flows; it must be
     positive because every monitored quantity carries 1/t or ln t factors.
+    ``values_checked`` is set only on values :func:`step` has already
+    scanned, so each stepped state is scanned once.
     """
 
     f: ScalarField
     time: float
     direction: Direction = Direction.FORWARD
+    values_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, values_checked: bool):
         if not 0 < self.time < np.inf:
             raise ValueError(f"flow time must be positive and finite, got {self.time}")
-        if not _finite_positive(self.f.values):
+        if not (values_checked or _finite_positive(self.f.values)):
             raise ValueError(
                 f"flow state must be finite and strictly positive, min value "
                 f"{float(self.f.values.min()):.6e}, max value {float(self.f.values.max()):.6e}"
@@ -142,7 +145,7 @@ class Trajectory:
         for k in range(1, self.n_steps + 1):
             advanced = step(current, dt, solver)
             # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-            current = FlowState(advanced.f, t0 + k * dt, self.direction)
+            current = FlowState(advanced.f, t0 + k * dt, self.direction, values_checked=True)
             yield current
 
 
@@ -217,7 +220,8 @@ def step(
     """One Crank-Nicolson step of df/dt = Lap f (in the state's own clock).
 
     ``solver`` solves the step's system for this dt (``cn_solver(dt / 2)``
-    of the state's manifold); without it, one is built for this step.
+    of the state's manifold); without it, one is built for this step.  The
+    new values are scanned once for finite positivity.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -230,7 +234,7 @@ def step(
         # the first non-finite node, else the smallest value
         node = int(np.argmin(np.where(np.isfinite(new_values), new_values, -np.inf)))
         raise PositivityLossError(node, float(new_values[node]), new_time)
-    return FlowState(ScalarField(new_values, m), new_time, state.direction)
+    return FlowState(ScalarField(new_values, m), new_time, state.direction, values_checked=True)
 
 
 def solve(
@@ -249,8 +253,7 @@ def solve(
     """
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
-    if not _finite_positive(f0.values):
-        raise ValueError("initial data must be finite and strictly positive")
+    initial = FlowState(f0.copy(), t0, direction)  # f0 finite and positive, t0 > 0
     if t_end <= t0:
         raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
     if dt <= 0:
@@ -261,4 +264,4 @@ def solve(
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span} within rounding")
-    return Trajectory(FlowState(f0.copy(), t0, direction), dt, n_steps)
+    return Trajectory(initial, dt, n_steps)

@@ -92,8 +92,9 @@ Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
 ------------------------------------------------------------------
 Every CSV is written column by column through one writer: a float column
-as repr over tolist(), any other value as ``_fmt`` gives it (integers as
-integers, booleans as 1/0, None as an empty cell).
+as repr, taken once per distinct bit pattern of each chunk of rows (so -0.0
+and 0.0 keep their own text), any other value as ``_fmt`` gives it
+(integers as integers, booleans as 1/0, None as an empty cell).
 
 ``trajectory_meta.json``
     manifold hash and shape; the solver (``linear_solver`` is the backend's
@@ -519,18 +520,20 @@ _CSV_CHUNK_ROWS = 1024
 
 def _column_text(part):
     """The ``_fmt`` text of each value of one column slice, formatted in one
-    pass for arrays: repr over tolist() for floats (a 2-D array gives each
-    row's values joined by commas), 1/0 for booleans.  A None column, a None
-    value and a masked entry of a masked array are blank."""
+    pass for arrays: for a 1-D float slice, repr of each distinct bit pattern
+    once (-0.0 and 0.0 differ), gathered to every entry holding it; a 2-D
+    float slice gives each row's reprs joined by commas; 1/0 for booleans.
+    A None column, a None value and a masked entry of a masked array are
+    blank."""
     if part is None:
         return itertools.repeat("")
     if isinstance(part, np.ndarray) and part.dtype == float:
         if part.ndim == 2:
             return [",".join(map(repr, row)) for row in part.tolist()]
-        text = list(map(repr, np.ma.getdata(part).tolist()))
-        for i in np.flatnonzero(np.ma.getmaskarray(part)):
-            text[i] = ""
-        return text
+        bits, index = np.unique(np.ma.getdata(part).view(np.int64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index]
+        text[np.ma.getmaskarray(part)] = ""
+        return text.tolist()
     if isinstance(part, np.ndarray) and part.dtype == bool:
         return np.where(part, "1", "0").tolist()
     return map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part)
@@ -544,7 +547,8 @@ def _write_columns(fp, columns) -> None:
     for lo in range(0, n, _CSV_CHUNK_ROWS):
         hi = lo + _CSV_CHUNK_ROWS
         cells = [_column_text(None if col is None else col[lo:hi]) for col in columns]
-        fp.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+        fp.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        del cells  # released before the next chunk is formatted
 
 
 def _open_csv(path: Path, header):

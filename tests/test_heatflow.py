@@ -142,6 +142,56 @@ def test_step_rejects_nonfinite_solve(monkeypatch, bad):
     assert err.value.node == 5
 
 
+def test_each_state_is_scanned_once(monkeypatch):
+    # the finite-positivity scan runs once per state: once for the initial
+    # data in solve, once per stepped state, and none for the clock
+    from harnacklab import heatflow
+
+    calls = []
+    scan = heatflow._finite_positive
+
+    def counted(values):
+        calls.append(None)
+        return scan(values)
+
+    monkeypatch.setattr(heatflow, "_finite_positive", counted)
+    m = unit_circle(16)
+    traj = hl.solve(m, single_mode_field(m), 0.1, 0.2, 0.01)
+    assert len(calls) == 1
+    calls.clear()
+    assert len(list(traj)) == 11
+    assert len(calls) == 10
+    calls.clear()
+    hl.step(traj.initial, 0.01)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_trajectory_iteration_fails_closed(monkeypatch, bad):
+    # a bad state met while a trajectory is iterated raises with the node,
+    # the value and the time of the state it would have been
+    from harnacklab import heatflow
+
+    m = unit_circle(16)
+    traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
+    solve_step = heatflow._cn_solve
+    done = []
+
+    def fails_third(m, a, solver, f_old):
+        out = solve_step(m, a, solver, f_old)
+        done.append(None)
+        if len(done) == 3:
+            out[5] = bad
+        return out
+
+    monkeypatch.setattr(heatflow, "_cn_solve", fails_third)
+    with pytest.raises(hl.PositivityLossError) as err:
+        list(traj)
+    assert err.value.node == 5
+    np.testing.assert_equal(err.value.value, bad)  # NaN equals NaN here
+    assert err.value.time == pytest.approx(traj.times[3])
+
+
 def test_step_rejects_nonpositive_dt():
     m = unit_circle(16)
     state = hl.FlowState(hl.constant_field(m, 1.0), 1.0)

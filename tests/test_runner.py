@@ -489,6 +489,58 @@ def test_paramscan_csv_matches_rowwise_reference(tmp_path):
     assert b",," in written
 
 
+def test_write_columns_matches_csv_writer_on_edge_values(tmp_path):
+    # the writer formats each distinct bit pattern of a chunk once, so -0.0
+    # and 0.0 (equal as floats, different text) must keep their own text;
+    # rows repeat the values across the 1024-row chunk boundaries
+    n = 2600
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan, 1.0, 0.1])
+    flat = np.resize(edge, n)
+    nan_or_one = np.resize([np.nan, np.nan, 1.0, -0.0], n)
+    masked = np.ma.masked_array(nan_or_one, mask=np.resize([True, False, False, True], n))
+    part = np.stack([flat[::-1], -flat, np.roll(flat, 1)], axis=1)
+    flags = np.resize([True, False, False], n)
+    written = tmp_path / "written.csv"
+    with open(written, "w", newline="") as fp:
+        runner._write_columns(fp, [flat, masked, part, flags])
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        for i in range(n):
+            blank = np.ma.getmaskarray(masked)[i]
+            writer.writerow(
+                [runner._fmt(flat[i]), "" if blank else runner._fmt(masked.data[i])]
+                + [runner._fmt(x) for x in part[i]]
+                + [runner._fmt(flags[i])]
+            )
+    text = written.read_bytes()
+    assert text == ref.read_bytes()
+    assert b"\n-0.0,," in text and b"\n0.0,nan," in text
+
+
+def test_write_columns_peak_does_not_grow_with_rows():
+    # each chunk's text is released before the next chunk is formatted, so
+    # three chunks of rows peak no higher than one
+    import os
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    columns = [rng.random(3 * runner._CSV_CHUNK_ROWS) for _ in range(13)]
+
+    def peak(rows):
+        parts = [col[:rows] for col in columns]
+        with open(os.devnull, "w") as fp:
+            tracemalloc.start()
+            try:
+                runner._write_columns(fp, parts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    one = peak(runner._CSV_CHUNK_ROWS)
+    assert peak(3 * runner._CSV_CHUNK_ROWS) <= 1.1 * one
+
+
 SPHERE_CONFIG = CONSTANT_CONFIG.replace(
     "manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}",
     "manifold: {kind: sphere, subdivision: 2}",
