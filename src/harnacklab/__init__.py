@@ -26,7 +26,7 @@ from .heatflow import (
     Trajectory,
     solve,
     step,
-    tau_of_t,
+    step_count,
 )
 from .harnack import (
     CAO_HAMILTON_H_PARAMS,

@@ -40,6 +40,7 @@ method.  The flow checks the residual of every solve against ``stiffness``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
@@ -47,6 +48,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
+
+MAX_NODES = 2**18  # the most nodes a manifold may have: a 512^2 or 64^3 torus
 
 
 class BackendError(ValueError):
@@ -267,6 +270,8 @@ def check_torus_args(n: int, sides: tuple[float, ...], res: tuple[int, ...]) -> 
         raise ValueError(f"side lengths must be positive, got {sides}")
     if any(r < 8 or r % 2 != 0 for r in res):
         raise ValueError(f"resolutions must be even and >= 8, got {res}")
+    if math.prod(res) > MAX_NODES:
+        raise ValueError(f"resolution {res} makes {math.prod(res)} nodes; at most {MAX_NODES}")
 
 
 def build_torus(n: int, side_lengths, resolution) -> FlatTorus:
@@ -416,6 +421,8 @@ def check_sphere_args(subdivision: int) -> None:
     """Raise ValueError unless :func:`build_sphere` accepts this argument."""
     if subdivision < 2:
         raise ValueError(f"sphere subdivision must be >= 2, got {subdivision}")
+    if 10 * 4 ** min(subdivision, 16) + 2 > MAX_NODES:  # 4**16 alone is over it
+        raise ValueError(f"sphere subdivision {subdivision} makes over {MAX_NODES} nodes")
 
 
 def build_sphere(subdivision: int) -> RoundSphere:

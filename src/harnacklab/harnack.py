@@ -14,12 +14,13 @@ together with the five-parameter family
 
 whose evolution equation (assembled in :func:`evolution_rhs`) is what the
 maximum-principle sign claims rest on.  ``evolution_residual`` verifies that
-identity numerically along solved trajectories.
+identity numerically on three consecutive states of a solved flow.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .geometry import (
     laplacian,
     ricci_quadratic,
 )
-from .heatflow import FlowState, Trajectory
+from .heatflow import FlowState
 
 
 class Variant(enum.Enum):
@@ -215,18 +216,13 @@ def _log_transform(state: FlowState, variant: Variant) -> ScalarField:
     return log_u(state) if variant is Variant.U else log_v(state)
 
 
-def evolution_residual(traj: Trajectory, p: HarnackParams, index: int) -> float:
+def evolution_residual(window: Iterable[FlowState], dt: float, p: HarnackParams) -> float:
     """Max-norm mismatch between the centered time difference of the quantity
-    and :func:`evolution_rhs`, at snapshot ``index``."""
-    if not 1 <= index <= len(traj) - 2:
-        raise IndexError(
-            f"index {index} out of range for centered differences on a "
-            f"{len(traj)}-state trajectory"
-        )
-    prev_s, here, next_s = traj.states[index - 1], traj.states[index], traj.states[index + 1]
-    dt = traj.step_size
-    q_prev = quantity_general(_log_transform(prev_s, p.variant), prev_s.time, p)
-    q_next = quantity_general(_log_transform(next_s, p.variant), next_s.time, p)
+    and :func:`evolution_rhs`, at the middle of ``window``: three consecutive
+    states of one flow, ``dt`` apart.  Any other number of states raises."""
+    prev, here, next_ = window
+    q_prev = quantity_general(_log_transform(prev, p.variant), prev.time, p)
+    q_next = quantity_general(_log_transform(next_, p.variant), next_.time, p)
     dq_dt = (q_next.values - q_prev.values) / (2.0 * dt)
     rhs = evolution_rhs(_log_transform(here, p.variant), here.time, p)
     return float(np.max(np.abs(dq_dt - rhs.values)))

@@ -12,8 +12,9 @@ dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
 FlowState carries tau in its ``time`` field.
 
 A :class:`Trajectory` is the flow's sequence of snapshots, stepped only
-while it is iterated: one pass holds O(nodes) memory, however many steps the
-flow takes.  Every state is finite and strictly positive; a step that
+while it is iterated and never stored: one pass holds O(nodes) memory,
+however many steps the flow takes.  :func:`step_count` is the one check of
+a flow's clock.  Every state is finite and strictly positive; a step that
 produces a nonpositive node fails loudly (it signals dt too large for the
 data's frequency content) instead of being masked by a positivity-preserving
 scheme.  Every positivity and residual test is written so that NaN or inf
@@ -25,7 +26,6 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -95,34 +95,29 @@ class Trajectory:
     ``times`` are known up front.  Iterating it steps the flow from
     ``initial`` with the backend's Crank-Nicolson solver, built once per
     pass and released when the pass ends, and yields each state as it is
-    computed, so a pass holds only the current state.  A second iteration
-    steps the flow again.  ``states`` stores one pass, for callers that
-    index the states; a trajectory whose states are stored iterates them
-    without stepping.
+    computed, so a pass holds only the current state.  No state is stored:
+    a second iteration steps the flow again, so a caller that needs the
+    states twice keeps the ones it needs.
     """
 
     initial: FlowState
     step_size: float
     n_steps: int
 
-    @classmethod
-    def of_states(cls, states: list[FlowState], step_size: float) -> Trajectory:
-        """A trajectory of the given states, ``step_size`` apart."""
-        traj = cls(states[0], step_size, len(states) - 1)
-        traj.states = list(states)
-        return traj
-
     def __len__(self) -> int:
         return self.n_steps + 1
 
     def __iter__(self) -> Iterator[FlowState]:
-        if "states" in self.__dict__:
-            return iter(self.states)
-        return self._step_through()
-
-    @cached_property
-    def states(self) -> list[FlowState]:
-        return list(self._step_through())
+        dt = self.step_size
+        t0 = self.initial.time
+        solver = self.manifold.cn_solver(dt / 2.0)
+        current = self.initial
+        yield current
+        for k in range(1, self.n_steps + 1):
+            advanced = step(current, dt, solver)
+            # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
+            current = FlowState(advanced.f, t0 + k * dt, self.direction, values_checked=True)
+            yield current
 
     @property
     def manifold(self) -> ManifoldDescriptor:
@@ -136,27 +131,29 @@ class Trajectory:
     def direction(self) -> Direction:
         return self.initial.direction
 
-    def _step_through(self) -> Iterator[FlowState]:
-        dt = self.step_size
-        t0 = self.initial.time
-        solver = self.manifold.cn_solver(dt / 2.0)
-        current = self.initial
-        yield current
-        for k in range(1, self.n_steps + 1):
-            advanced = step(current, dt, solver)
-            # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-            current = FlowState(advanced.f, t0 + k * dt, self.direction, values_checked=True)
-            yield current
-
 
 def _finite_positive(values: np.ndarray) -> bool:
     """True when every value is finite and > 0 (NaN and inf fail)."""
     return bool(values.min() > 0) and bool(np.isfinite(values).all())
 
 
-def tau_of_t(t: float, t_ref: float) -> float:
-    """The backward clock tau(t) = t_ref - t (dtau/dt = -1)."""
-    return t_ref - t
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """The number of dt steps from t0 to t_end: ValueError unless t0 is
+    positive and finite, t_end > t0, and dt > 0 advances the clock from t0
+    and divides t_end - t0 within rounding."""
+    if not 0 < t0 < np.inf:
+        raise ValueError(f"t0 must be positive and finite, got {t0}")
+    if t_end <= t0:
+        raise ValueError(f"t_end must exceed t0, got {t_end} <= {t0}")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    span = t_end - t0
+    if not np.isfinite(span / dt) or t0 + dt == t0:
+        raise ValueError(f"dt = {dt} is too small to advance the clock from t0 = {t0}")
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span}")
+    return n_steps
 
 
 def cg_solver(m: ManifoldDescriptor, a: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -247,21 +244,12 @@ def solve(
 ) -> Trajectory:
     """The trajectory from t0 to t_end, stepped as it is iterated.
 
-    dt must divide t_end - t0 within rounding.  Nothing is solved here: the
+    The clock is checked by :func:`step_count`.  Nothing is solved here: the
     arguments are checked and the initial field copied.  The total mass
     integral(f) is conserved across every step to solver tolerance.
     """
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
-    initial = FlowState(f0.copy(), t0, direction)  # f0 finite and positive, t0 > 0
-    if t_end <= t0:
-        raise ValueError(f"t_end ({t_end}) must exceed t0 ({t0})")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not np.isfinite((t_end - t0) / dt) or t0 + dt == t0:
-        raise ValueError(f"dt = {dt} is too small to advance the clock from t0 = {t0}")
-    span = t_end - t0
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span} within rounding")
+    n_steps = step_count(t0, t_end, dt)
+    initial = FlowState(f0.copy(), t0, direction)  # f0 finite and positive
     return Trajectory(initial, dt, n_steps)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -131,6 +132,8 @@ def classify(p: HarnackParams) -> ParamClassification:
 
 @dataclass(frozen=True)
 class ScanSpec:
+    MAX_POINTS: ClassVar[int] = 5_000_000  # grid points; the reference scan has 580,851
+
     # spec values from the analysis: alpha over (0, 4], beta and b wide enough
     # to bracket the ray on both sides
     alpha_range: tuple[float, float] = (0.5, 4.0)
@@ -139,6 +142,9 @@ class ScanSpec:
     step: float = 0.05
 
     def __post_init__(self):
+        if self.step <= 0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        points = 1.0  # a float, so a step too small to count the points gives inf
         for name, (lo, hi) in (
             ("alpha", self.alpha_range),
             ("beta", self.beta_range),
@@ -146,8 +152,11 @@ class ScanSpec:
         ):
             if not hi > lo:
                 raise ValueError(f"degenerate {name} range [{lo}, {hi}]")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            points *= (hi - lo) / self.step + 1
+        if not points <= self.MAX_POINTS:
+            raise ValueError(
+                f"step = {self.step} makes {points:.4g} grid points; at most {self.MAX_POINTS}"
+            )
 
 
 @dataclass(eq=False)

@@ -55,10 +55,12 @@ Each section is read into its dataclass (``ManifoldSpec``, the initial-data
 classes, ``Tolerances``, ``ScanSpec``), whose fields hold its keys, defaults
 and range checks.  An unknown key is a config error naming it; so is a value
 of the wrong type, a non-integral integer, a non-finite number or an
-out-of-range value, including a manifold the builders would reject.  Run
-size is bounded: at most ``RunConfig.MAX_STEPS`` steps, and a random_smooth
-datum of at most ``RandomSmoothData.MAX_MODES`` modes ((2 mode_cutoff + 1)^n
-on a torus, 8 mode_cutoff plane waves on the sphere).
+out-of-range value, including a manifold the builders would reject and a
+clock ``heatflow.step_count`` would.  Run size is bounded, with nothing
+built: 2 to ``RunConfig.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
+``Tolerances.MAX_PAIRS`` pairs, ``ScanSpec.MAX_POINTS`` scan points and
+``RandomSmoothData.MAX_MODES`` random modes ((2 mode_cutoff + 1)^n on a
+torus, 8 mode_cutoff plane waves on the sphere).
 Torus-only suites (evolution_residual, and the dissipation cross-check
 inside entropy) are rejected at parse time on sphere configs; pathwise is
 rejected on backward configs (the integrated bound is a forward statement).
@@ -82,11 +84,11 @@ its gate (builtin max skips a NaN that is not first), and they skip the
 one-sided end differences.  The same pass also takes, from each
 state, its mass (for ``mass_drift_rel``), its ``trajectory.csv`` row, the
 f-values at the pathwise pairs (drawn before the pass from the snapshot
-times, which are known without stepping) and, around the one fine index the
-ten random residual tuples read, three states.  Each tuple calls
-``harnack.evolution_residual`` at that index on those three states, and at
-the matching index on the once-coarsened flow, which is solved only
-through the step after it.
+times, which are known without stepping) and the three states around the
+one fine index the ten random residual tuples read.  Each tuple calls
+``harnack.evolution_residual`` on those three states and on the last three
+of the once-coarsened flow, which is solved, in one pass, only through the
+step after the matching coarse index.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -142,6 +144,7 @@ import json
 import sys
 import types
 import typing
+from collections import deque
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -175,6 +178,7 @@ from .heatflow import (
     SolverError,
     Trajectory,
     solve,
+    step_count,
 )
 from .initialdata import (
     ConstantData,
@@ -240,6 +244,7 @@ class ManifoldSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
+    MAX_PAIRS: typing.ClassVar[int] = 100_000  # the most pathwise pairs a config may ask for
     tol_disc_constant: float
     quadrature_tol: float
     rng_seed: int
@@ -251,8 +256,8 @@ class Tolerances:
             raise ValueError(f"tol_disc_constant must be positive, got {self.tol_disc_constant}")
         if self.quadrature_tol <= 0:
             raise ValueError(f"quadrature_tol must be positive, got {self.quadrature_tol}")
-        if self.pair_count < 1:
-            raise ValueError(f"pair_count must be at least 1, got {self.pair_count}")
+        if not 1 <= self.pair_count <= self.MAX_PAIRS:
+            raise ValueError(f"pair_count must be 1 to {self.MAX_PAIRS}, got {self.pair_count}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         lo, hi = self.residual_ratio_window
@@ -419,17 +424,12 @@ def parse_config_text(text: str) -> RunConfig:
     _check_keys(flow, _FLOW_KEYS, "flow")
     t0, t_end, dt = (_convert(float, _need(flow, k, "flow"), f"flow.{k}") for k in _FLOW_KEYS[:3])
     direction = _convert(Direction, flow.get("direction", "forward"), "flow.direction")
-    if t0 <= 0:
-        raise ConfigError(f"flow.t0 must be positive, got {t0}")
-    if t_end <= t0:
-        raise ConfigError(f"flow.t_end must exceed t0, got {t_end} <= {t0}")
-    if dt <= 0:
-        raise ConfigError(f"flow.dt must be positive, got {dt}")
-    if not np.isfinite((t_end - t0) / dt) or t0 + dt == t0:
-        raise ConfigError(f"flow.dt = {dt} is too small to advance the clock from t0 = {t0}")
-    n_steps = round((t_end - t0) / dt)
-    if n_steps < 2 or abs(n_steps * dt - (t_end - t0)) > 1e-9 * max(1.0, t_end - t0):
-        raise ConfigError(f"flow.dt = {dt} does not divide t_end - t0 = {t_end - t0}")
+    try:
+        n_steps = step_count(t0, t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"flow.{exc}") from None
+    if n_steps < 2:
+        raise ConfigError(f"flow.dt = {dt} makes 1 step from t0 to t_end; at least 2 are needed")
     if n_steps > RunConfig.MAX_STEPS:
         raise ConfigError(
             f"flow.dt = {dt} makes {n_steps} steps from t0 to t_end; at most "
@@ -648,25 +648,24 @@ def _suite_evolution_residual(
     # two-level convergence check at _residual_indices, read on the fine flow
     # from ``window``, its three states around the fine index
     _, coarse_idx = _residual_indices(len(series.time))
-    fine = Trajectory.of_states(window, config.dt)
 
-    # the once-coarsened flow, solved only through coarse_idx + 1, the last
-    # state the residual reads; its clock is t0 + k dt, so each state equals
-    # the one a solve to t_end would give
+    # the once-coarsened flow, solved only through coarse_idx + 1, so its
+    # last three states are the ones the residual reads; its clock is
+    # t0 + k dt, so each state equals the one a solve to t_end would give
     spec = config.manifold
     m = build_torus(spec.dimension, spec.side_lengths, tuple(r // 2 for r in spec.resolution))
     f0 = build_initial_field(config.initial_data, m)
     dt = 2.0 * config.dt
     t_read = config.t0 + (coarse_idx + 1) * dt
-    coarse = solve(m, f0, config.t0, t_read, dt, config.direction)
+    coarse = deque(solve(m, f0, config.t0, t_read, dt, config.direction), maxlen=3)
     lo, hi = config.tolerances.residual_ratio_window
 
     tuples = _draw_residual_params(config.tolerances.rng_seed)
     rows = []
     slacks = []
     for p in tuples:
-        r_fine = evolution_residual(fine, p, 1)
-        r_coarse = evolution_residual(coarse, p, coarse_idx)
+        r_fine = evolution_residual(window, config.dt, p)
+        r_coarse = evolution_residual(coarse, dt, p)
         ratio = r_coarse / r_fine if r_fine > 0 else np.inf
         slack = max(lo - ratio, ratio - hi)  # <= 0 inside the window
         slacks.append(slack)

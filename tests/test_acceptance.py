@@ -58,9 +58,10 @@ def test_criterion_1_constant_solution_exactness():
     start = time.perf_counter()
     m = hl.build_torus(2, [1.0, 1.0], [32, 32])
     traj = hl.solve(m, hl.constant_field(m, 1.0), 1.0, 2.0, 0.01)
-    h_at_1 = hl.quantity_H(hl.log_u(traj.states[0]), 1.0)
+    states = list(traj)
+    h_at_1 = hl.quantity_H(hl.log_u(states[0]), 1.0)
     assert np.max(np.abs(h_at_1.values + 4.0)) <= 1e-12
-    for state in traj.states:
+    for state in states:
         fd, fh = hl.entropy_F(state)
         assert abs(fd + 4.0 * state.time) <= 1e-12
         assert abs(fh + 4.0 * state.time) <= 1e-12
@@ -92,12 +93,12 @@ def test_criterion_3_evolution_residual_convergence():
         data = hl.TrigPolynomialData(floor=0.8, modes=(hl.TrigMode((1,), 0.4),))
         return hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.3, dt)
 
-    coarse = trajectory(128, 2e-3)
-    fine = trajectory(256, 1e-3)
+    coarse = list(trajectory(128, 2e-3))[49:52]   # t = 0.2 in the middle
+    fine = list(trajectory(256, 1e-3))[99:102]
     ratios = []
     for p in _draw_residual_params(20240601):  # 5 tuples per variant, alpha > beta
-        r_coarse = hl.evolution_residual(coarse, p, 50)   # t = 0.2
-        r_fine = hl.evolution_residual(fine, p, 100)
+        r_coarse = hl.evolution_residual(coarse, 2e-3, p)
+        r_fine = hl.evolution_residual(fine, 1e-3, p)
         ratio = r_coarse / r_fine
         assert 3.5 <= ratio <= 4.5, f"tuple {p} ratio {ratio}"
         ratios.append(ratio)

@@ -133,7 +133,8 @@ def test_entropy_series_equals_reference_functions(m):
     torus = m.has_hessian
     series = hl.entropy_series(traj, with_residual=torus)
     assert len(series.time) == len(traj)
-    for i, state in enumerate(traj.states):
+    states = list(traj)
+    for i, state in enumerate(states):
         t = state.time
         u, v = hl.log_u(state), hl.log_v(state)
         h = hl.quantity_H(u, t)
@@ -151,7 +152,8 @@ def test_entropy_series_equals_reference_functions(m):
             assert series.dW_formula[i] == hl.dissipation_W(state)
             # the residual holds the interior snapshots only
             if 0 < i < len(traj) - 1:
-                expected = hl.evolution_residual(traj, hl.CAO_HAMILTON_H_PARAMS, i)
+                window = states[i - 1 : i + 2]
+                expected = hl.evolution_residual(window, traj.step_size, hl.CAO_HAMILTON_H_PARAMS)
                 assert series.residual[i - 1] == expected
         else:
             assert series.dF_formula is None and series.dW_formula is None

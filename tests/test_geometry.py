@@ -38,6 +38,8 @@ def test_build_torus_circle():
         (1, [1.0], [15]),             # odd resolution
         (1, [1.0], [6]),              # too small
         (1, [-1.0], [16]),            # nonpositive side
+        (1, [1.0], [100_000_000]),    # over MAX_NODES, rejected before building
+        (2, [1.0, 1.0], [514, 512]),
     ],
 )
 def test_build_torus_rejects(args):
@@ -63,6 +65,20 @@ def test_build_sphere_area_converges_monotonically():
 def test_build_sphere_rejects_low_subdivision():
     with pytest.raises(ValueError):
         hl.build_sphere(1)
+
+
+def test_node_ceiling_admits_the_meshes_in_use():
+    # 128^2 and 16^3 tori, the 64^3 calibrate builds for a 3-D config, and
+    # spheres through subdivision 7 pass; subdivision 8 does not, and a huge
+    # one is rejected without 4**s being computed
+    from harnacklab.geometry import check_sphere_args, check_torus_args
+
+    for args in ((2, (1.0, 1.0), (128, 128)), (3, (1.0,) * 3, (16,) * 3), (3, (1.0,) * 3, (64,) * 3)):
+        check_torus_args(*args)
+    check_sphere_args(7)  # 163,842 nodes
+    for subdivision in (8, 10**9):
+        with pytest.raises(ValueError, match="nodes"):
+            check_sphere_args(subdivision)
 
 
 # ---------------------------------------------------------------------------

@@ -190,29 +190,32 @@ def test_evolution_residual_constant_data_exact_truncation():
     traj = constant_trajectory(m)
     w0 = 0.7
     p = HarnackParams(2.0, 1.0, 0.5, 2.0, 2.0, Variant.U)
-    i = 10
-    t = traj.states[i].time
+    window = list(traj)[9:12]
+    t = window[1].time
     dt = traj.step_size
     k = p.b * w0 + p.c * m.dimension
     expected = abs(k) * dt**2 / (t**2 * (t**2 - dt**2))
-    assert hl.evolution_residual(traj, p, i) == pytest.approx(expected, abs=1e-10)
+    assert hl.evolution_residual(window, dt, p) == pytest.approx(expected, abs=1e-10)
 
 
 def test_evolution_residual_vanishes_when_H_is_time_constant():
     m = hl.build_torus(1, [1.0], [64])
     traj = constant_trajectory(m)
     p = HarnackParams(2.0, 1.0, 0.0, 0.0, 2.0, Variant.U)
-    assert hl.evolution_residual(traj, p, 10) < 1e-12
+    assert hl.evolution_residual(list(traj)[9:12], traj.step_size, p) < 1e-12
 
 
-def test_evolution_residual_index_bounds():
+def test_evolution_residual_needs_a_three_state_window():
+    # the centered difference reads exactly three states: a window of any
+    # other length (a trajectory's end, or a whole trajectory) raises
     m = hl.build_torus(1, [1.0], [64])
     traj = constant_trajectory(m)
-    p = hl.CAO_HAMILTON_H_PARAMS
-    with pytest.raises(IndexError):
-        hl.evolution_residual(traj, p, 0)
-    with pytest.raises(IndexError):
-        hl.evolution_residual(traj, p, len(traj) - 1)
+    states = list(traj)
+    p = HarnackParams(2.0, 1.0, 0.0, 0.0, 2.0, Variant.U)
+    assert hl.evolution_residual(states[:3], traj.step_size, p) < 1e-12
+    for window in (states[:2], states[-2:], states[:4], states):
+        with pytest.raises(ValueError):
+            hl.evolution_residual(window, traj.step_size, p)
 
 
 def single_mode_trajectory(res, dt, t0=0.1, t_end=0.3):
@@ -225,8 +228,8 @@ def test_evolution_residual_second_order_convergence():
     p = HarnackParams(2.0, 1.0, 0.3, 0.7, 1.5, Variant.V)
     fine = single_mode_trajectory(256, 1e-3)
     coarse = single_mode_trajectory(128, 2e-3)
-    r_fine = hl.evolution_residual(fine, p, 100)   # t = 0.2 on both grids
-    r_coarse = hl.evolution_residual(coarse, p, 50)
+    r_fine = hl.evolution_residual(list(fine)[99:102], 1e-3, p)   # t = 0.2 on both grids
+    r_coarse = hl.evolution_residual(list(coarse)[49:52], 2e-3, p)
     assert 3.5 < r_coarse / r_fine < 4.5
 
 
@@ -239,12 +242,12 @@ def test_evolution_residual_mutation_guard():
     for res, dt in ((128, 2e-3), (256, 1e-3)):
         traj = single_mode_trajectory(res, dt)
         idx = int(round(0.1 / dt))
-        here = traj.states[idx]
+        prev, here, next_ = list(traj)[idx - 1 : idx + 2]
         dt_traj = traj.step_size
-        u_prev = hl.log_u(traj.states[idx - 1])
-        u_next = hl.log_u(traj.states[idx + 1])
-        q_prev = hl.quantity_general(u_prev, traj.states[idx - 1].time, p)
-        q_next = hl.quantity_general(u_next, traj.states[idx + 1].time, p)
+        u_prev = hl.log_u(prev)
+        u_next = hl.log_u(next_)
+        q_prev = hl.quantity_general(u_prev, prev.time, p)
+        q_next = hl.quantity_general(u_next, next_.time, p)
         dq_dt = (q_next.values - q_prev.values) / (2 * dt_traj)
         u_here = hl.log_u(here)
         rhs = hl.evolution_rhs(u_here, here.time, p).values
@@ -300,7 +303,7 @@ def test_signs_hold_along_smooth_trajectory():
     f0 = hl.build_initial_field(hl.RandomSmoothData(seed=9, mode_cutoff=2, amplitude=0.4, floor=1.0), m)
     traj = hl.solve(m, f0, 0.05, 0.3, 1e-3)
     tol = 20.0 * (m.mesh_scale**2 + traj.step_size)
-    for state in traj.states[:: len(traj) // 10]:
+    for state in list(traj)[:: len(traj) // 10]:
         u, v = hl.log_u(state), hl.log_v(state)
         assert hl.assert_nonpositive(hl.quantity_H(u, state.time), tol).passed
         assert hl.assert_nonpositive(hl.quantity_liyau(v, state.time), tol).passed

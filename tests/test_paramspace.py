@@ -134,10 +134,11 @@ def test_survivors_yield_nonpositive_quantities():
         hl.RandomSmoothData(seed=31, mode_cutoff=2, amplitude=0.3, floor=1.0), m
     )
     traj = hl.solve(m, f0, 0.1, 0.3, 2e-3)
+    states = list(traj)
     tol = 260.0 * (m.mesh_scale**2 + traj.step_size)
     for alpha, beta, b, lam in res.survivors:
         scale = 2.0 / alpha
         p = HarnackParams(2.0, scale * beta, scale * b, -scale * b, lam, Variant.V)
-        for state in (traj.states[0], traj.states[len(traj) // 2], traj.states[-1]):
+        for state in (states[0], states[len(traj) // 2], states[-1]):
             q = hl.quantity_general(hl.log_v(state), state.time, p)
             assert hl.assert_nonpositive(q, tol).passed

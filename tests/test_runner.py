@@ -106,6 +106,20 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("{kind: constant, value: 1.0}",
                              "{kind: random_smooth, seed: 1, mode_cutoff: 100000, "
                              "amplitude: 0.5, floor: 1.0}"), "initial_data.mode_cutoff"),
+        # ... and so are the manifold's node count, the pathwise pair count and
+        # the scan's grid point count, each checked without building anything
+        (lambda s: s.replace("dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]",
+                             "dimension: 1, side_lengths: [1.0], resolution: [100000000]"),
+         "manifold: resolution (100000000,) makes 100000000 nodes"),
+        (lambda s: s.replace("{kind: torus, dimension: 2, side_lengths: [1.0, 1.0], "
+                             "resolution: [16, 16]}", "{kind: sphere, subdivision: 14}"),
+         "manifold: sphere subdivision 14"),
+        (lambda s: s.replace("pair_count: 20", "pair_count: 1000000000"), "tolerances: pair_count"),
+        (lambda s: s + "paramscan: {step: 1.0e-4}\n", "paramscan: step = 0.0001"),
+        (lambda s: s + "paramscan: {step: 5.0e-324}\n", "paramscan: step = 5e-324"),
+        (lambda s: s + "paramscan: {step: 1.0e-300}\n", "paramscan: step = 1e-300"),
+        # one step is below the run's two-step minimum, not a dt that fails to divide
+        (lambda s: s.replace("dt: 0.01", "dt: 0.5"), "flow.dt = 0.5 makes 1 step"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -303,13 +317,14 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
     from dataclasses import replace
 
     config, traj, series, tol_disc, mass = smoke_snapshots
+    if field == "residual":
+        fine_idx, _ = runner._residual_indices(len(traj))
+        window = list(traj)[fine_idx - 1 : fine_idx + 2]
 
     def suite(series):
         if field in SIGN_FIELDS:
             return runner._suite_harnack_signs(series, tol_disc)
         if field == "residual":
-            fine_idx, _ = runner._residual_indices(len(traj))
-            window = traj.states[fine_idx - 1 : fine_idx + 2]
             return runner._suite_evolution_residual(config, window, series)
         return runner._suite_entropy(config, traj, tol_disc, mass, series)
 
@@ -366,7 +381,7 @@ def test_trajectory_export(tmp_path):
     # every row is exactly the _fmt text of time and node values
     m = config.manifold.build()
     traj = hl.solve(m, hl.build_initial_field(data, m), config.t0, config.t_end, config.dt)
-    for line, state in zip(lines[3:], traj.states):
+    for line, state in zip(lines[3:], traj):
         assert line == ",".join(runner._fmt(x) for x in [state.time, *state.f.values])
 
 
