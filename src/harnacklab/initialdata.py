@@ -20,6 +20,7 @@ from .geometry import FlatTorus, ManifoldDescriptor, ScalarField
 
 @dataclass(frozen=True)
 class ConstantData:
+    kind: ClassVar[str] = "constant"  # the initial_data.kind that names this class
     value: float
 
     def __post_init__(self):
@@ -44,6 +45,7 @@ class TrigMode:
 class TrigPolynomialData:
     """floor + sum of raised-cosine modes; min f >= floor since each mode is >= 0."""
 
+    kind: ClassVar[str] = "trig_polynomial"
     floor: float
     modes: tuple[TrigMode, ...]
 
@@ -61,6 +63,7 @@ class RandomSmoothData:
     may ask for at most MAX_MODES modes (see :meth:`mode_count`).
     """
 
+    kind: ClassVar[str] = "random_smooth"
     MAX_MODES: ClassVar[int] = 10_000
 
     seed: int

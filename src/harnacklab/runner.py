@@ -8,7 +8,7 @@ One config file = one reproducible experiment.  The CLI offers
 
 with exit codes 0 (all gates pass), 1 (gate failure), 2 (config error),
 3 (solver failure).  ``--seed`` overrides the config RNG seed, ``--output-dir``
-the output directory, and ``--strict`` halves the discretization tolerance.
+the output directory, and ``--strict`` (not a config key) halves tol_disc.
 
 Config grammar (YAML, nested key-value)
 ---------------------------------------
@@ -51,19 +51,22 @@ Config grammar (YAML, nested key-value)
       b_range: [-3.0, 1.0]
       step: 0.05
 
-Each section is read into its dataclass (``ManifoldSpec``, the initial-data
-classes, ``Tolerances``, ``ScanSpec``), whose fields hold its keys, defaults
-and range checks.  An unknown key is a config error naming it; so is a value
-of the wrong type, a non-integral integer, a non-finite number or an
+Each section is one field of ``RunConfig``, read by one reader into its
+dataclass (``Flow``, ``Tolerances``, ``Output``, ``ScanSpec``), whose fields
+hold its keys, defaults and range checks.  A section with a ``kind`` is a
+union of dataclasses, the kind naming the member: ``TorusSpec | SphereSpec``
+and the three initial-data classes.  An unknown key, a key given twice, a
+missing field or a suite listed twice is a config error naming it; so is a
+value of the wrong type, a non-integral integer, a non-finite number or an
 out-of-range value, including a manifold the builders would reject and a
 clock ``heatflow.step_count`` would.  Run size is bounded, with nothing
-built: 2 to ``RunConfig.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
+built: 2 to ``Flow.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
 ``Tolerances.MAX_PAIRS`` pairs, ``ScanSpec.MAX_POINTS`` scan points and
 ``RandomSmoothData.MAX_MODES`` random modes ((2 mode_cutoff + 1)^n on a
-torus, 8 mode_cutoff plane waves on the sphere).
-Torus-only suites (evolution_residual, and the dissipation cross-check
-inside entropy) are rejected at parse time on sphere configs; pathwise is
-rejected on backward configs (the integrated bound is a forward statement).
+torus, 8 mode_cutoff plane waves on the sphere).  ``RunConfig``'s own
+checks join two sections: torus-only suites (evolution_residual, and the
+dissipation cross-check inside entropy) are rejected on sphere configs,
+pathwise on backward configs (the integrated bound is a forward statement).
 
 How the diagnostics are computed
 --------------------------------
@@ -145,7 +148,7 @@ import sys
 import types
 import typing
 from collections import deque
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -221,25 +224,53 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ManifoldSpec:
-    kind: str
-    dimension: int | None = None
-    side_lengths: tuple[float, ...] | None = None
-    resolution: tuple[int, ...] | None = None
-    subdivision: int | None = None
+class TorusSpec:
+    kind: typing.ClassVar[str] = "torus"  # the manifold.kind that names this class
+    dimension: int
+    side_lengths: tuple[float, ...]
+    resolution: tuple[int, ...]
 
     def __post_init__(self):
-        # the builders' own argument checks, so a manifold they would reject
+        # the builder's own argument checks, so a manifold it would reject
         # fails when the config is read, without being built
-        if self.kind == "torus":
-            check_torus_args(self.dimension, self.side_lengths, self.resolution)
-        else:
-            check_sphere_args(self.subdivision)
+        check_torus_args(self.dimension, self.side_lengths, self.resolution)
 
     def build(self) -> ManifoldDescriptor:
-        if self.kind == "torus":
-            return build_torus(self.dimension, self.side_lengths, self.resolution)
+        return build_torus(self.dimension, self.side_lengths, self.resolution)
+
+
+@dataclass(frozen=True)
+class SphereSpec:
+    kind: typing.ClassVar[str] = "sphere"
+    subdivision: int
+
+    def __post_init__(self):
+        check_sphere_args(self.subdivision)
+
+    def build(self) -> ManifoldDescriptor:
         return build_sphere(self.subdivision)
+
+
+@dataclass(frozen=True)
+class Flow:
+    MAX_STEPS: typing.ClassVar[int] = 20_000  # the most Crank-Nicolson steps a config may ask for
+    t0: float
+    t_end: float
+    dt: float
+    direction: Direction = Direction.FORWARD
+
+    @property
+    def n_steps(self) -> int:
+        """The step count ``heatflow.step_count`` gives; it raises on a bad clock."""
+        return step_count(self.t0, self.t_end, self.dt)
+
+    def __post_init__(self):
+        n = self.n_steps
+        if not 2 <= n <= self.MAX_STEPS:
+            raise ValueError(
+                f"dt = {self.dt} makes {n} step{'s' * (n > 1)} from t0 to t_end; "
+                f"a run takes 2 to {self.MAX_STEPS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -266,22 +297,59 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # the most Crank-Nicolson steps a config may ask for
-    MAX_STEPS: typing.ClassVar[int] = 20_000
+class Output:
+    directory: str = "out"
+    export_trajectory: bool = False
 
-    manifold: ManifoldSpec
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One config file: a field per section, named by its key.  The checks
+    here are the rules that join two sections."""
+
+    manifold: TorusSpec | SphereSpec
     initial_data: InitialData
-    t0: float
-    t_end: float
-    dt: float
-    direction: Direction
+    flow: Flow
     suites: tuple[str, ...]
     tolerances: Tolerances
-    output_dir: str
-    export_trajectory: bool = False
-    scan: ScanSpec | None = None
-    strict: bool = False
+    output: Output = Output()
+    # read even when not requested, so a malformed section is never ignored
+    paramscan: ScanSpec = ScanSpec()
+
+    def __post_init__(self):
+        suites, data = self.suites, self.initial_data
+        for i, s in enumerate(suites):
+            if s not in SUITE_NAMES:
+                raise ValueError(f"unknown suite {s!r}; valid suites: {', '.join(SUITE_NAMES)}")
+            if s in suites[:i]:
+                raise ValueError(f"suite {s!r} is listed twice")
+        torus = isinstance(self.manifold, TorusSpec)
+        if not torus and "evolution_residual" in suites:
+            raise ValueError("suite 'evolution_residual' needs the torus backend (Hessian penalty)")
+        if self.flow.direction is Direction.BACKWARD and "pathwise" in suites:
+            raise ValueError("suite 'pathwise' applies to forward flows only")
+        if isinstance(data, TrigPolynomialData):
+            if not torus:
+                raise ValueError("trig_polynomial initial data is only defined on tori")
+            if any(len(mode.index) != self.manifold.dimension for mode in data.modes):
+                raise ValueError("initial_data.modes: each index needs one entry per torus axis")
+        if isinstance(data, RandomSmoothData):
+            modes = data.mode_count(self.manifold.dimension if torus else None)
+            if modes > RandomSmoothData.MAX_MODES:
+                raise ValueError(
+                    f"initial_data.mode_cutoff = {data.mode_cutoff} makes {modes} modes; "
+                    f"at most {RandomSmoothData.MAX_MODES} are allowed"
+                )
+        if "evolution_residual" in suites:
+            if any(r % 4 != 0 or r < 16 for r in self.manifold.resolution):
+                raise ValueError(
+                    "suite 'evolution_residual' coarsens the grid once: torus resolutions "
+                    "must be multiples of 4 and at least 16"
+                )
+            if self.flow.n_steps % 2 != 0 or self.flow.n_steps < 4:
+                raise ValueError(
+                    "suite 'evolution_residual' needs an even step count of at least 4"
+                )
 
 
 def discretization_tolerance(m: ManifoldDescriptor, c: float, dt: float) -> float:
@@ -295,47 +363,29 @@ def discretization_tolerance(m: ManifoldDescriptor, c: float, dt: float) -> floa
 # config parsing
 
 
-# the keys each config section accepts; anything else is rejected, so a
-# misspelled optional key cannot silently fall back to its default.  The
-# sections read by _read accept the fields of their dataclass.
-_TOP_KEYS = ("manifold", "initial_data", "flow", "suites", "tolerances", "output", "paramscan")
-_MANIFOLD_KEYS = {
-    "torus": ("kind", "dimension", "side_lengths", "resolution"),
-    "sphere": ("kind", "subdivision"),
-}
-_FLOW_KEYS = ("t0", "t_end", "dt", "direction")
-_OUTPUT_KEYS = ("directory", "export_trajectory")
-# the initial-data class of each initial_data.kind
-_INITIAL_DATA = {
-    "constant": ConstantData,
-    "trig_polynomial": TrigPolynomialData,
-    "random_smooth": RandomSmoothData,
-}
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a key given twice in one mapping,
+    where ``yaml.safe_load`` would keep the last value."""
 
-
-def _check_keys(mapping, allowed, context: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r} in {context}; valid keys: {', '.join(allowed)}"
-            )
-
-
-def _need(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
-    if key not in mapping:
-        raise ConfigError(f"missing field '{key}' in {context}")
-    return mapping[key]
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, so an unhashable key reaches the base loader's own error
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # merged keys may be overridden; the loader flattens them
+            key = self.construct_object(key_node, deep=deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            seen.append(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _convert(tp, value, context: str):
     """``value`` as the annotated type ``tp``, or a ConfigError naming ``context``."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        return None if value is None else _convert(args[0], value, context)
+    if is_dataclass(tp) or origin in (typing.Union, types.UnionType):
+        return _read(tp, value, context)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{context} must be a list, got {value!r}")
@@ -344,8 +394,6 @@ def _convert(tp, value, context: str):
         if len(value) != len(args):
             raise ConfigError(f"{context} must be a list of {len(args)}, got {value!r}")
         return tuple(_convert(a, v, context) for a, v in zip(args, value))
-    if is_dataclass(tp):
-        return _read(tp, value, context)
     if tp is float or tp is int:
         # YAML 1.1 reads an exponent without a dot (1e-4) as a string, so a
         # numeric string is a number; a boolean or a non-finite value is not
@@ -373,123 +421,45 @@ def _convert(tp, value, context: str):
 def _read(cls, mapping, context: str):
     """The frozen dataclass ``cls`` read from a config mapping.
 
-    The keys are the fields of ``cls``; a field without a default is
-    required.  Each value is converted by its annotation, and whatever the
-    class itself rejects (a missing field, or a value its own checks refuse)
-    becomes a ConfigError naming ``context``.
+    For a union of dataclasses, the section's ``kind`` picks the member
+    whose ``kind`` it is.  The keys are the fields of ``cls``: any other key
+    is rejected (so a misspelled optional key cannot fall back to its
+    default), and one without a default is required.  Each value is
+    converted by its annotation; a value the class's own checks refuse is a
+    ConfigError naming ``context`` too.
     """
-    _check_keys(mapping, [f.name for f in fields(cls)], context)
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a mapping, got {mapping!r}")
+    if not is_dataclass(cls):
+        by_kind = {member.kind: member for member in typing.get_args(cls)}
+        if "kind" not in mapping:
+            raise ConfigError(f"missing field 'kind' in {context}")
+        kind = mapping["kind"]
+        if not isinstance(kind, str) or kind not in by_kind:
+            raise ConfigError(f"{context}.kind must be one of {', '.join(by_kind)}, got {kind!r}")
+        cls, mapping = by_kind[kind], {k: v for k, v in mapping.items() if k != "kind"}
+    names = [f.name for f in fields(cls)]
+    for key in mapping:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {context}; valid keys: {', '.join(names)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in mapping:
+            raise ConfigError(f"missing field '{f.name}' in {context}")
     hints = typing.get_type_hints(cls)
-    values = {k: _convert(hints[k], v, f"{context}.{k}") for k, v in mapping.items()}
+    prefix = "" if cls is RunConfig else f"{context}."  # a section is named by its key
+    values = {k: _convert(hints[k], v, prefix + k) for k, v in mapping.items()}
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-def _kind(raw, table: dict, context: str):
-    """The entry of ``table`` named by the section's ``kind``."""
-    kind = _need(raw, "kind", context)
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"{context}.kind must be one of {', '.join(table)}, got {kind!r}")
-    return table[kind]
-
-
-def _parse_manifold(raw) -> ManifoldSpec:
-    keys = _kind(raw, _MANIFOLD_KEYS, "manifold")
-    _check_keys(raw, keys, "manifold")
-    for key in keys:
-        _need(raw, key, "manifold")
-    return _read(ManifoldSpec, raw, "manifold")
-
-
-def _parse_initial_data(raw) -> InitialData:
-    cls = _kind(raw, _INITIAL_DATA, "initial_data")
-    return _read(cls, {key: value for key, value in raw.items() if key != "kind"}, "initial_data")
-
-
 def parse_config_text(text: str) -> RunConfig:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping at top level")
-    _check_keys(raw, _TOP_KEYS, "config")
-
-    manifold = _parse_manifold(_need(raw, "manifold", "config"))
-    initial_data = _parse_initial_data(_need(raw, "initial_data", "config"))
-
-    flow = _need(raw, "flow", "config")
-    _check_keys(flow, _FLOW_KEYS, "flow")
-    t0, t_end, dt = (_convert(float, _need(flow, k, "flow"), f"flow.{k}") for k in _FLOW_KEYS[:3])
-    direction = _convert(Direction, flow.get("direction", "forward"), "flow.direction")
-    try:
-        n_steps = step_count(t0, t_end, dt)
-    except ValueError as exc:
-        raise ConfigError(f"flow.{exc}") from None
-    if n_steps < 2:
-        raise ConfigError(f"flow.dt = {dt} makes 1 step from t0 to t_end; at least 2 are needed")
-    if n_steps > RunConfig.MAX_STEPS:
-        raise ConfigError(
-            f"flow.dt = {dt} makes {n_steps} steps from t0 to t_end; at most "
-            f"{RunConfig.MAX_STEPS} are allowed"
-        )
-
-    suites = _convert(tuple[str, ...], _need(raw, "suites", "config"), "suites")
-    for s in suites:
-        if s not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {s!r}; valid suites: {', '.join(SUITE_NAMES)}")
-    if manifold.kind == "sphere" and "evolution_residual" in suites:
-        raise ConfigError("suite 'evolution_residual' needs the torus backend (Hessian penalty)")
-    if direction is Direction.BACKWARD and "pathwise" in suites:
-        raise ConfigError("suite 'pathwise' applies to forward flows only")
-    if isinstance(initial_data, TrigPolynomialData):
-        if manifold.kind == "sphere":
-            raise ConfigError("trig_polynomial initial data is only defined on tori")
-        if any(len(mode.index) != manifold.dimension for mode in initial_data.modes):
-            raise ConfigError("initial_data.modes: each index needs one entry per torus axis")
-    if isinstance(initial_data, RandomSmoothData):
-        modes = initial_data.mode_count(manifold.dimension if manifold.kind == "torus" else None)
-        if modes > RandomSmoothData.MAX_MODES:
-            raise ConfigError(
-                f"initial_data.mode_cutoff = {initial_data.mode_cutoff} makes {modes} modes; "
-                f"at most {RandomSmoothData.MAX_MODES} are allowed"
-            )
-    if "evolution_residual" in suites:
-        if any(r % 4 != 0 or r < 16 for r in manifold.resolution):
-            raise ConfigError(
-                "suite 'evolution_residual' coarsens the grid once: torus resolutions "
-                "must be multiples of 4 and at least 16"
-            )
-        if n_steps % 2 != 0 or n_steps < 4:
-            raise ConfigError(
-                "suite 'evolution_residual' needs an even step count of at least 4"
-            )
-
-    tolerances = _read(Tolerances, _need(raw, "tolerances", "config"), "tolerances")
-
-    out_raw = raw.get("output", {})
-    _check_keys(out_raw, _OUTPUT_KEYS, "output")
-    output_dir = _convert(str, out_raw.get("directory", "out"), "output.directory")
-    export = _convert(bool, out_raw.get("export_trajectory", False), "output.export_trajectory")
-
-    # read even when not requested, so a malformed section is never ignored
-    scan = _read(ScanSpec, raw.get("paramscan", {}), "paramscan")
-
-    return RunConfig(
-        manifold=manifold,
-        initial_data=initial_data,
-        t0=t0,
-        t_end=t_end,
-        dt=dt,
-        direction=direction,
-        suites=suites,
-        tolerances=tolerances,
-        output_dir=output_dir,
-        export_trajectory=export,
-        scan=scan if "paramscan" in suites else None,
-    )
+    return _read(RunConfig, raw, "config")
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -564,26 +534,26 @@ def _write_json(path: Path, obj) -> None:
         fp.write("\n")
 
 
-def manifold_hash(spec: ManifoldSpec) -> str:
-    blob = json.dumps(asdict(spec), sort_keys=True)
+def _manifold_echo(spec: TorusSpec | SphereSpec) -> dict:
+    """The manifold as reports give it: its kind and all four size keys,
+    None where the kind has no such key."""
+    sizes = dict.fromkeys(("dimension", "side_lengths", "resolution", "subdivision"))
+    return {"kind": spec.kind, **sizes, **asdict(spec)}
+
+
+def manifold_hash(spec: TorusSpec | SphereSpec) -> str:
+    blob = json.dumps(_manifold_echo(spec), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _config_echo(config: RunConfig) -> dict:
-    data = config.initial_data
-    kind = next(k for k, cls in _INITIAL_DATA.items() if type(data) is cls)
+def _config_echo(config: RunConfig, strict: bool) -> dict:
     return {
-        "manifold": asdict(config.manifold),
-        "initial_data": {"kind": kind, **asdict(data)},
-        "flow": {
-            "t0": config.t0,
-            "t_end": config.t_end,
-            "dt": config.dt,
-            "direction": config.direction.value,
-        },
+        "manifold": _manifold_echo(config.manifold),
+        "initial_data": {"kind": config.initial_data.kind, **asdict(config.initial_data)},
+        "flow": {**asdict(config.flow), "direction": config.flow.direction.value},
         "suites": list(config.suites),
         "tolerances": asdict(config.tolerances),
-        "strict": config.strict,
+        "strict": strict,
     }
 
 
@@ -655,16 +625,16 @@ def _suite_evolution_residual(
     spec = config.manifold
     m = build_torus(spec.dimension, spec.side_lengths, tuple(r // 2 for r in spec.resolution))
     f0 = build_initial_field(config.initial_data, m)
-    dt = 2.0 * config.dt
-    t_read = config.t0 + (coarse_idx + 1) * dt
-    coarse = deque(solve(m, f0, config.t0, t_read, dt, config.direction), maxlen=3)
+    dt = 2.0 * config.flow.dt
+    t_read = config.flow.t0 + (coarse_idx + 1) * dt
+    coarse = deque(solve(m, f0, config.flow.t0, t_read, dt, config.flow.direction), maxlen=3)
     lo, hi = config.tolerances.residual_ratio_window
 
     tuples = _draw_residual_params(config.tolerances.rng_seed)
     rows = []
     slacks = []
     for p in tuples:
-        r_fine = evolution_residual(window, config.dt, p)
+        r_fine = evolution_residual(window, config.flow.dt, p)
         r_coarse = evolution_residual(coarse, dt, p)
         ratio = r_coarse / r_fine if r_fine > 0 else np.inf
         slack = max(lo - ratio, ratio - hi)  # <= 0 inside the window
@@ -741,7 +711,7 @@ def _suite_entropy(
         "w_equals_f_max_gap": wf_gap,
         "w_equals_f_tol": identity_tol,
     }
-    if config.direction is Direction.BACKWARD:
+    if config.flow.direction is Direction.BACKWARD:
         # series are in tau; the implied t-derivatives flip sign
         summary["implied_dF_dt_min"] = -worst_dF
         summary["implied_dW_dt_min"] = -worst_dW
@@ -805,7 +775,7 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
             block = {**block, "lam": np.ma.masked_invalid(block["lam"])}
             _write_columns(fp, [block[name] for name in header])
 
-        result = case_one_uniqueness_scan(config.scan, on_block=sink)
+        result = case_one_uniqueness_scan(config.paramscan, on_block=sink)
 
     named_ok = (
         classify(NI_PARAMS).named_match is NamedMatch.NI
@@ -815,19 +785,19 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
     )
     ok = (
         result.survivors.shape[0] > 0
-        and result.max_ray_deviation <= config.scan.step + 1e-12
+        and result.max_ray_deviation <= config.paramscan.step + 1e-12
         and named_ok
     )
     return {
         "pass": bool(ok),
-        "step": config.scan.step,
+        "step": config.paramscan.step,
         "constraint_slack": result.tolerance,
         "n_points": result.n_points,
         "n_survivors": int(result.survivors.shape[0]),
         "n_alpha_eq_beta_excluded": result.n_alpha_eq_beta,
         "n_boundary_survivors": result.n_boundary,
         "max_ray_deviation": result.max_ray_deviation,
-        "worst_slack": result.max_ray_deviation - config.scan.step,
+        "worst_slack": result.max_ray_deviation - config.paramscan.step,
         "named_tuples_recognized": bool(named_ok),
     }
 
@@ -843,17 +813,19 @@ class RunOutcome:
     output_dir: Path
 
 
-def run_config(config: RunConfig) -> RunOutcome:
-    out_dir = Path(config.output_dir)
+def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
+    """Solve the flow and run the requested suites; ``strict`` halves tol_disc."""
+    out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     m = config.manifold.build()
     f0 = build_initial_field(config.initial_data, m)
-    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
-    if config.strict:
+    flow = config.flow
+    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, flow.dt)
+    if strict:
         tol_disc *= 0.5
 
-    traj = solve(m, f0, config.t0, config.t_end, config.dt, config.direction)
+    traj = solve(m, f0, flow.t0, flow.t_end, flow.dt, flow.direction)
     # entropy_series steps the fine flow in one pass, and the reports take
     # what else they need from each state on the way, so no list of states
     # is ever held: its mass, the three states around the residual tuples'
@@ -885,7 +857,7 @@ def run_config(config: RunConfig) -> RunOutcome:
             "overall_pass": False,
             "exit_code": EXIT_SOLVER_FAILURE,
             "solver_error": str(exc),
-            "config": _config_echo(config),
+            "config": _config_echo(config, strict),
         }
         _write_json(out_dir / "summary.json", summary)
         return RunOutcome(EXIT_SOLVER_FAILURE, summary, out_dir)
@@ -926,18 +898,18 @@ def run_config(config: RunConfig) -> RunOutcome:
 
     meta = {
         "manifold_hash": manifold_hash(config.manifold),
-        "manifold": _config_echo(config)["manifold"],
-        "direction": config.direction.value,
-        "t0": config.t0,
-        "t_end": config.t_end,
-        "dt": config.dt,
+        "manifold": _manifold_echo(config.manifold),
+        "direction": flow.direction.value,
+        "t0": flow.t0,
+        "t_end": flow.t_end,
+        "dt": flow.dt,
         "n_states": len(traj),
         "mesh_scale": m.mesh_scale,
         "node_count": m.node_count,
         "total_volume": m.total_volume,
         "tol_disc_constant": config.tolerances.tol_disc_constant,
         "tol_disc": tol_disc,
-        "strict": config.strict,
+        "strict": strict,
         "mass_initial": mass0,
         "mass_drift_rel": mass_drift,
         "solver": {
@@ -957,7 +929,7 @@ def run_config(config: RunConfig) -> RunOutcome:
         "mass_drift_rel": mass_drift,
         "suites": suites,
         "suites_requested": list(config.suites),
-        "config": _config_echo(config),
+        "config": _config_echo(config, strict),
     }
     _write_json(out_dir / "summary.json", summary)
     return RunOutcome(exit_code, summary, out_dir)
@@ -969,7 +941,7 @@ def _trajectory_csv(path: Path, config: RunConfig, traj: Trajectory):
     state (time, then the node values); None without export_trajectory.
     The rows go to a side file that becomes ``path`` only when the block
     completes, so a pass that fails leaves no partial export."""
-    if not config.export_trajectory:
+    if not config.output.export_trajectory:
         yield None
         return
     part = path.with_name(path.name + ".part")
@@ -977,7 +949,7 @@ def _trajectory_csv(path: Path, config: RunConfig, traj: Trajectory):
         with open(part, "w", newline="") as fp:
             fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
             fp.write(f"# dt={_fmt(traj.step_size)}\n")
-            fp.write(f"# direction={config.direction.value}\n")
+            fp.write(f"# direction={config.flow.direction.value}\n")
             yield fp
         part.replace(path)
     finally:
@@ -1003,11 +975,11 @@ def calibrate_tolerance(config: RunConfig, base_resolution: int = 32) -> Calibra
     |H_discrete - H_exact| divided by (h^2 + dt); the reported constant is
     the larger of the two fits, floored at C_FLOOR.  Torus configs only.
     """
-    if config.manifold.kind != "torus":
+    if not isinstance(config.manifold, TorusSpec):
         raise ConfigError("calibrate_tolerance needs a torus config")
     spec = config.manifold
-    t0 = config.t0
-    span = min(0.1, config.t_end - t0)
+    t0 = config.flow.t0
+    span = min(0.1, config.flow.t_end - t0)
     # constant-data configs calibrate against the stationary flow (exact, so
     # the fit lands on the documented floor); everything else uses the
     # canonical single-mode amplitude
@@ -1047,7 +1019,7 @@ def calibrate_tolerance(config: RunConfig, base_resolution: int = 32) -> Calibra
 
 
 def run_calibrate(config: RunConfig) -> RunOutcome:
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     cal = calibrate_tolerance(config)
     meta = {
@@ -1064,16 +1036,16 @@ def run_calibrate(config: RunConfig) -> RunOutcome:
 
 
 def run_scan(config: RunConfig) -> RunOutcome:
-    if config.scan is None:
+    if "paramscan" not in config.suites:
         raise ConfigError("scan command needs 'paramscan' among the requested suites")
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = _suite_paramscan(config, out_dir)
     summary = {
         "overall_pass": result["pass"],
         "exit_code": EXIT_PASS if result["pass"] else EXIT_GATE_FAILURE,
         "suites": {"paramscan": result},
-        "config": _config_echo(config),
+        "config": _config_echo(config, strict=False),
     }
     _write_json(out_dir / "summary.json", summary)
     return RunOutcome(summary["exit_code"], summary, out_dir)
@@ -1085,11 +1057,9 @@ def run_scan(config: RunConfig) -> RunOutcome:
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.output_dir is not None:
-        config = replace(config, output_dir=args.output_dir)
+        config = replace(config, output=replace(config.output, directory=args.output_dir))
     if getattr(args, "seed", None) is not None:
         config = replace(config, tolerances=replace(config.tolerances, rng_seed=args.seed))
-    if getattr(args, "strict", False):
-        config = replace(config, strict=True)
     return config
 
 
@@ -1120,7 +1090,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            outcome = run_config(config)
+            outcome = run_config(config, strict=args.strict)
         elif args.command == "calibrate":
             outcome = run_calibrate(config)
         else:

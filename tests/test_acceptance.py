@@ -27,7 +27,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def run_shipped(name, tmpdir):
     config = parse_config(CONFIG_DIR / name)
-    config = replace(config, output_dir=str(tmpdir))
+    config = replace(config, output=replace(config.output, directory=str(tmpdir)))
     start = time.perf_counter()
     outcome = run_config(config)
     elapsed = time.perf_counter() - start
@@ -249,7 +249,8 @@ def test_criterion_9_gaussian_equality_case():
 
 def test_criterion_10_determinism(torus_run, tmp_path):
     config, outcome, _ = torus_run
-    rerun = run_config(replace(config, output_dir=str(tmp_path / "rerun")))
+    output = replace(config.output, directory=str(tmp_path / "rerun"))
+    rerun = run_config(replace(config, output=output))
     assert rerun.exit_code == outcome.exit_code
     for name in ("summary.json", "diagnostics.csv", "trajectory_meta.json", "pathwise.csv"):
         a = (Path(outcome.output_dir) / name).read_bytes()

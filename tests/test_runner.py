@@ -54,7 +54,7 @@ def constant_config(tmp_path, **kw):
 def test_parse_round_trip(tmp_path):
     config = constant_config(tmp_path)
     assert config.manifold.kind == "torus"
-    assert config.dt == pytest.approx(0.01)
+    assert config.flow.dt == pytest.approx(0.01)
     assert config.suites == ("harnack_signs", "entropy", "pathwise")
     assert config.tolerances.pair_count == 20
 
@@ -98,8 +98,8 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("dimension: 2", "dimension: 4"), "dimension"),
         (lambda s: s.replace("rng_seed: 7", "rng_seed: -7"), "rng_seed"),
         # a dt too small to count the steps or to advance the clock
-        (lambda s: s.replace("dt: 0.01", "dt: 5.0e-324"), "flow.dt = 5e-324"),
-        (lambda s: s.replace("dt: 0.01", "dt: 1.0e-300"), "flow.dt = 1e-300"),
+        (lambda s: s.replace("dt: 0.01", "dt: 5.0e-324"), "flow: dt = 5e-324"),
+        (lambda s: s.replace("dt: 0.01", "dt: 1.0e-300"), "flow: dt = 1e-300"),
         (lambda s: s.replace("quadrature_tol: 1.0e-6", "quadrature_tol: -1.0"), "quadrature_tol"),
         # run size is bounded: the step count and the random datum's mode count
         (lambda s: s.replace("dt: 0.01", "dt: 1.0e-5"), "makes 50000 steps"),
@@ -119,7 +119,25 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s + "paramscan: {step: 5.0e-324}\n", "paramscan: step = 5e-324"),
         (lambda s: s + "paramscan: {step: 1.0e-300}\n", "paramscan: step = 1e-300"),
         # one step is below the run's two-step minimum, not a dt that fails to divide
-        (lambda s: s.replace("dt: 0.01", "dt: 0.5"), "flow.dt = 0.5 makes 1 step"),
+        (lambda s: s.replace("dt: 0.01", "dt: 0.5"), "flow: dt = 0.5 makes 1 step"),
+        # a key given twice in one mapping, or a suite listed twice, is
+        # rejected, never resolved to one of the copies
+        (lambda s: s.replace("dt: 0.01", "dt: 0.01, dt: 0.02"), "duplicate key 'dt'"),
+        (lambda s: s.replace("suites: [harnack_signs, entropy, pathwise]",
+                             "suites: [harnack_signs, entropy, harnack_signs]"),
+         "suite 'harnack_signs' is listed twice"),
+        # a missing required field is named with its section, in every section
+        (lambda s: s.replace("  rng_seed: 7\n", ""), "missing field 'rng_seed' in tolerances"),
+        (lambda s: s.replace("dt: 0.01, ", ""), "missing field 'dt' in flow"),
+        (lambda s: s.replace(", resolution: [16, 16]", ""), "missing field 'resolution' in manifold"),
+        (lambda s: s.replace("{kind: torus, dimension: 2, side_lengths: [1.0, 1.0], "
+                             "resolution: [16, 16]}", "{kind: sphere}"),
+         "missing field 'subdivision' in manifold"),
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 1.0, modes: [{index: [1, 0]}]}"),
+         "missing field 'amplitude' in initial_data.modes"),
+        # strict is a command-line flag, not a config key
+        (lambda s: s + "strict: true\n", "unknown key 'strict' in config"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -131,6 +149,25 @@ def test_parse_errors_name_the_field(mangle, fragment):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
 def test_shipped_configs_parse(path):
     runner.parse_config(path)
+
+
+# the manifold hash of each shipped config: a report key, so reading the
+# manifold section differently must not move it
+SHIPPED_MANIFOLD_HASHES = {
+    "paramscan.yaml": "69f0b4381770b3ec",
+    "sphere_backward.yaml": "dc17d0fa76a34aa8",
+    "sphere_signs.yaml": "dc17d0fa76a34aa8",
+    "torus_backward.yaml": "64bb749b66da347d",
+    "torus_full.yaml": "64bb749b66da347d",
+    "torus_smoke.yaml": "69f0b4381770b3ec",
+}
+
+
+def test_shipped_manifold_hashes_are_pinned():
+    assert sorted(p.name for p in CONFIG_DIR.glob("*.yaml")) == sorted(SHIPPED_MANIFOLD_HASHES)
+    for name, expected in SHIPPED_MANIFOLD_HASHES.items():
+        config = runner.parse_config(CONFIG_DIR / name)
+        assert runner.manifold_hash(config.manifold) == expected, name
 
 
 def test_parse_rejects_unknown_mode_key():
@@ -169,7 +206,7 @@ def test_parse_fills_defaults_from_the_dataclasses():
     )
     assert config.tolerances.pair_count == 100
     assert config.tolerances.residual_ratio_window == (3.0, 5.0)
-    assert config.scan == hl.ScanSpec()
+    assert config.paramscan == hl.ScanSpec()
 
 
 def test_parse_accepts_residual_window(tmp_path):
@@ -264,16 +301,18 @@ def test_constant_run_passes_and_reports(tmp_path):
 
 
 def test_runs_are_byte_deterministic(tmp_path):
-    out_a = run_config(constant_config(tmp_path, output_dir=str(tmp_path / "a")))
-    out_b = run_config(constant_config(tmp_path, output_dir=str(tmp_path / "b")))
+    out_a = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "a"))))
+    out_b = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "b"))))
     assert out_a.exit_code == out_b.exit_code == EXIT_PASS
     for name in ("summary.json", "diagnostics.csv", "trajectory_meta.json", "pathwise.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_strict_halves_tolerance(tmp_path):
-    base = run_config(constant_config(tmp_path, output_dir=str(tmp_path / "n")))
-    strict = run_config(constant_config(tmp_path, output_dir=str(tmp_path / "s"), strict=True))
+    base = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "n"))))
+    strict = run_config(
+        constant_config(tmp_path, output=runner.Output(str(tmp_path / "s"))), strict=True
+    )
     assert strict.summary["tol_disc"] == pytest.approx(base.summary["tol_disc"] / 2.0)
 
 
@@ -299,8 +338,8 @@ def smoke_snapshots():
     config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
     m = config.manifold.build()
     f0 = hl.build_initial_field(config.initial_data, m)
-    traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
-    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
+    traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
+    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.flow.dt)
     series = hl.entropy_series(traj, with_residual=True)
     return config, traj, series, tol_disc, hl.integrate(f0)
 
@@ -339,7 +378,11 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # the config grammar cannot express positivity-losing data (raised
     # cosines keep their coefficient sum inside the floor), so inject a
     # spiky admissible field to exercise the failure path
-    config = constant_config(tmp_path, dt=5.0, t0=1.0, t_end=21.0, export_trajectory=True)
+    config = constant_config(
+        tmp_path,
+        flow=runner.Flow(t0=1.0, t_end=21.0, dt=5.0),
+        output=runner.Output(str(tmp_path / "out"), export_trajectory=True),
+    )
 
     def spiky(data, m):
         x = m.positions[:, 0]
@@ -368,7 +411,10 @@ def test_backward_run_reports_implied_derivatives(tmp_path):
 
 def test_trajectory_export(tmp_path):
     data = hl.RandomSmoothData(seed=3, mode_cutoff=2, amplitude=0.4, floor=1.0)
-    config = constant_config(tmp_path, export_trajectory=True, initial_data=data)
+    config = constant_config(
+        tmp_path, output=runner.Output(str(tmp_path / "out"), export_trajectory=True),
+        initial_data=data,
+    )
     run_config(config)
     lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert lines[0].startswith("# manifold_hash=")
@@ -380,7 +426,8 @@ def test_trajectory_export(tmp_path):
     assert float(row[0]) == pytest.approx(1.0)
     # every row is exactly the _fmt text of time and node values
     m = config.manifold.build()
-    traj = hl.solve(m, hl.build_initial_field(data, m), config.t0, config.t_end, config.dt)
+    flow = config.flow
+    traj = hl.solve(m, hl.build_initial_field(data, m), flow.t0, flow.t_end, flow.dt)
     for line, state in zip(lines[3:], traj):
         assert line == ",".join(runner._fmt(x) for x in [state.time, *state.f.values])
 
@@ -480,7 +527,7 @@ def test_paramscan_csv_matches_rowwise_reference(tmp_path):
     spec = hl.ScanSpec(
         alpha_range=(1.5, 2.5), beta_range=(-2.0, 3.0), b_range=(-3.0, 1.0), step=0.1
     )
-    config = constant_config(tmp_path, suites=("paramscan",), scan=spec)
+    config = constant_config(tmp_path, suites=("paramscan",), paramscan=spec)
     runner.run_scan(config)
     header = (
         "alpha", "beta", "b", "lam",
@@ -571,7 +618,7 @@ SPHERE_CONFIG = CONSTANT_CONFIG.replace(
 def test_meta_names_the_backend_solver(tmp_path, text, linear_solver):
     from dataclasses import replace
 
-    run_config(replace(parse_config_text(text), output_dir=str(tmp_path / "out")))
+    run_config(replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out"))))
     meta = json.loads((tmp_path / "out" / "trajectory_meta.json").read_text())
     assert meta["solver"] == {
         "scheme": "crank_nicolson", "linear_solver": linear_solver, "rtol": 1e-12
@@ -590,13 +637,13 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
     # sphere run leaves dissipation and residual blank
     from dataclasses import replace
 
-    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
     run_config(config)
     m = config.manifold.build()
     f0 = hl.build_initial_field(config.initial_data, m)
-    traj = hl.solve(m, f0, config.t0, config.t_end, config.dt)
+    traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
     series = hl.entropy_series(traj, with_residual="evolution_residual" in config.suites)
-    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.dt)
+    tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.flow.dt)
     pairs = hl.check_integrated_harnack(
         traj,
         hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed),
@@ -661,7 +708,7 @@ def test_fine_flow_is_stepped_once(tmp_path, monkeypatch, text, steps):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(heatflow, "step", counted)
-    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
     assert run_config(config).exit_code == EXIT_PASS
     assert len(calls) == steps
 
@@ -682,7 +729,7 @@ flow: {t0: 0.05, t_end: 0.85, dt: 5.0e-4}
 suites: [harnack_signs, evolution_residual, entropy, pathwise]
 tolerances: {tol_disc_constant: 260.0, quadrature_tol: 1.0e-4, rng_seed: 11}
 """
-    config = replace(parse_config_text(text), output_dir=str(tmp_path / "out"))
+    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
     stored = (1600 + 1) * 32 * 32 * 8
     tracemalloc.start()
     try:
