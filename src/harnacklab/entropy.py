@@ -20,7 +20,10 @@ with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
 exactly once, and derives from them the Harnack sign maxima, both entropies,
 both dissipation integrals and, on request, the canonical H tuple's
 evolution residual, and returns them as one :class:`SnapshotSeries` with an
-array per field.
+array per field.  On the torus the operators of u and v come from one
+``FlatTorus.stencils`` pass over the stack [u, v], and the residual's
+Laplacian and gradient of Q from one more; on the sphere each is one
+sparse product.  The kernel works on flat value arrays throughout.
 """
 
 from __future__ import annotations
@@ -35,15 +38,12 @@ from .geometry import (
     ManifoldDescriptor,
     ScalarField,
     components_norm_sq,
-    grad_components,
     grad_norm_sq,
     hessian_penalty,
-    laplacian,
     ricci_quadratic,
 )
 from .harnack import (
     CAO_HAMILTON_H_PARAMS,
-    assert_nonpositive,
     evolution_rhs_values,
     log_u,
     log_v,
@@ -164,6 +164,65 @@ def dissipation_W(state: FlowState) -> float:
     return _dissipation(state, log_v(state))
 
 
+def _snapshot(
+    m: ManifoldDescriptor, state: FlowState, with_residual: bool, interior: bool
+) -> tuple[dict[str, float], np.ndarray | None, np.ndarray | None]:
+    """One snapshot's diagnostics by field name and, with ``with_residual``,
+    the canonical H tuple's Q with its evolution right side (at an
+    ``interior`` snapshot, else None).  The operator arrays it takes die
+    when it returns, before the flow steps again."""
+    n = m.dimension
+    t = state.time
+    f = state.f.values
+    u_field = log_u(state)
+    u = u_field.values
+    v = v_from_u(u_field, t).values
+    if m.has_hessian:
+        # one padded stencil pass for u and v; v = u - const, but v's
+        # operators are taken from v itself, so the P-vs-H, W-vs-F and
+        # dissipation cross-checks compare two computations
+        lap, grad, hess = m.stencils(
+            (u, v), laplacian=True, gradient=True, hessian=(DISSIPATION_LAMBDA, t)
+        )
+        lap_u, lap_v = lap
+        grad_u = [comp[0] for comp in grad]
+        grad_sq_u = components_norm_sq(grad_u)
+        grad_sq_v = components_norm_sq([comp[1] for comp in grad])
+    else:
+        lap_u, lap_v = m.laplacian(u), m.laplacian(v)
+        grad_sq_u, grad_sq_v = m.grad_norm_sq(u), m.grad_norm_sq(v)
+
+    h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
+    p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
+    argmax_h = int(np.argmax(h_vals))  # ties go to the lowest node
+    values = {
+        "time": t,
+        "max_H": float(h_vals[argmax_h]),
+        "argmax_H": argmax_h,
+        "max_liyau": float(quantity_liyau_values(lap_v, t, n).max()),
+        "P_vs_H_gap": float(np.max(np.abs(p_vals - h_vals))),
+    }
+    values["F_direct"], values["F_via_H"] = _entropy_pair(m, t, f, grad_sq_u, h_vals)
+    values["W_direct"], values["W_via_P"] = _entropy_pair(m, t, f, grad_sq_v, p_vals)
+    if m.has_hessian:
+        hess_u, hess_v = hess
+        ricci_u, ricci_v = m.ricci_quadratic(u), m.ricci_quadratic(v)
+        values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
+        values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
+    if not with_residual:
+        return values, None, None
+    params = CAO_HAMILTON_H_PARAMS
+    q = quantity_general_values(params, u, lap_u, grad_sq_u, t, n)
+    rhs = None
+    if interior:
+        lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
+        rhs = evolution_rhs_values(
+            params, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
+            q, lap_q[0], [comp[0] for comp in grad_q],
+        )
+    return values, q, rhs
+
+
 def entropy_series(
     traj: Trajectory,
     with_residual: bool = False,
@@ -187,58 +246,17 @@ def entropy_series(
     if with_residual and not m.has_hessian:
         raise ValueError("the evolution residual is only available on the torus")
 
-    n = m.dimension
     dt = traj.step_size
     last = len(traj) - 1
-    params = CAO_HAMILTON_H_PARAMS
     cols: defaultdict[str, list] = defaultdict(list)  # field -> one value per snapshot
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
     for i, state in enumerate(traj):
         if on_state is not None:
             on_state(i, state)
-        t = state.time
-        f = state.f.values
-        u = log_u(state)
-        v = v_from_u(u, t)
-        lap_u = laplacian(u).values
-        lap_v = laplacian(v).values
-        if m.has_hessian:
-            grad_u = grad_components(u)
-            grad_sq_u = components_norm_sq(grad_u)
-        else:
-            grad_sq_u = grad_norm_sq(u).values
-        grad_sq_v = grad_norm_sq(v).values
-
-        h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
-        p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
-        sign = assert_nonpositive(ScalarField(h_vals, m), tol=0.0)
-        cols["time"].append(t)
-        cols["max_H"].append(sign.max_value)
-        cols["argmax_H"].append(sign.argmax_node)
-        cols["max_liyau"].append(float(quantity_liyau_values(lap_v, t, n).max()))
-        cols["P_vs_H_gap"].append(float(np.max(np.abs(p_vals - h_vals))))
-        for name, value in zip(
-            ("F_direct", "F_via_H", "W_direct", "W_via_P"),
-            _entropy_pair(m, t, f, grad_sq_u, h_vals) + _entropy_pair(m, t, f, grad_sq_v, p_vals),
-        ):
+        values, q, rhs = _snapshot(m, state, with_residual, 0 < i < last)
+        for name, value in values.items():
             cols[name].append(value)
-
-        if m.has_hessian:
-            hess_u = hessian_penalty(u, DISSIPATION_LAMBDA, t).values
-            ricci_u = ricci_quadratic(u).values
-            cols["dF_formula"].append(_dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u))
-            hess_v = hessian_penalty(v, DISSIPATION_LAMBDA, t).values
-            ricci_v = ricci_quadratic(v).values
-            cols["dW_formula"].append(_dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v))
         if with_residual:
-            q = quantity_general_values(params, u.values, lap_u, grad_sq_u, t, n)
-            rhs = None
-            if 0 < i < last:
-                q_field = ScalarField(q, m)
-                rhs = evolution_rhs_values(
-                    params, t, n, u.values, grad_u, grad_sq_u, hess_u, ricci_u,
-                    q, laplacian(q_field).values, grad_components(q_field),
-                )
             window.append((q, rhs))
             if i >= 2:
                 (q_prev, _), (_, rhs_mid), (q_next, _) = window

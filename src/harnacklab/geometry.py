@@ -13,6 +13,13 @@ torus supplies ``grad_components`` and ``hessian_penalty``; the base class
 raises :class:`BackendError` for them.  The module-level functions of the
 same names apply the operators to a :class:`ScalarField`.
 
+The torus has one stencil implementation, :meth:`FlatTorus.stencils`: it
+copies a stack of k fields once into a wrap-padded array and takes the
+Laplacian, gradient and Hessian penalty of every field from views of that
+copy.  The single-field operators, ``stiffness`` and so the flow's residual
+checks are thin calls into it, and the snapshot kernel passes it u and v
+together.
+
 Operator conventions
 --------------------
 The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
@@ -41,8 +48,9 @@ method.  The flow checks the residual of every solve against ``stiffness``.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -135,23 +143,6 @@ def constant_field(m: ManifoldDescriptor, value: float) -> ScalarField:
 # flat torus
 
 
-def _roll(a: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """``np.roll(a, shift, axis)`` for shift = +-1, by two slice copies.
-
-    Same element values as np.roll, without its general-case overhead; the
-    torus stencils call it on every operator application and CG matvec.
-    """
-    out = np.empty_like(a)
-    lead = (slice(None),) * axis
-    if shift == 1:
-        out[lead + (slice(1, None),)] = a[lead + (slice(None, -1),)]
-        out[lead + (slice(None, 1),)] = a[lead + (slice(-1, None),)]
-    else:
-        out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
-        out[lead + (slice(-1, None),)] = a[lead + (slice(None, 1),)]
-    return out
-
-
 def components_norm_sq(components: list[np.ndarray]) -> np.ndarray:
     """Sum of the squared components, accumulated in axis order.
 
@@ -175,54 +166,121 @@ class FlatTorus(ManifoldDescriptor):
     resolution: tuple[int, ...]
     spacings: tuple[float, ...]
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Periodic stencil sum.
+    def stencils(
+        self,
+        rows: Sequence[np.ndarray],
+        *,
+        laplacian: bool = False,
+        gradient: bool = False,
+        hessian: tuple[float, float] | None = None,
+    ) -> tuple[np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
+        """The torus stencils of each of k flat arrays ``rows``, in one pass.
 
-        Exact on constants: each axis contributes (f+ - f) + (f- - f) which
-        vanishes identically in floating point.
+        Returns ``(lap, grad, hess)``, each None unless asked for: the
+        Laplacian as a (k, N) array, the central-difference gradient as one
+        (k, N) array per axis, and, for ``hessian = (lam, t)``, the squared
+        Frobenius norm of (discrete Hessian - lam/(2t) * identity) as a
+        (k, N) array.
+
+        The rows are copied once into an array wrap-padded by one node on
+        both sides of every axis.  The axes are padded in turn, each across
+        the full extent of the others, so the corners hold the diagonal
+        neighbours that the mixed differences read, and every shifted
+        operand is a view of that one copy.  Each axis's second difference f+ - 2f + f- is taken once
+        and serves both the Laplacian and the Hessian diagonal.
         """
-        a = values.reshape(self.resolution)
-        out = np.zeros_like(a)
-        for ax, h in enumerate(self.spacings):
-            out += (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
-        return out.ravel()
+        if hessian is not None and hessian[1] <= 0:
+            raise ValueError(f"t must be positive, got {hessian[1]}")
+        n, res, spacings = self.dimension, self.resolution, self.spacings
+        centre_at, plus_at, minus_at, diagonal_at = self._neighbours
+        padded = np.empty((len(rows),) + tuple(r + 2 for r in res))
+        for i, row in enumerate(rows):
+            padded[(i,) + centre_at[1:]] = row.reshape(res)
+        for d in range(1, n + 1):
+            lead = (slice(None),) * d
+            padded[lead + (0,)] = padded[lead + (-2,)]
+            padded[lead + (-1,)] = padded[lead + (1,)]
+        centre = padded[centre_at]
+        plus = [padded[at] for at in plus_at]
+        minus = [padded[at] for at in minus_at]
+        flat = (len(rows), self.node_count)
+
+        lap = np.zeros(centre.shape) if laplacian else None
+        hess = None
+        if hessian is not None:
+            lam, t = hessian
+            shift = lam / (2.0 * t)
+            hess = np.zeros(centre.shape)
+        if lap is not None or hess is not None:
+            two_f = 2.0 * centre
+            for fp, fm, h in zip(plus, minus, spacings):
+                diff = (fp - two_f + fm) / (h * h)
+                if lap is not None:
+                    lap += diff
+                if hess is not None:
+                    hess += (diff - shift) ** 2
+        grad = None
+        if gradient:
+            grad = [
+                ((fp - fm) / (2.0 * h)).reshape(flat) for fp, fm, h in zip(plus, minus, spacings)
+            ]
+        if hess is not None:
+            for (ax1, ax2), (pp, pm, mp, mm) in diagonal_at.items():
+                mixed = (padded[pp] - padded[pm] - padded[mp] + padded[mm]) / (
+                    4.0 * spacings[ax1] * spacings[ax2]
+                )
+                hess += 2.0 * mixed * mixed
+            hess = hess.reshape(flat)
+        if lap is not None:
+            lap = lap.reshape(flat)
+        return lap, grad, hess
+
+    @cached_property
+    def _neighbours(self) -> tuple:
+        """Where :meth:`stencils` reads its wrap-padded stack: the index of
+        the centre, of the +1 and -1 neighbours along each axis, and, for
+        each pair of axes ax1 < ax2, of the diagonal neighbours ++, +-, -+
+        and -- (the sign of the step along ax1, then along ax2)."""
+        n, res = self.dimension, self.resolution
+
+        def index(moves: dict[int, int]) -> tuple[slice, ...]:
+            # the stack at each node's neighbour moves[ax] steps along each axis ax
+            return (slice(None),) + tuple(
+                slice(1 + moves.get(ax, 0), r + 1 + moves.get(ax, 0)) for ax, r in enumerate(res)
+            )
+
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        diagonal = {
+            (ax1, ax2): [index({ax1: s1, ax2: s2}) for s1, s2 in signs]
+            for ax1 in range(n)
+            for ax2 in range(ax1 + 1, n)
+        }
+        plus = [index({ax: 1}) for ax in range(n)]
+        minus = [index({ax: -1}) for ax in range(n)]
+        return index({}), plus, minus, diagonal
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Periodic stencil sum of the second differences f+ - 2f + f-.
+
+        Exact on constants: 2f is exact, f+ - 2f = c - 2c has the
+        representable exact result -c, and -c + c = 0, so each correctly
+        rounded step is exact and every axis contributes exactly zero.
+        """
+        return self.stencils((values,), laplacian=True)[0][0]
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
         return self.quadrature_weights * self.laplacian(values)
 
     def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
         """Central-difference gradient components, one flat array per axis."""
-        a = values.reshape(self.resolution)
-        return [
-            ((_roll(a, -1, ax) - _roll(a, 1, ax)) / (2.0 * h)).ravel()
-            for ax, h in enumerate(self.spacings)
-        ]
+        return [comp[0] for comp in self.stencils((values,), gradient=True)[1]]
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
         return components_norm_sq(self.grad_components(values))
 
     def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
         """Pointwise squared Frobenius norm of (discrete Hessian - lam/(2t) * identity)."""
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        a = values.reshape(self.resolution)
-        spacings = self.spacings
-        shift = lam / (2.0 * t)
-        out = np.zeros_like(a)
-        for ax, h in enumerate(spacings):
-            diag = (_roll(a, -1, ax) - 2.0 * a + _roll(a, 1, ax)) / (h * h)
-            out += (diag - shift) ** 2
-        for ax1 in range(self.dimension):
-            for ax2 in range(ax1 + 1, self.dimension):
-                h1, h2 = spacings[ax1], spacings[ax2]
-                ap, am = _roll(a, -1, ax1), _roll(a, 1, ax1)
-                app = _roll(ap, -1, ax2)
-                apm = _roll(ap, 1, ax2)
-                amp = _roll(am, -1, ax2)
-                amm = _roll(am, 1, ax2)
-                mixed = (app - apm - amp + amm) / (4.0 * h1 * h2)
-                out += 2.0 * mixed * mixed
-        return out.ravel()
+        return self.stencils((values,), hessian=(lam, t))[2][0]
 
     def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
         return np.zeros(self.node_count)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterator
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -65,13 +65,16 @@ class FlowState:
     ``time`` is t for forward flows and tau for backward flows; it must be
     positive because every monitored quantity carries 1/t or ln t factors.
     ``values_checked`` is set only on values :func:`step` has already
-    scanned, so each stepped state is scanned once.
+    scanned, so each stepped state is scanned once.  ``stiffness`` is
+    ``manifold.stiffness(f.values)`` on a state :func:`step` made, which
+    took it for its residual check, and None otherwise.
     """
 
     f: ScalarField
     time: float
     direction: Direction = Direction.FORWARD
     values_checked: InitVar[bool] = False
+    stiffness: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self, values_checked: bool):
         if not 0 < self.time < np.inf:
@@ -97,7 +100,10 @@ class Trajectory:
     pass and released when the pass ends, and yields each state as it is
     computed, so a pass holds only the current state.  No state is stored:
     a second iteration steps the flow again, so a caller that needs the
-    states twice keeps the ones it needs.
+    states twice keeps the ones it needs.  The stiffness W x that one
+    step's residual check takes of its solution x is the W f_old of the
+    next step's right side, so the pass hands it on: n steps apply
+    ``stiffness`` n + 1 times.
     """
 
     initial: FlowState
@@ -111,10 +117,11 @@ class Trajectory:
         dt = self.step_size
         t0 = self.initial.time
         solver = self.manifold.cn_solver(dt / 2.0)
-        current = self.initial
+        current, stiffness = self.initial, None
         yield current
         for k in range(1, self.n_steps + 1):
-            advanced = step(current, dt, solver)
+            advanced = step(current, dt, solver, stiffness)
+            stiffness = advanced.stiffness
             # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
             current = FlowState(advanced.f, t0 + k * dt, self.direction, values_checked=True)
             yield current
@@ -188,50 +195,68 @@ def _cn_solve(
     a: float,
     solver: Callable[[np.ndarray], np.ndarray],
     f_old: np.ndarray,
-) -> np.ndarray:
+    stiffness_old: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve (M - a W) f_new = (M + a W) f_old with ``solver``, and check it.
 
     M is the diagonal quadrature mass and W the symmetric weighted stiffness,
     so the system is the Crank-Nicolson operator I - a*Lap.  ``solver`` is
     the backend's ``cn_solver(a)`` (or :func:`cg_solver`); its solution's
     relative residual, taken with ``m.stiffness``, must be at most
-    CN_SOLVE_RTOL.
+    CN_SOLVE_RTOL.  ``stiffness_old`` is W f_old when the caller has it;
+    the solution x is returned with W x, which the residual check took.
     """
     x = solver(f_old)
     mass = m.quadrature_weights
-    rhs = mass * f_old + a * m.stiffness(f_old)
+    if stiffness_old is None:
+        stiffness_old = m.stiffness(f_old)
+    rhs = mass * f_old + a * stiffness_old
+    stiffness_new = m.stiffness(x)
     rhs_norm = float(np.linalg.norm(rhs))
-    resid_norm = float(np.linalg.norm(rhs - (mass * x - a * m.stiffness(x))))
+    resid_norm = float(np.linalg.norm(rhs - (mass * x - a * stiffness_new)))
     # written so that a NaN or inf residual or right side fails
     if not (np.isfinite(rhs_norm) and resid_norm <= CN_SOLVE_RTOL * rhs_norm):
         raise SolverError(
             f"Crank-Nicolson solve missed its residual bound: relative residual "
             f"{resid_norm / rhs_norm:.3e}"
         )
-    return x
+    return x, stiffness_new
 
 
 def step(
-    state: FlowState, dt: float, solver: Callable[[np.ndarray], np.ndarray] | None = None
+    state: FlowState,
+    dt: float,
+    solver: Callable[[np.ndarray], np.ndarray] | None = None,
+    stiffness: np.ndarray | None = None,
 ) -> FlowState:
     """One Crank-Nicolson step of df/dt = Lap f (in the state's own clock).
 
     ``solver`` solves the step's system for this dt (``cn_solver(dt / 2)``
-    of the state's manifold); without it, one is built for this step.  The
-    new values are scanned once for finite positivity.
+    of the state's manifold); without it, one is built for this step.
+    ``stiffness`` is W f of the state's values when the caller has it (a
+    :class:`Trajectory` pass hands on the previous step's); without it the
+    step applies ``stiffness`` twice, to the old values and to the new.  The
+    new values are scanned once for finite positivity, and the new state
+    carries their stiffness.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     m = state.manifold
     if solver is None:
         solver = m.cn_solver(dt / 2.0)
-    new_values = _cn_solve(m, dt / 2.0, solver, state.f.values)
+    new_values, new_stiffness = _cn_solve(m, dt / 2.0, solver, state.f.values, stiffness)
     new_time = state.time + dt
     if not _finite_positive(new_values):
         # the first non-finite node, else the smallest value
         node = int(np.argmin(np.where(np.isfinite(new_values), new_values, -np.inf)))
         raise PositivityLossError(node, float(new_values[node]), new_time)
-    return FlowState(ScalarField(new_values, m), new_time, state.direction, values_checked=True)
+    return FlowState(
+        ScalarField(new_values, m),
+        new_time,
+        state.direction,
+        values_checked=True,
+        stiffness=new_stiffness,
+    )
 
 
 def solve(

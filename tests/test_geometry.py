@@ -198,6 +198,15 @@ def test_hessian_penalty_single_mode_symbolic():
     assert 3.3 < errs[0] / errs[1] < 4.7
 
 
+# T^1, T^2 with unequal spacings, and T^3, whose padded corners feed the
+# mixed Hessian terms
+TORUS_STENCIL_CASES = [
+    (1, [1.0], [16]),
+    (2, [1.0, 2.0], [16, 8]),
+    (3, [1.0, 1.0, 0.5], [8, 10, 12]),
+]
+
+
 def _roll_reference_operators(m, values, lam, t):
     # the torus stencils written with np.roll, in the library's operation order
     a = values.reshape(m.resolution)
@@ -222,9 +231,7 @@ def _roll_reference_operators(m, values, lam, t):
     return stiff.ravel(), grads, hess.ravel()
 
 
-@pytest.mark.parametrize(
-    "args", [(1, [1.0], [16]), (2, [1.0, 2.0], [16, 8]), (3, [1.0, 1.0, 0.5], [8, 10, 12])]
-)
+@pytest.mark.parametrize("args", TORUS_STENCIL_CASES)
 def test_torus_stencils_match_np_roll_exactly(args):
     m = hl.build_torus(*args)
     values = np.random.default_rng(4).uniform(0.5, 2.0, m.node_count)
@@ -235,6 +242,27 @@ def test_torus_stencils_match_np_roll_exactly(args):
     assert all(np.array_equal(c, g) for c, g in zip(comps, grads))
     assert np.array_equal(hl.grad_norm_sq(field).values, components_norm_sq(grads))
     assert np.array_equal(hl.hessian_penalty(field, 1.3, 0.7).values, hess)
+
+
+@pytest.mark.parametrize("args", TORUS_STENCIL_CASES)
+def test_stacked_stencils_match_np_roll_per_row(args):
+    # two distinct rows through one padded copy: each row's operators equal
+    # its own np.roll reference, so no row reads the other's pad or corner
+    m = hl.build_torus(*args)
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0.5, 2.0, (2, m.node_count))
+    lap, grad, hess = m.stencils(rows, laplacian=True, gradient=True, hessian=(1.3, 0.7))
+    assert lap.shape == hess.shape == (2, m.node_count)
+    assert len(grad) == m.dimension
+    for k, values in enumerate(rows):
+        stiff, grads, pen = _roll_reference_operators(m, values, 1.3, 0.7)
+        assert np.array_equal(lap[k], stiff)
+        assert all(np.array_equal(comp[k], g) for comp, g in zip(grad, grads))
+        assert np.array_equal(hess[k], pen)
+    assert m.stencils(rows, gradient=True)[0::2] == (None, None)
+    for t in (0.0, -0.5):
+        with pytest.raises(ValueError, match="t must be positive"):
+            m.stencils(rows, hessian=(1.3, t))
 
 
 def _add_at_stiffness(m, values):

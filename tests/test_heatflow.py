@@ -132,10 +132,10 @@ def test_step_rejects_nonfinite_solve(monkeypatch, bad):
 
     m = unit_circle(16)
 
-    def broken_solve(m, a, solver, f_old):
+    def broken_solve(m, a, solver, f_old, stiffness_old=None):
         out = f_old.copy()
         out[5] = bad
-        return out
+        return out, m.stiffness(out)
 
     monkeypatch.setattr(heatflow, "_cn_solve", broken_solve)
     state = hl.FlowState(hl.constant_field(m, 1.0), 1.0)
@@ -179,12 +179,12 @@ def test_trajectory_iteration_fails_closed(monkeypatch, bad):
     solve_step = heatflow._cn_solve
     done = []
 
-    def fails_third(m, a, solver, f_old):
-        out = solve_step(m, a, solver, f_old)
+    def fails_third(m, a, solver, f_old, stiffness_old=None):
+        out, out_stiffness = solve_step(m, a, solver, f_old, stiffness_old)
         done.append(None)
         if len(done) == 3:
             out[5] = bad
-        return out
+        return out, out_stiffness
 
     monkeypatch.setattr(heatflow, "_cn_solve", fails_third)
     with pytest.raises(hl.PositivityLossError) as err:
@@ -192,6 +192,59 @@ def test_trajectory_iteration_fails_closed(monkeypatch, bad):
     assert err.value.node == 5
     np.testing.assert_equal(err.value.value, bad)  # NaN equals NaN here
     assert err.value.time == pytest.approx(traj.times[3])
+
+
+def test_pass_applies_the_stiffness_once_per_step(monkeypatch):
+    # each step's residual check takes W of its solution, which is the next
+    # step's W f_old: a pass of n steps applies the stiffness n + 1 times, a
+    # lone step twice, and every state is the one a lone step gives
+    m = unit_circle(16)
+    traj = hl.solve(m, single_mode_field(m), 0.1, 0.2, 0.01)
+    lone = [traj.initial]
+    for _ in range(traj.n_steps):
+        lone.append(hl.step(lone[-1], 0.01))
+    calls = []
+    stiffness = type(m).stiffness
+
+    def counted(self, values):
+        calls.append(None)
+        return stiffness(self, values)
+
+    monkeypatch.setattr(type(m), "stiffness", counted)
+    states = list(traj)
+    assert len(calls) == traj.n_steps + 1
+    assert all(np.array_equal(s.f.values, r.f.values) for s, r in zip(states, lone))
+    calls.clear()
+    hl.step(traj.initial, 0.01)
+    assert len(calls) == 2
+
+
+def test_pass_rejects_a_perturbed_solution(monkeypatch):
+    # the handed-on stiffness belongs to the previous solution; the new
+    # solution's own is taken fresh, so a wrong x still fails its check
+    m = unit_circle(16)
+    traj = hl.solve(m, single_mode_field(m), 0.1, 0.2, 0.01)
+    build = type(m).cn_solver
+
+    def perturbs_third(self, a):
+        solve_exact = build(self, a)
+        calls = []
+
+        def solve(f):
+            calls.append(None)
+            x = solve_exact(f)
+            if len(calls) == 3:
+                x[5] *= 1.0 + 1e-6
+            return x
+
+        return solve
+
+    monkeypatch.setattr(type(m), "cn_solver", perturbs_third)
+    seen = []
+    with pytest.raises(hl.SolverError):
+        for state in traj:
+            seen.append(state.time)
+    assert len(seen) == 3
 
 
 def test_step_rejects_nonpositive_dt():
