@@ -39,9 +39,13 @@ A step of size dt = 2a solves (M - a W) x = (M + a W) f, with M the diagonal
 quadrature mass.  Each backend supplies a direct solver for it,
 ``cn_solver(a)``, built once per flow: on the torus the stencil is diagonal
 under the discrete Fourier transform, so the solve is one real FFT pair with
-the multiplier (1 + a lam_k) / (1 - a lam_k); on the sphere M - a W is
-factored once by a sparse LU.  Both solve for f - f[0] and add f[0] back, so
-constant data stays bit-for-bit stationary.  ``linear_solver`` names the
+the multiplier (1 + a lam_k) / (1 - a lam_k).  On the sphere M - a W is
+symmetric positive definite; with the nodes in reverse Cuthill-McKee order
+its upper band is written from the edges and factored once by a banded
+Cholesky factorization (LAPACK ``dpbtrf``).  A step is then one banded solve
+(``dpbtrs``) y = (M - a W)^{-1} M d and x = 2y - d, so its right side needs
+no stiffness apply.  Both backends solve for d = f - f[0] and add f[0] back,
+so constant data stays bit-for-bit stationary.  ``linear_solver`` names the
 method.  The flow checks the residual of every solve against ``stiffness``.
 """
 
@@ -55,13 +59,18 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 MAX_NODES = 2**18  # the most nodes a manifold may have: a 512^2 or 64^3 torus
 
 
 class BackendError(ValueError):
     """Raised when an operation is asked of a backend that cannot supply it."""
+
+
+class SolverError(RuntimeError):
+    """A Crank-Nicolson linear system could not be solved: its matrix has no
+    factor, or a solution missed the required residual."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +378,7 @@ class RoundSphere(ManifoldDescriptor):
     :func:`build_sphere`, with the mesh arrays and the sparse (CSR) operator
     matrices assembled from them."""
 
-    linear_solver: ClassVar[str] = "splu"
+    linear_solver: ClassVar[str] = "band_cholesky"
 
     faces: np.ndarray          # (F, 3) vertex indices
     face_areas: np.ndarray     # (F,)
@@ -397,20 +406,83 @@ class RoundSphere(ManifoldDescriptor):
         grad = (self.face_gradient @ values).reshape(-1, 3)
         return self.face_average @ np.einsum("fd,fd->f", grad, grad)
 
-    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Crank-Nicolson solve by one sparse LU factorization of M - a W.
+    @cached_property
+    def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Where :meth:`_cn_band` writes the band: ``(perm, rows, cols, kd)``.
 
-        The factor lives as long as the returned solver, so a flow holds it
-        only while it runs.
+        ``perm`` is the reverse Cuthill-McKee order of the edge graph, so
+        ``perm[k]`` is the node at band position k; it keeps the number of
+        superdiagonals ``kd`` small (81 at subdivision 4, against 154 when
+        the nodes are sorted by height).  ``rows[e], cols[e]`` is where
+        edge e's entry of the upper triangle sits in LAPACK upper band
+        storage, ``band[kd + i - j, j] = A[i, j]`` for i <= j.
         """
+        # imported here, not with the module: only a sphere's solver needs
+        # it, and it costs every other run about 20 ms and 1 MB at import
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n = self.node_count
+        heads = np.concatenate([self.edge_i, self.edge_j])
+        tails = np.concatenate([self.edge_j, self.edge_i])
+        graph = sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        p, q = rank[self.edge_i], rank[self.edge_j]
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        kd = int((hi - lo).max())
+        return perm, kd + lo - hi, hi, kd
+
+    def _cn_band(self, a: float) -> np.ndarray:
+        """The upper band of M - a W, nodes in :attr:`_band_order`, in LAPACK
+        band storage: a new (kd + 1, N) Fortran-ordered array.
+
+        It is written straight from the edges and the mass.  Each diagonal
+        entry of W sums its edges' -w in edge order, as the product of
+        ``edge_scatter`` and ``edge_difference`` does, so the band holds
+        exactly the entries of that sparse product's M - a W.
+        """
+        perm, rows, cols, kd = self._band_order
+        ends = np.stack([self.edge_i, self.edge_j], axis=1).ravel()
+        w_diagonal = np.bincount(
+            ends, weights=np.repeat(-self.edge_weights, 2), minlength=self.node_count
+        )
+        band = np.zeros((kd + 1, self.node_count), order="F")
+        band[rows, cols] = -a * self.edge_weights
+        band[kd] = (self.quadrature_weights - a * w_diagonal)[perm]
+        return band
+
+    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Crank-Nicolson solve by one banded Cholesky factor of M - a W.
+
+        For a > 0, M - a W is symmetric positive definite: M is the positive
+        lumped mass and W the negative semidefinite cotangent stiffness.  Its
+        band (:meth:`_cn_band`) is factored in place by LAPACK ``dpbtrf``.
+        A step with d = f - f[0] solves (M - a W) y = M d by one ``dpbtrs``
+        and returns f[0] + (2y - d), since (M - a W)^{-1} (M + a W) d =
+        2 (M - a W)^{-1} M d - d: the right side needs no stiffness apply.
+        Raises SolverError when M - a W is not positive definite, and when a
+        solve reports a failure.  The factor lives as long as the returned
+        solver, so a flow holds it only while it runs.
+        """
+        perm = self._band_order[0]
         mass = self.quadrature_weights
-        lhs = sparse.diags(mass) - a * (self.edge_scatter @ self.edge_difference)
-        lu = splu(lhs.tocsc())
+        factor, info = dpbtrf(self._cn_band(a), overwrite_ab=1)
+        if info != 0:
+            raise SolverError(
+                f"M - a W (a = {a}) is not positive definite: no Cholesky factor "
+                f"(LAPACK dpbtrf info {info})"
+            )
 
         def solve(f: np.ndarray) -> np.ndarray:
             c = f[0]
             d = f - c
-            return c + lu.solve(mass * d + a * self.stiffness(d))
+            y, info = dpbtrs(factor, (mass * d)[perm], overwrite_b=1)
+            if info != 0:
+                raise SolverError(f"banded Cholesky solve failed (LAPACK dpbtrs info {info})")
+            x = np.empty_like(d)
+            x[perm] = y
+            return c + (2.0 * x - d)
 
         return solve
 

@@ -2,11 +2,10 @@
 
 Forward flows integrate df/dt = Lap f with Crank-Nicolson.  Each step's
 linear system is solved by the backend's direct solver (``cn_solver``: an
-FFT on the torus, a sparse LU factored once on the sphere), built once per
-pass over a flow, and every solution's residual is checked against
-CN_SOLVE_RTOL.  The
-conjugate-gradient solver :func:`cg_solver` is kept as the reference the
-direct solvers are tested against.  Backward flows
+FFT on the torus, a banded Cholesky factor made once on the sphere), built
+once per pass over a flow, and every solution's residual is checked against
+CN_SOLVE_RTOL.  The conjugate-gradient solver :func:`cg_solver` is kept as
+the reference the direct solvers are tested against.  Backward flows
 (df/dt = -Lap f) are run as forward flows in the variable tau with
 dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
 FlowState carries tau in its ``time`` field.
@@ -30,7 +29,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .geometry import ManifoldDescriptor, ScalarField
+from .geometry import ManifoldDescriptor, ScalarField, SolverError
 
 # relative residual required of every Crank-Nicolson linear solve
 CN_SOLVE_RTOL = 1e-12
@@ -52,10 +51,6 @@ class PositivityLossError(RuntimeError):
             f"positivity lost at node {node} (value {value:.6e}) stepping to "
             f"time {time:.6g}; reduce dt or smooth the data"
         )
-
-
-class SolverError(RuntimeError):
-    """The linear solve failed to reach the required residual."""
 
 
 @dataclass(eq=False)

@@ -103,8 +103,8 @@ and 0.0 keep their own text), any other value as ``_fmt`` gives it
 
 ``trajectory_meta.json``
     manifold hash and shape; the solver (``linear_solver`` is the backend's
-    direct Crank-Nicolson solver, ``fft`` on a torus and ``splu`` on the
-    sphere, and ``rtol`` the relative residual every solve is checked
+    direct Crank-Nicolson solver, ``fft`` on a torus and ``band_cholesky``
+    on the sphere, and ``rtol`` the relative residual every solve is checked
     against); the tolerance constant in effect and the resulting tol_disc,
     initial mass and relative drift.
 ``diagnostics.csv``

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import harnacklab as hl
 from harnacklab.geometry import BackendError, components_norm_sq, grad_components
@@ -296,6 +297,22 @@ def test_sphere_sparse_operators_match_add_at_reference(subdivision):
             (m.grad_norm_sq(values), _add_at_grad_norm_sq(m, values)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_sphere_cn_band_is_the_permuted_sparse_matrix():
+    # the band written from the edges holds exactly the entries of the
+    # sparse M - a W, in reverse Cuthill-McKee order
+    m = hl.build_sphere(2)
+    a = 2.5e-4
+    perm, _, _, kd = m._band_order
+    assert np.array_equal(np.sort(perm), np.arange(m.node_count))
+    band = m._cn_band(a)
+    dense = np.zeros((m.node_count, m.node_count))
+    for k in range(kd + 1):  # band row kd - k holds superdiagonal k
+        j = np.arange(k, m.node_count)
+        dense[j - k, j] = dense[j, j - k] = band[kd - k, k:]
+    lhs = sparse.diags(m.quadrature_weights) - a * (m.edge_scatter @ m.edge_difference)
+    assert np.array_equal(dense, lhs.toarray()[perm][:, perm])
 
 
 def test_hessian_penalty_sphere_unsupported():

@@ -53,6 +53,7 @@ ORACLE_MANIFOLDS = {
     "T3_16": lambda: hl.build_torus(3, [1.0, 1.0, 1.0], [16, 16, 16]),
     "S2_sub2": lambda: hl.build_sphere(2),
     "S2_sub3": lambda: hl.build_sphere(3),
+    "S2_sub4": lambda: hl.build_sphere(4),
 }
 
 
@@ -117,13 +118,62 @@ def test_overflowing_step_raises():
 
 
 def test_overflowing_step_raises_on_the_sphere():
-    # the sphere's LU solve must fail the same residual check
+    # the sphere's banded Cholesky solve must fail the same residual check
     m = hl.build_sphere(2)
     values = np.ones(m.node_count)
     values[3] = 1e308
     state = hl.FlowState(hl.ScalarField(values, m), 1.0)
     with np.errstate(all="ignore"), pytest.raises(hl.SolverError):
         hl.step(state, 0.01)
+
+
+def test_sphere_solver_rejects_an_indefinite_matrix():
+    # M - a W with a < 0 is indefinite: it has no Cholesky factor, and the
+    # solver refuses to be built instead of solving with a partial one
+    with pytest.raises(hl.SolverError, match="not positive definite"):
+        hl.build_sphere(2).cn_solver(-1.0)
+
+
+def test_sphere_solve_fails_closed_on_a_lapack_error(monkeypatch):
+    from harnacklab import geometry
+
+    m = hl.build_sphere(2)
+    solve = m.cn_solver(1e-3)
+    monkeypatch.setattr(geometry, "dpbtrs", lambda factor, b, overwrite_b: (b, -2))
+    with pytest.raises(hl.SolverError, match="dpbtrs info -2"):
+        solve(np.linspace(1.0, 2.0, m.node_count))
+
+
+# the data of configs/sphere_signs.yaml
+SPHERE_SIGNS_DATA = hl.RandomSmoothData(seed=12, mode_cutoff=3, amplitude=0.6, floor=1.0)
+
+
+def sphere_clock_gap():
+    """|rate/2 - 1| for the decay rate of the moment integral(f x dV) of a
+    sphere_signs flow on S^2 sub3.  The coordinates x are the degree-1
+    harmonics, with eigenvalue -2, so the heat flow decays the moment at
+    rate 2; the rate is a least-squares fit of log|moment| against time."""
+    m = hl.build_sphere(3)
+    traj = hl.solve(m, hl.build_initial_field(SPHERE_SIGNS_DATA, m), 0.05, 1.0, 5e-4)
+    moments = np.array([(m.quadrature_weights * s.f.values) @ m.positions for s in traj])
+    rate = -np.polyfit(traj.times, np.log(np.linalg.norm(moments, axis=1)), 1)[0]
+    return abs(rate / 2.0 - 1.0)
+
+
+def test_sphere_flow_decays_the_degree_one_moment_at_rate_two():
+    # measured: rate - 2 = -7.6e-6 at sub3
+    assert sphere_clock_gap() <= 1e-4
+
+
+def test_doubled_sphere_clock_fails_the_rate_check(monkeypatch):
+    # a flow that runs twice as fast as its labelled clock, its solver built
+    # and checked with 2a, passes every residual check; the rate reads 4
+    from harnacklab import heatflow
+
+    build, check = hl.RoundSphere.cn_solver, heatflow._cn_solve
+    monkeypatch.setattr(hl.RoundSphere, "cn_solver", lambda m, a: build(m, 2.0 * a))
+    monkeypatch.setattr(heatflow, "_cn_solve", lambda m, a, *args: check(m, 2.0 * a, *args))
+    assert sphere_clock_gap() > 1e-4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -196,27 +246,32 @@ def test_trajectory_iteration_fails_closed(monkeypatch, bad):
 
 def test_pass_applies_the_stiffness_once_per_step(monkeypatch):
     # each step's residual check takes W of its solution, which is the next
-    # step's W f_old: a pass of n steps applies the stiffness n + 1 times, a
-    # lone step twice, and every state is the one a lone step gives
-    m = unit_circle(16)
-    traj = hl.solve(m, single_mode_field(m), 0.1, 0.2, 0.01)
-    lone = [traj.initial]
-    for _ in range(traj.n_steps):
-        lone.append(hl.step(lone[-1], 0.01))
-    calls = []
-    stiffness = type(m).stiffness
+    # step's W f_old, and neither backend's solver applies W to its right
+    # side: a pass of n steps applies the stiffness n + 1 times, a lone step
+    # twice, and every state is the one a lone step gives
+    circle, sphere = unit_circle(16), hl.build_sphere(2)
+    for m, f0 in (
+        (circle, single_mode_field(circle)),
+        (sphere, hl.build_initial_field(SPHERE_SIGNS_DATA, sphere)),
+    ):
+        traj = hl.solve(m, f0, 0.1, 0.2, 0.01)
+        lone = [traj.initial]
+        for _ in range(traj.n_steps):
+            lone.append(hl.step(lone[-1], 0.01))
+        calls = []
+        stiffness = type(m).stiffness
 
-    def counted(self, values):
-        calls.append(None)
-        return stiffness(self, values)
+        def counted(self, values):
+            calls.append(None)
+            return stiffness(self, values)
 
-    monkeypatch.setattr(type(m), "stiffness", counted)
-    states = list(traj)
-    assert len(calls) == traj.n_steps + 1
-    assert all(np.array_equal(s.f.values, r.f.values) for s, r in zip(states, lone))
-    calls.clear()
-    hl.step(traj.initial, 0.01)
-    assert len(calls) == 2
+        monkeypatch.setattr(type(m), "stiffness", counted)
+        states = list(traj)
+        assert len(calls) == traj.n_steps + 1
+        assert all(np.array_equal(s.f.values, r.f.values) for s, r in zip(states, lone))
+        calls.clear()
+        hl.step(traj.initial, 0.01)
+        assert len(calls) == 2
 
 
 def test_pass_rejects_a_perturbed_solution(monkeypatch):

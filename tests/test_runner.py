@@ -10,6 +10,7 @@ import pytest
 import harnacklab as hl
 from harnacklab import runner
 from harnacklab.runner import (
+    DIAGNOSTIC_COLUMNS,
     EXIT_CONFIG_ERROR,
     EXIT_GATE_FAILURE,
     EXIT_PASS,
@@ -613,7 +614,9 @@ SPHERE_CONFIG = CONSTANT_CONFIG.replace(
 
 
 @pytest.mark.parametrize(
-    "text, linear_solver", [(CONSTANT_CONFIG, "fft"), (SPHERE_CONFIG, "splu")], ids=["torus", "sphere"]
+    "text, linear_solver",
+    [(CONSTANT_CONFIG, "fft"), (SPHERE_CONFIG, "band_cholesky")],
+    ids=["torus", "sphere"],
 )
 def test_meta_names_the_backend_solver(tmp_path, text, linear_solver):
     from dataclasses import replace
@@ -623,6 +626,42 @@ def test_meta_names_the_backend_solver(tmp_path, text, linear_solver):
     assert meta["solver"] == {
         "scheme": "crank_nicolson", "linear_solver": linear_solver, "rtol": 1e-12
     }
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SPHERE_CONFIG.replace(
+            "manifold: {kind: sphere, subdivision: 2}",
+            "manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}",
+        )
+        .replace("flow: {t0: 1.0, t_end: 1.5,", "flow: {t0: 0.05, t_end: 0.25,")
+        .replace("quadrature_tol: 1.0e-6", "quadrature_tol: 1.0e-4"),
+        SPHERE_CONFIG,
+    ],
+    ids=["T2", "S2"],
+)
+def test_backward_twin_computes_the_forward_diagnostics(tmp_path, text):
+    # on a static metric the backward equation in the tau clock is the
+    # forward equation: every computed diagnostics column matches byte for
+    # byte, and the direction changes labels only
+    from dataclasses import replace
+
+    text = text.replace(
+        "suites: [harnack_signs, entropy, pathwise]", "suites: [harnack_signs, entropy]"
+    )
+    computed = DIAGNOSTIC_COLUMNS.index("dW_formula") + 1
+    columns = {}
+    for direction in ("forward", "backward"):
+        config = parse_config_text(text.replace("direction: forward", f"direction: {direction}"))
+        out = tmp_path / direction
+        assert run_config(replace(config, output=runner.Output(str(out)))).exit_code == EXIT_PASS
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        columns[direction] = [line.split(",")[:computed] for line in lines]
+    flow = config.flow
+    assert len(columns["forward"]) == 2 + round((flow.t_end - flow.t0) / flow.dt)  # header + states
+    assert columns["forward"][0] == list(DIAGNOSTIC_COLUMNS[:computed])
+    assert columns["backward"] == columns["forward"]
 
 
 @pytest.mark.parametrize(
