@@ -11,7 +11,6 @@ from .geometry import (
     build_sphere,
     build_torus,
     constant_field,
-    geodesic_distance,
     grad_norm_sq,
     hessian_penalty,
     integrate,
@@ -19,7 +18,6 @@ from .geometry import (
     ricci_quadratic,
 )
 from .heatflow import (
-    Direction,
     FlowState,
     PositivityLossError,
     SolverError,

@@ -11,7 +11,7 @@ operators on flat value arrays: ``stiffness``, ``laplacian``,
 ``grad_norm_sq``, ``ricci_quadratic`` and ``geodesic_distance``.  Only the
 torus supplies ``grad_components`` and ``hessian_penalty``; the base class
 raises :class:`BackendError` for them.  The module-level functions of the
-same names apply the operators to a :class:`ScalarField`.
+same names apply the field operators to a :class:`ScalarField`.
 
 The torus has one stencil implementation, :meth:`FlatTorus.stencils`: it
 copies a stack of k fields once into a wrap-padded array and takes the
@@ -670,8 +670,3 @@ def ricci_quadratic(field: ScalarField) -> ScalarField:
 
 def integrate(field: ScalarField) -> float:
     return float(np.dot(field.manifold.quadrature_weights, field.values))
-
-
-def geodesic_distance(m: ManifoldDescriptor, x1: int, x2: int) -> float:
-    """Exact geodesic distance between two nodes."""
-    return m.geodesic_distance(x1, x2)

@@ -5,10 +5,10 @@ linear system is solved by the backend's direct solver (``cn_solver``: an
 FFT on the torus, a banded Cholesky factor made once on the sphere), built
 once per pass over a flow, and every solution's residual is checked against
 CN_SOLVE_RTOL.  The conjugate-gradient solver :func:`cg_solver` is kept as
-the reference the direct solvers are tested against.  Backward flows
-(df/dt = -Lap f) are run as forward flows in the variable tau with
-dtau/dt = -1, so no ill-posed backward integration ever occurs; a backward
-FlowState carries tau in its ``time`` field.
+the reference the direct solvers are tested against.  No flow carries a
+direction: on a static metric the backward equation in tau = -t is this
+forward equation, so a backward run is a forward flow whose clock the
+caller reads as tau.
 
 A :class:`Trajectory` is the flow's sequence of snapshots, stepped only
 while it is iterated and never stored: one pass holds O(nodes) memory,
@@ -22,7 +22,6 @@ fails it.
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass, field
 
@@ -33,11 +32,6 @@ from .geometry import ManifoldDescriptor, ScalarField, SolverError
 
 # relative residual required of every Crank-Nicolson linear solve
 CN_SOLVE_RTOL = 1e-12
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 class PositivityLossError(RuntimeError):
@@ -57,17 +51,16 @@ class PositivityLossError(RuntimeError):
 class FlowState:
     """A strictly positive field together with its clock value.
 
-    ``time`` is t for forward flows and tau for backward flows; it must be
-    positive because every monitored quantity carries 1/t or ln t factors.
-    ``values_checked`` is set only on values :func:`step` has already
-    scanned, so each stepped state is scanned once.  ``stiffness`` is
-    ``manifold.stiffness(f.values)`` on a state :func:`step` made, which
-    took it for its residual check, and None otherwise.
+    ``time`` must be positive because every monitored quantity carries 1/t
+    or ln t factors.  ``values_checked`` is set only on values :func:`step`
+    has already scanned, so each stepped state is scanned once.
+    ``stiffness`` is ``manifold.stiffness(f.values)`` on a state
+    :func:`step` made, which took it for its residual check, and None
+    otherwise.
     """
 
     f: ScalarField
     time: float
-    direction: Direction = Direction.FORWARD
     values_checked: InitVar[bool] = False
     stiffness: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
@@ -89,16 +82,15 @@ class FlowState:
 class Trajectory:
     """The states of one flow at the clock values t0 + k dt, k = 0..n_steps.
 
-    Making a trajectory steps nothing: its manifold, length, direction and
-    ``times`` are known up front.  Iterating it steps the flow from
-    ``initial`` with the backend's Crank-Nicolson solver, built once per
-    pass and released when the pass ends, and yields each state as it is
-    computed, so a pass holds only the current state.  No state is stored:
-    a second iteration steps the flow again, so a caller that needs the
-    states twice keeps the ones it needs.  The stiffness W x that one
-    step's residual check takes of its solution x is the W f_old of the
-    next step's right side, so the pass hands it on: n steps apply
-    ``stiffness`` n + 1 times.
+    Making a trajectory steps nothing: its manifold, length and ``times``
+    are known up front.  Iterating it steps the flow from ``initial`` with
+    the backend's Crank-Nicolson solver, built once per pass and released
+    when the pass ends, and yields each state as it is computed, so a pass
+    holds only the current state.  No state is stored: a second iteration
+    steps the flow again, so a caller that needs the states twice keeps the
+    ones it needs.  The stiffness W x that one step's residual check takes
+    of its solution x is the W f_old of the next step's right side, so the
+    pass hands it on: n steps apply ``stiffness`` n + 1 times.
     """
 
     initial: FlowState
@@ -118,7 +110,7 @@ class Trajectory:
             advanced = step(current, dt, solver, stiffness)
             stiffness = advanced.stiffness
             # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-            current = FlowState(advanced.f, t0 + k * dt, self.direction, values_checked=True)
+            current = FlowState(advanced.f, t0 + k * dt, values_checked=True)
             yield current
 
     @property
@@ -128,10 +120,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.initial.time + np.arange(len(self)) * self.step_size
-
-    @property
-    def direction(self) -> Direction:
-        return self.initial.direction
 
 
 def _finite_positive(values: np.ndarray) -> bool:
@@ -224,7 +212,7 @@ def step(
     solver: Callable[[np.ndarray], np.ndarray] | None = None,
     stiffness: np.ndarray | None = None,
 ) -> FlowState:
-    """One Crank-Nicolson step of df/dt = Lap f (in the state's own clock).
+    """One Crank-Nicolson step of df/dt = Lap f.
 
     ``solver`` solves the step's system for this dt (``cn_solver(dt / 2)``
     of the state's manifold); without it, one is built for this step.
@@ -246,22 +234,11 @@ def step(
         node = int(np.argmin(np.where(np.isfinite(new_values), new_values, -np.inf)))
         raise PositivityLossError(node, float(new_values[node]), new_time)
     return FlowState(
-        ScalarField(new_values, m),
-        new_time,
-        state.direction,
-        values_checked=True,
-        stiffness=new_stiffness,
+        ScalarField(new_values, m), new_time, values_checked=True, stiffness=new_stiffness
     )
 
 
-def solve(
-    m: ManifoldDescriptor,
-    f0: ScalarField,
-    t0: float,
-    t_end: float,
-    dt: float,
-    direction: Direction = Direction.FORWARD,
-) -> Trajectory:
+def solve(m: ManifoldDescriptor, f0: ScalarField, t0: float, t_end: float, dt: float) -> Trajectory:
     """The trajectory from t0 to t_end, stepped as it is iterated.
 
     The clock is checked by :func:`step_count`.  Nothing is solved here: the
@@ -271,5 +248,5 @@ def solve(
     if f0.manifold is not m:
         raise ValueError("initial field is defined on a different manifold")
     n_steps = step_count(t0, t_end, dt)
-    initial = FlowState(f0.copy(), t0, direction)  # f0 finite and positive
+    initial = FlowState(f0.copy(), t0)  # f0 finite and positive
     return Trajectory(initial, dt, n_steps)

@@ -18,6 +18,13 @@ import numpy as np
 from .geometry import FlatTorus, ManifoldDescriptor, ScalarField
 
 
+def _check_bound(bound: float) -> None:
+    """ValueError unless the datum's closed-form sup bound (floor plus twice
+    its amplitudes) is finite, so no value or partial sum overflows."""
+    if not np.isfinite(bound):
+        raise ValueError(f"floor + 2 * amplitudes is {bound}: the datum's values must be finite")
+
+
 @dataclass(frozen=True)
 class ConstantData:
     kind: ClassVar[str] = "constant"  # the initial_data.kind that names this class
@@ -52,6 +59,7 @@ class TrigPolynomialData:
     def __post_init__(self):
         if self.floor <= 0:
             raise ValueError(f"floor must be positive, got {self.floor}")
+        _check_bound(self.floor + 2.0 * sum(mode.amplitude for mode in self.modes))
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,7 @@ class RandomSmoothData:
             raise ValueError(f"mode cutoff must be >= 1, got {self.mode_cutoff}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_bound(self.floor + 2.0 * self.amplitude)  # bounds amplitude (1 + ghat) too
 
     def mode_count(self, torus_dimension: int | None) -> int:
         """The modes the datum sums: (2 cutoff + 1)^n on T^n (the zero mode

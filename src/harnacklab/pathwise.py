@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ManifoldDescriptor, geodesic_distance
-from .heatflow import Direction, FlowState, Trajectory
+from .geometry import ManifoldDescriptor
+from .heatflow import FlowState, Trajectory
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class PairReport:
 
 def gamma_infimum(m: ManifoldDescriptor, pair: SpaceTimePair) -> float:
     """Exact path-energy infimum d(x1, x2)^2 / (t2 - t1)."""
-    d = geodesic_distance(m, pair.x1, pair.x2)
+    d = m.geodesic_distance(pair.x1, pair.x2)
     return d * d / (pair.t2 - pair.t1)
 
 
@@ -85,13 +85,11 @@ def check_integrated_harnack(
 ) -> list[PairReport]:
     """Evaluate the bound in log form for each pair.
 
-    Pair times must be snapshot times of a forward trajectory (the bound is a
-    statement about the forward clock).  ``values`` holds f at the pairs'
+    Pair times must be snapshot times of ``traj``, whose clock the bound
+    reads as forward time t.  ``values`` holds f at the pairs'
     points, taken during a pass over ``traj``; without it, they are taken in
     a pass of this call's own.
     """
-    if traj.direction is Direction.BACKWARD:
-        raise ValueError("the integrated bound applies to forward trajectories only")
     if values is None:
         values = PairValues(traj, pairs)
         for index, state in enumerate(traj):

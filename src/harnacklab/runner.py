@@ -33,7 +33,7 @@ Config grammar (YAML, nested key-value)
       t0: 0.05
       t_end: 1.0
       dt: 5.0e-4                  # must divide t_end - t0 and advance t0
-      direction: forward          # forward | backward (time is then tau)
+      direction: forward          # forward | backward: labels the clock t or tau
     suites: [harnack_signs, entropy, pathwise]   # any of: harnack_signs,
                                   # evolution_residual, entropy, pathwise, paramscan
     tolerances:
@@ -66,7 +66,13 @@ built: 2 to ``Flow.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
 torus, 8 mode_cutoff plane waves on the sphere).  ``RunConfig``'s own
 checks join two sections: torus-only suites (evolution_residual, and the
 dissipation cross-check inside entropy) are rejected on sphere configs,
-pathwise on backward configs (the integrated bound is a forward statement).
+pathwise on backward configs (the integrated bound is a statement in t).
+
+The direction is a label that only this module reads.  On a static metric
+the backward equation df/dt = -Lap f in tau = -t is the forward equation,
+so a backward run steps the same flow and reads its clock as tau: the
+reports echo the label, and the entropy suite adds the implied
+t-derivatives, whose signs flip.
 
 How the diagnostics are computed
 --------------------------------
@@ -175,7 +181,6 @@ from .harnack import (  # noqa: F401
 )
 from .heatflow import (
     CN_SOLVE_RTOL,
-    Direction,
     FlowState,
     PositivityLossError,
     SolverError,
@@ -257,7 +262,7 @@ class Flow:
     t0: float
     t_end: float
     dt: float
-    direction: Direction = Direction.FORWARD
+    direction: str = "forward"  # a report label: the flow is the same either way
 
     @property
     def n_steps(self) -> int:
@@ -265,6 +270,8 @@ class Flow:
         return step_count(self.t0, self.t_end, self.dt)
 
     def __post_init__(self):
+        if self.direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be forward or backward, got {self.direction!r}")
         n = self.n_steps
         if not 2 <= n <= self.MAX_STEPS:
             raise ValueError(
@@ -326,7 +333,7 @@ class RunConfig:
         torus = isinstance(self.manifold, TorusSpec)
         if not torus and "evolution_residual" in suites:
             raise ValueError("suite 'evolution_residual' needs the torus backend (Hessian penalty)")
-        if self.flow.direction is Direction.BACKWARD and "pathwise" in suites:
+        if self.flow.direction == "backward" and "pathwise" in suites:
             raise ValueError("suite 'pathwise' applies to forward flows only")
         if isinstance(data, TrigPolynomialData):
             if not torus:
@@ -408,14 +415,10 @@ def _convert(tp, value, context: str):
         if not x.is_integer():
             raise ConfigError(f"{context} must be an integer, got {value!r}")
         return value if isinstance(value, int) else int(x)
-    if tp is str or tp is bool:
-        if not isinstance(value, tp):
-            raise ConfigError(f"{context} must be a {tp.__name__}, got {value!r}")
-        return value
-    try:
-        return tp(value)  # an enum, by its value
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+    # a str or a bool
+    if not isinstance(value, tp):
+        raise ConfigError(f"{context} must be a {tp.__name__}, got {value!r}")
+    return value
 
 
 def _read(cls, mapping, context: str):
@@ -550,7 +553,7 @@ def _config_echo(config: RunConfig, strict: bool) -> dict:
     return {
         "manifold": _manifold_echo(config.manifold),
         "initial_data": {"kind": config.initial_data.kind, **asdict(config.initial_data)},
-        "flow": {**asdict(config.flow), "direction": config.flow.direction.value},
+        "flow": asdict(config.flow),
         "suites": list(config.suites),
         "tolerances": asdict(config.tolerances),
         "strict": strict,
@@ -627,7 +630,7 @@ def _suite_evolution_residual(
     f0 = build_initial_field(config.initial_data, m)
     dt = 2.0 * config.flow.dt
     t_read = config.flow.t0 + (coarse_idx + 1) * dt
-    coarse = deque(solve(m, f0, config.flow.t0, t_read, dt, config.flow.direction), maxlen=3)
+    coarse = deque(solve(m, f0, config.flow.t0, t_read, dt), maxlen=3)
     lo, hi = config.tolerances.residual_ratio_window
 
     tuples = _draw_residual_params(config.tolerances.rng_seed)
@@ -711,7 +714,7 @@ def _suite_entropy(
         "w_equals_f_max_gap": wf_gap,
         "w_equals_f_tol": identity_tol,
     }
-    if config.flow.direction is Direction.BACKWARD:
+    if config.flow.direction == "backward":
         # series are in tau; the implied t-derivatives flip sign
         summary["implied_dF_dt_min"] = -worst_dF
         summary["implied_dW_dt_min"] = -worst_dW
@@ -825,7 +828,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     if strict:
         tol_disc *= 0.5
 
-    traj = solve(m, f0, flow.t0, flow.t_end, flow.dt, flow.direction)
+    traj = solve(m, f0, flow.t0, flow.t_end, flow.dt)
     # entropy_series steps the fine flow in one pass, and the reports take
     # what else they need from each state on the way, so no list of states
     # is ever held: its mass, the three states around the residual tuples'
@@ -899,7 +902,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     meta = {
         "manifold_hash": manifold_hash(config.manifold),
         "manifold": _manifold_echo(config.manifold),
-        "direction": flow.direction.value,
+        "direction": flow.direction,
         "t0": flow.t0,
         "t_end": flow.t_end,
         "dt": flow.dt,
@@ -949,7 +952,7 @@ def _trajectory_csv(path: Path, config: RunConfig, traj: Trajectory):
         with open(part, "w", newline="") as fp:
             fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
             fp.write(f"# dt={_fmt(traj.step_size)}\n")
-            fp.write(f"# direction={config.flow.direction.value}\n")
+            fp.write(f"# direction={config.flow.direction}\n")
             yield fp
         part.replace(path)
     finally:

@@ -195,14 +195,3 @@ def test_dissipation_matches_finite_difference():
         assert 0 < idx < len(traj) - 1  # a centered difference
         gaps.append(abs(series.dF_fd[idx] - series.dF_formula[idx]))
     assert 3.2 < gaps[0] / gaps[1] < 4.8
-
-
-def test_backward_series_monotone_in_tau():
-    m = hl.build_torus(1, [1.0], [64])
-    data = hl.TrigPolynomialData(floor=1.0, modes=(hl.TrigMode((1,), 0.15),))
-    traj = hl.solve(m, hl.build_initial_field(data, m), 0.05, 0.45, 2e-3, hl.Direction.BACKWARD)
-    series = hl.entropy_series(traj)
-    tol = 1e-8
-    for dF in series.dF_fd[1:-1]:
-        assert dF <= tol      # nonincreasing in tau
-        assert -dF >= -tol    # hence nondecreasing in t

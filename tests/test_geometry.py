@@ -394,13 +394,13 @@ def test_green_identity_both_backends():
 def test_geodesic_torus_straight():
     m = hl.build_torus(2, [1.0, 1.0], [64, 64])
     # node (0, 0) and node at (0.5, 0)
-    assert hl.geodesic_distance(m, 0, 32 * 64) == pytest.approx(0.5, abs=1e-15)
+    assert m.geodesic_distance(0, 32 * 64) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_geodesic_torus_wraps():
     m = hl.build_torus(1, [1.0], [10])
     # node at 0.9 is one grid step from 0 through the seam
-    assert hl.geodesic_distance(m, 0, 9) == pytest.approx(0.1, abs=1e-12)
+    assert m.geodesic_distance(0, 9) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_geodesic_sphere_antipodal():
@@ -408,12 +408,12 @@ def test_geodesic_sphere_antipodal():
     dots = m.positions @ m.positions[0]
     antipode = int(np.argmin(dots))
     assert dots[antipode] == pytest.approx(-1.0, abs=1e-12)
-    assert hl.geodesic_distance(m, 0, antipode) == pytest.approx(np.pi, abs=1e-6)
+    assert m.geodesic_distance(0, antipode) == pytest.approx(np.pi, abs=1e-6)
 
 
 def test_geodesic_symmetry():
     m = hl.build_torus(2, [1.0, 2.0], [16, 16])
-    assert hl.geodesic_distance(m, 3, 77) == hl.geodesic_distance(m, 77, 3)
+    assert m.geodesic_distance(3, 77) == m.geodesic_distance(77, 3)
 
 
 # ---------------------------------------------------------------------------

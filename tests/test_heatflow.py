@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab.heatflow import Direction, cg_solver
+from harnacklab.heatflow import cg_solver
 
 
 def unit_circle(res=128):
@@ -28,7 +28,6 @@ def test_constant_is_stationary_exactly():
     stepped = hl.step(state, 0.37)
     assert np.array_equal(stepped.f.values, state.f.values)
     assert stepped.time == pytest.approx(0.87)
-    assert stepped.direction is Direction.FORWARD
 
 
 @pytest.mark.parametrize(
@@ -57,23 +56,22 @@ ORACLE_MANIFOLDS = {
 }
 
 
-@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-@pytest.mark.parametrize("name", ORACLE_MANIFOLDS)
-def test_direct_solver_matches_cg_oracle(name, direction):
+# every flow is stepped forward, as the ids say
+@pytest.mark.parametrize("name", ORACLE_MANIFOLDS, ids=lambda name: f"{name}-forward")
+def test_direct_solver_matches_cg_oracle(name):
     m = ORACLE_MANIFOLDS[name]()
     data = hl.RandomSmoothData(seed=3, mode_cutoff=2, amplitude=0.5, floor=1.0)
     f0 = hl.build_initial_field(data, m)
     dt = 2e-3
-    fast = hl.solve(m, f0, 0.1, 0.2, dt, direction)
+    fast = hl.solve(m, f0, 0.1, 0.2, dt)
     assert len(fast) == 51
     oracle = cg_solver(m, dt / 2.0)
-    state = hl.FlowState(f0, 0.1, direction)
+    state = hl.FlowState(f0, 0.1)
     for _ in range(50):
         state = hl.step(state, dt, oracle)
     ref = state.f.values
     last = list(fast)[-1]
     assert np.max(np.abs(last.f.values - ref)) <= 1e-11 * np.max(np.abs(ref))
-    assert last.direction is direction
 
 
 def test_single_mode_step_matches_discrete_eigenvalue():
@@ -407,14 +405,3 @@ def test_flow_state_invariants():
         values[7] = bad
         with pytest.raises(ValueError):
             hl.FlowState(hl.ScalarField(values, m), time=1.0)
-
-
-def test_backward_flow_is_forward_in_tau():
-    # the backward equation in tau uses the identical operator, so the
-    # trajectories coincide value-for-value with a forward run
-    m = unit_circle(64)
-    f0 = single_mode_field(m, floor=1.0, amp=0.2)
-    fwd = hl.solve(m, f0, 0.1, 0.3, 2e-3, Direction.FORWARD)
-    bwd = hl.solve(m, f0, 0.1, 0.3, 2e-3, Direction.BACKWARD)
-    assert bwd.direction is Direction.BACKWARD
-    assert np.array_equal(list(fwd)[-1].f.values, list(bwd)[-1].f.values)

@@ -89,14 +89,6 @@ def test_rejects_off_grid_times(torus2):
         hl.check_integrated_harnack(traj, [SpaceTimePair(0, 1, 1.013, 2.0)], tol=0.0)
 
 
-def test_rejects_backward_trajectory(torus2):
-    traj = hl.solve(
-        torus2, hl.constant_field(torus2, 1.0), 0.5, 1.0, 0.05, hl.Direction.BACKWARD
-    )
-    with pytest.raises(ValueError):
-        hl.check_integrated_harnack(traj, [SpaceTimePair(0, 1, 0.5, 1.0)], tol=0.0)
-
-
 def test_sample_pairs_deterministic_and_valid(torus2):
     traj = constant_trajectory(torus2)
     pairs_a = hl.sample_pairs(traj, 50, seed=123)

@@ -137,6 +137,15 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("{kind: constant, value: 1.0}",
                              "{kind: trig_polynomial, floor: 1.0, modes: [{index: [1, 0]}]}"),
          "missing field 'amplitude' in initial_data.modes"),
+        # a datum whose closed-form bound, floor + 2 * amplitudes, overflows
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: random_smooth, seed: 1, mode_cutoff: 2, "
+                             "amplitude: 1.7e308, floor: 1.0e308}"),
+         "initial_data: floor + 2 * amplitudes is inf"),
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 1.0, modes: "
+                             "[{index: [1, 0], amplitude: 1e308}, {index: [0, 1], amplitude: 1e308}]}"),
+         "initial_data: floor + 2 * amplitudes is inf"),
         # strict is a command-line flag, not a config key
         (lambda s: s + "strict: true\n", "unknown key 'strict' in config"),
     ],
@@ -400,14 +409,19 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_backward_run_reports_implied_derivatives(tmp_path):
+    out = tmp_path / "bwd"
     text = CONSTANT_CONFIG.replace("direction: forward", "direction: backward").replace(
         "suites: [harnack_signs, entropy, pathwise]", "suites: [harnack_signs, entropy]"
-    ).replace("PLACEHOLDER", str(tmp_path / "bwd"))
+    ).replace("directory: PLACEHOLDER", f"directory: {out}, export_trajectory: true")
     outcome = run_config(parse_config_text(text))
     assert outcome.exit_code == EXIT_PASS
     ent = outcome.summary["suites"]["entropy"]
     assert "implied_dF_dt_min" in ent
     assert ent["implied_dF_dt_min"] >= ent["implied_dF_dt_gate"]
+    # the runner is the one place that knows the direction: every report carries it
+    assert json.loads((out / "trajectory_meta.json").read_text())["direction"] == "backward"
+    assert json.loads((out / "summary.json").read_text())["config"]["flow"]["direction"] == "backward"
+    assert (out / "trajectory.csv").read_text().splitlines()[2] == "# direction=backward"
 
 
 def test_trajectory_export(tmp_path):
