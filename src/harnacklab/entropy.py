@@ -165,12 +165,12 @@ def dissipation_W(state: FlowState) -> float:
 
 
 def _snapshot(
-    m: ManifoldDescriptor, state: FlowState, with_residual: bool, interior: bool
+    m: ManifoldDescriptor, state: FlowState, with_residual: bool
 ) -> tuple[dict[str, float], np.ndarray | None, np.ndarray | None]:
     """One snapshot's diagnostics by field name and, with ``with_residual``,
-    the canonical H tuple's Q with its evolution right side (at an
-    ``interior`` snapshot, else None).  The operator arrays it takes die
-    when it returns, before the flow steps again."""
+    the canonical H tuple's Q with its evolution right side, else None for
+    both.  The operator arrays it takes die when it returns, before the flow
+    steps again."""
     n = m.dimension
     t = state.time
     f = state.f.values
@@ -213,13 +213,11 @@ def _snapshot(
         return values, None, None
     params = CAO_HAMILTON_H_PARAMS
     q = quantity_general_values(params, u, lap_u, grad_sq_u, t, n)
-    rhs = None
-    if interior:
-        lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
-        rhs = evolution_rhs_values(
-            params, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
-            q, lap_q[0], [comp[0] for comp in grad_q],
-        )
+    lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
+    rhs = evolution_rhs_values(
+        params, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
+        q, lap_q[0], [comp[0] for comp in grad_q],
+    )
     return values, q, rhs
 
 
@@ -236,9 +234,9 @@ def entropy_series(
 
     The dissipation integrals are computed exactly when the backend has a
     Hessian (the torus).  ``with_residual`` adds the canonical H tuple's
-    evolution residual (torus only); its Q is held in a rolling window of
-    three snapshots, so extra memory stays O(nodes).  ``on_state(i, state)``
-    is called with each state, in order, before its diagnostics.
+    evolution residual (torus only): Q and its right side, taken at every
+    snapshot, roll through a window of three, in O(nodes) extra memory.
+    ``on_state(i, state)`` sees each state, in order, before its diagnostics.
     """
     if len(traj) < 3:
         raise ValueError(f"entropy series needs at least 3 states, got {len(traj)}")
@@ -247,13 +245,12 @@ def entropy_series(
         raise ValueError("the evolution residual is only available on the torus")
 
     dt = traj.step_size
-    last = len(traj) - 1
     cols: defaultdict[str, list] = defaultdict(list)  # field -> one value per snapshot
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
     for i, state in enumerate(traj):
         if on_state is not None:
             on_state(i, state)
-        values, q, rhs = _snapshot(m, state, with_residual, 0 < i < last)
+        values, q, rhs = _snapshot(m, state, with_residual)
         for name, value in values.items():
             cols[name].append(value)
         if with_residual:

@@ -22,6 +22,7 @@ fails it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass, field
 
@@ -195,10 +196,15 @@ def _cn_solve(
         stiffness_old = m.stiffness(f_old)
     rhs = mass * f_old + a * stiffness_old
     stiffness_new = m.stiffness(x)
-    rhs_norm = float(np.linalg.norm(rhs))
-    resid_norm = float(np.linalg.norm(rhs - (mass * x - a * stiffness_new)))
-    # written so that a NaN or inf residual or right side fails
-    if not (np.isfinite(rhs_norm) and resid_norm <= CN_SOLVE_RTOL * rhs_norm):
+    peak = float(np.abs(rhs).max())
+    if not math.isfinite(peak):
+        raise SolverError("Crank-Nicolson right side is not finite: the data overflow the operator")
+    # one power of two, exact short of underflow, brings max|rhs| >= 1 into
+    # [0.5, 1) so the sums of squares cannot overflow; NaN or inf still fails
+    scale = math.ldexp(1.0, -max(math.frexp(peak)[1], 0))
+    rhs_norm = float(np.linalg.norm(rhs * scale))
+    resid_norm = float(np.linalg.norm((rhs - (mass * x - a * stiffness_new)) * scale))
+    if not resid_norm <= CN_SOLVE_RTOL * rhs_norm:
         raise SolverError(
             f"Crank-Nicolson solve missed its residual bound: relative residual "
             f"{resid_norm / rhs_norm:.3e}"

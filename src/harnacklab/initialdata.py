@@ -174,15 +174,13 @@ def build_initial_field(data: InitialData, m: ManifoldDescriptor) -> ScalarField
 # closed forms used by calibration and the equality-case checks
 
 
-def wrapped_gaussian(
-    m: FlatTorus, center: tuple[float, ...], heat_time: float, floor: float = 1e-120
-) -> ScalarField:
+def wrapped_gaussian(m: FlatTorus, center: tuple[float, ...], heat_time: float) -> ScalarField:
     """The heat-kernel profile (4 pi t)^{-n/2} exp(-d^2 / 4t) on a torus.
 
     d is the minimum-image distance to ``center``.  Images beyond the
     nearest underflow to zero at desk scales, so the nearest image plus a
-    tiny positive floor (which keeps the far tail representable and the
-    state strictly positive) is the periodization in double precision.
+    floor of 1e-120 (which keeps the far tail representable and the state
+    strictly positive) is the periodization in double precision.
     """
     if not isinstance(m, FlatTorus):
         raise ValueError("wrapped Gaussian data is only defined on tori")
@@ -190,7 +188,7 @@ def wrapped_gaussian(
         raise ValueError(f"heat_time must be positive, got {heat_time}")
     dist_sq = wrapped_distance_sq(m, center)
     norm = (4.0 * np.pi * heat_time) ** (-m.dimension / 2.0)
-    return ScalarField(norm * np.exp(-dist_sq / (4.0 * heat_time)) + floor, m)
+    return ScalarField(norm * np.exp(-dist_sq / (4.0 * heat_time)) + 1e-120, m)
 
 
 def wrapped_distance_sq(m: FlatTorus, center: tuple[float, ...]) -> np.ndarray:

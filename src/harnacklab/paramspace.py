@@ -161,7 +161,8 @@ class ScanSpec:
 
 @dataclass(eq=False)
 class ScanResult:
-    spec: ScanSpec
+    """The case-one scan's counts and survivors; the caller keeps its ScanSpec."""
+
     tolerance: float          # constraint slack step^2/4: one-grid-step quantization
     n_points: int
     n_alpha_eq_beta: int      # grid points with alpha = beta, excluded (lam undefined)
@@ -241,7 +242,6 @@ def case_one_uniqueness_scan(spec: ScanSpec, on_block=None) -> ScanResult:
         np.concatenate(survivors, axis=0) if survivors else np.empty((0, 4))
     )
     return ScanResult(
-        spec=spec,
         tolerance=delta,
         n_points=a_grid.size * beta_grid.size * b_grid.size,
         n_alpha_eq_beta=n_alpha_eq_beta,

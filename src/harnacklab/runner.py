@@ -64,9 +64,10 @@ built: 2 to ``Flow.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
 ``Tolerances.MAX_PAIRS`` pairs, ``ScanSpec.MAX_POINTS`` scan points and
 ``RandomSmoothData.MAX_MODES`` random modes ((2 mode_cutoff + 1)^n on a
 torus, 8 mode_cutoff plane waves on the sphere).  ``RunConfig``'s own
-checks join two sections: torus-only suites (evolution_residual, and the
-dissipation cross-check inside entropy) are rejected on sphere configs,
-pathwise on backward configs (the integrated bound is a statement in t).
+checks join two sections: evolution_residual (torus only) is rejected on
+sphere configs, pathwise on backward configs (the integrated bound is a
+statement in t).  On the sphere the entropy suite runs without its
+dissipation sub-gates, and dF_formula/dW_formula are blank.
 
 The direction is a label that only this module reads.  On a static metric
 the backward equation df/dt = -Lap f in tau = -t is the forward equation,
@@ -95,9 +96,9 @@ state, its mass (for ``mass_drift_rel``), its ``trajectory.csv`` row, the
 f-values at the pathwise pairs (drawn before the pass from the snapshot
 times, which are known without stepping) and the three states around the
 one fine index the ten random residual tuples read.  Each tuple calls
-``harnack.evolution_residual`` on those three states and on the last three
-of the once-coarsened flow, which is solved, in one pass, only through the
-step after the matching coarse index.
+``harnack.evolution_residual`` on those three states and on the three
+around half that index on the once-coarsened flow, which is stepped, in
+one pass, only through the step after it.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -153,7 +154,6 @@ import json
 import sys
 import types
 import typing
-from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -582,11 +582,12 @@ def _suite_harnack_signs(series: SnapshotSeries, tol_disc: float) -> dict:
     }
 
 
-def _draw_residual_params(seed: int, per_variant: int = 5) -> list[HarnackParams]:
+def _draw_residual_params(seed: int) -> list[HarnackParams]:
+    """The ten random tuples of the residual suite: 5 per variant, alpha > beta."""
     rng = np.random.default_rng(seed + 1)
     tuples = []
     for variant in (Variant.U, Variant.V):
-        for _ in range(per_variant):
+        for _ in range(5):
             alpha = rng.uniform(1.0, 3.0)
             beta = alpha - rng.uniform(0.3, 1.5)
             tuples.append(
@@ -602,15 +603,14 @@ def _draw_residual_params(seed: int, per_variant: int = 5) -> list[HarnackParams
     return tuples
 
 
-def _residual_indices(n_states: int) -> tuple[int, int]:
-    """The fine and once-coarsened snapshot indices the random residual
-    tuples compare at: an even fine index early in the run, while the datum
-    still has structure (heat flow flattens everything on the diffusive time
-    scale, after which residuals are roundoff scraps), and its coarse twin."""
+def _residual_index(n_states: int) -> int:
+    """The even fine snapshot index the random residual tuples compare at (half
+    of it is the same time on the once-coarsened flow), early in the run while
+    the datum still has structure: heat flow flattens everything on the
+    diffusive time scale, after which residuals are roundoff scraps."""
     fine_idx = int(round(0.05 * (n_states - 1)))
     fine_idx -= fine_idx % 2
-    fine_idx = max(2, min(fine_idx, n_states - 3 - (n_states - 3) % 2))
-    return fine_idx, fine_idx // 2
+    return max(2, min(fine_idx, n_states - 3 - (n_states - 3) % 2))
 
 
 def _suite_evolution_residual(
@@ -618,19 +618,16 @@ def _suite_evolution_residual(
 ) -> dict:
     # the canonical H tuple's residual at every interior snapshot comes from
     # the snapshot pass (it is the diagnostics column); random tuples get a
-    # two-level convergence check at _residual_indices, read on the fine flow
-    # from ``window``, its three states around the fine index
-    _, coarse_idx = _residual_indices(len(series.time))
-
-    # the once-coarsened flow, solved only through coarse_idx + 1, so its
-    # last three states are the ones the residual reads; its clock is
-    # t0 + k dt, so each state equals the one a solve to t_end would give
+    # two-level convergence check at _residual_index, read on the fine flow
+    # from ``window``, its three states around the fine index, and on the
+    # once-coarsened flow around half that index, stepped only that far
+    coarse_idx = _residual_index(len(series.time)) // 2
     spec = config.manifold
     m = build_torus(spec.dimension, spec.side_lengths, tuple(r // 2 for r in spec.resolution))
     f0 = build_initial_field(config.initial_data, m)
     dt = 2.0 * config.flow.dt
-    t_read = config.flow.t0 + (coarse_idx + 1) * dt
-    coarse = deque(solve(m, f0, config.flow.t0, t_read, dt), maxlen=3)
+    coarse_traj = solve(m, f0, config.flow.t0, config.flow.t_end, dt)
+    coarse = list(itertools.islice(coarse_traj, coarse_idx - 1, coarse_idx + 2))
     lo, hi = config.tolerances.residual_ratio_window
 
     tuples = _draw_residual_params(config.tolerances.rng_seed)
@@ -835,7 +832,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     # fine index, the f-values at the pathwise pairs (drawn up front from
     # the snapshot times) and its trajectory.csv row
     with_residual = "evolution_residual" in config.suites
-    fine_idx, _ = _residual_indices(len(traj))
+    fine_idx = _residual_index(len(traj))
     pairs = pair_values = None
     if "pathwise" in config.suites:
         pairs = sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
@@ -968,15 +965,16 @@ class CalibrationResult:
     resolutions: tuple[int, int]
 
 
-def calibrate_tolerance(config: RunConfig, base_resolution: int = 32) -> CalibrationResult:
+def calibrate_tolerance(config: RunConfig) -> CalibrationResult:
     """Fit C in tol_disc = C (h^2 + dt) against the single-mode closed form.
 
-    Runs the exactly-solvable raised-cosine flow at two resolutions, with dt
-    scaled as h^2 (so it quarters along with h^2 when the grid doubles;
-    otherwise the fitted constant depends on the dt/h^2 ratio instead of the
-    scheme).  The fit is max over snapshots and nodes of
-    |H_discrete - H_exact| divided by (h^2 + dt); the reported constant is
-    the larger of the two fits, floored at C_FLOOR.  Torus configs only.
+    Runs the exactly-solvable raised-cosine flow at two resolutions, each
+    axis's capped at 32 and then doubled, with dt scaled as h^2 (so it
+    quarters along with h^2 when the grid doubles; otherwise the fitted
+    constant depends on the dt/h^2 ratio instead of the scheme).  The fit is
+    max over snapshots and nodes of |H_discrete - H_exact| divided by
+    (h^2 + dt); the reported constant is the larger of the two fits, floored
+    at C_FLOOR.  Torus configs only.
     """
     if not isinstance(config.manifold, TorusSpec):
         raise ConfigError("calibrate_tolerance needs a torus config")
@@ -995,7 +993,7 @@ def calibrate_tolerance(config: RunConfig, base_resolution: int = 32) -> Calibra
     errors = []
     resolutions = []
     for level in range(2):
-        res = tuple(min(r, base_resolution) * 2**level for r in spec.resolution)
+        res = tuple(min(r, 32) * 2**level for r in spec.resolution)
         m = build_torus(spec.dimension, spec.side_lengths, res)
         h = m.mesh_scale
         dt_target = h * h / 4.0
@@ -1105,14 +1103,14 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
-    if args.command == "run":
+    if "solver_error" in outcome.summary:  # no suite ran, so none has a verdict
+        print(f"solver failure: {outcome.summary['solver_error']}", file=sys.stderr)
+    elif args.command == "run":
         for name in config.suites:
-            info = outcome.summary.get("suites", {}).get(name, {})
-            status = "PASS" if info.get("pass") else "FAIL"
-            print(f"{name}: {status} (worst slack {info.get('worst_slack')})")
+            info = outcome.summary["suites"][name]
+            status = "PASS" if info["pass"] else "FAIL"
+            print(f"{name}: {status} (worst slack {info['worst_slack']})")
         print(f"overall: {'PASS' if outcome.summary['overall_pass'] else 'FAIL'}")
-        if "solver_error" in outcome.summary:
-            print(f"solver failure: {outcome.summary['solver_error']}", file=sys.stderr)
     elif args.command == "calibrate":
         print(
             f"calibrated C = {outcome.summary['calibrated_C']!r} "

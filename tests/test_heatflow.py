@@ -37,12 +37,14 @@ def test_constant_is_stationary_exactly():
 )
 def test_constant_is_stationary_exactly_on_t3_and_s2(build):
     # 0.7 is not dyadic: a solver that transformed or factored the constant
-    # itself, instead of f - f[0], would move it by rounding
+    # itself, instead of f - f[0], would move it by rounding; 1e200 would
+    # overflow an unscaled norm of the right side
     m = build()
-    traj = hl.solve(m, hl.constant_field(m, 0.7), 0.1, 0.2, 0.01)
-    assert len(traj) == 11
-    states = list(traj)
-    assert all(np.array_equal(s.f.values, states[0].f.values) for s in states)
+    for value in (0.7, 1.0e200):
+        traj = hl.solve(m, hl.constant_field(m, value), 0.1, 0.2, 0.01)
+        assert len(traj) == 11
+        states = list(traj)
+        assert all(np.array_equal(s.f.values, states[0].f.values) for s in states)
 
 
 # the backends' direct solvers against the conjugate-gradient reference
@@ -105,14 +107,16 @@ def test_positivity_loss_raises():
 
 
 def test_overflowing_step_raises():
-    # a 1e308 node overflows the stencil, so the solve goes NaN; that must
-    # fail the residual check instead of returning a NaN state
+    # a 1e308 node, or a constant 1.7e308, overflows the stencil's 2f, so the
+    # right side itself is not finite; that must fail the step, and say so,
+    # instead of returning a NaN state
     m = unit_circle(16)
-    values = np.ones(16)
-    values[3] = 1e308
-    state = hl.FlowState(hl.ScalarField(values, m), 1.0)
-    with np.errstate(all="ignore"), pytest.raises(hl.SolverError):
-        hl.step(state, 0.01)
+    spike = np.ones(16)
+    spike[3] = 1e308
+    for values in (spike, np.full(16, 1.7e308)):
+        state = hl.FlowState(hl.ScalarField(values, m), 1.0)
+        with np.errstate(all="ignore"), pytest.raises(hl.SolverError, match="right side is not finite"):
+            hl.step(state, 0.01)
 
 
 def test_overflowing_step_raises_on_the_sphere():

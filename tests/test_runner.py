@@ -367,7 +367,7 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
 
     config, traj, series, tol_disc, mass = smoke_snapshots
     if field == "residual":
-        fine_idx, _ = runner._residual_indices(len(traj))
+        fine_idx = runner._residual_index(len(traj))
         window = list(traj)[fine_idx - 1 : fine_idx + 2]
 
     def suite(series):
@@ -406,6 +406,25 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # the export is written during the pass, which failed after its first
     # state: no partial trajectory.csv is left beside the summary
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["summary.json"]
+
+
+def test_main_solver_failure_prints_no_verdicts(tmp_path, monkeypatch, capsys):
+    # no suite ran, so the CLI names the failure and prints no verdict
+    text = CONSTANT_CONFIG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "t_end: 1.5, dt: 0.01", "t_end: 21.0, dt: 5.0"
+    )
+
+    def spiky(data, m):
+        x = m.positions[:, 0]
+        return hl.ScalarField(1e-3 + 0.5 * (1 + np.cos(2 * np.pi * x)) ** 2, m)
+
+    monkeypatch.setattr(runner, "build_initial_field", spiky)
+    code = main(["run", write_config(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_SOLVER_FAILURE
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure:")
+    assert "positivity" in captured.err
 
 
 def test_backward_run_reports_implied_derivatives(tmp_path):
