@@ -51,7 +51,6 @@ from .harnack import (
     quantity_H,
     quantity_H_values,
     quantity_liyau_values,
-    quantity_P,
     v_from_u,
 )
 from .heatflow import FlowState, Trajectory
@@ -115,29 +114,29 @@ def _dissipation_value(
     return -2.0 * t * t * float(np.dot(m.quadrature_weights, f * integrand))
 
 
+def _entropy(state: FlowState, w: ScalarField) -> tuple[float, float]:
+    t = state.time
+    return _entropy_pair(
+        state.manifold, t, state.f.values, grad_norm_sq(w).values, quantity_H(w, t).values
+    )
+
+
 def entropy_F(state: FlowState) -> tuple[float, float]:
     """F in both integral forms: direct, and via t^2 H e^{-u}.
 
     Their agreement is the discrete Stokes/Green identity test.
     """
-    t = state.time
-    u = log_u(state)
-    return _entropy_pair(
-        state.manifold, t, state.f.values, grad_norm_sq(u).values, quantity_H(u, t).values
-    )
+    return _entropy(state, log_u(state))
 
 
 def entropy_W(state: FlowState) -> tuple[float, float]:
-    """W in both integral forms: direct, and via t^2 P times the weight.
+    """W in both integral forms: direct, and via t^2 P times the weight
+    (P is H's formula applied to v).
 
     The weight e^{-v}/(4 pi t)^{n/2} equals f by the definition of v and is
     computed as such.
     """
-    t = state.time
-    v = log_v(state)
-    return _entropy_pair(
-        state.manifold, t, state.f.values, grad_norm_sq(v).values, quantity_P(v, t).values
-    )
+    return _entropy(state, log_v(state))
 
 
 def _dissipation(state: FlowState, w: ScalarField) -> float:

@@ -55,9 +55,9 @@ class FlowState:
     ``time`` must be positive because every monitored quantity carries 1/t
     or ln t factors.  ``values_checked`` is set only on values :func:`step`
     has already scanned, so each stepped state is scanned once.
-    ``stiffness`` is ``manifold.stiffness(f.values)`` on a state
-    :func:`step` made, which took it for its residual check, and None
-    otherwise.
+    ``stiffness`` is ``manifold.stiffness(f.values)`` on a stepped state,
+    which its step took for the residual check and the next step reads, and
+    None otherwise.
     """
 
     f: ScalarField
@@ -90,8 +90,8 @@ class Trajectory:
     holds only the current state.  No state is stored: a second iteration
     steps the flow again, so a caller that needs the states twice keeps the
     ones it needs.  The stiffness W x that one step's residual check takes
-    of its solution x is the W f_old of the next step's right side, so the
-    pass hands it on: n steps apply ``stiffness`` n + 1 times.
+    of its solution x is the W f_old of the next step's right side, so each
+    yielded state keeps it: n steps apply ``stiffness`` n + 1 times.
     """
 
     initial: FlowState
@@ -105,13 +105,14 @@ class Trajectory:
         dt = self.step_size
         t0 = self.initial.time
         solver = self.manifold.cn_solver(dt / 2.0)
-        current, stiffness = self.initial, None
+        current = self.initial
         yield current
         for k in range(1, self.n_steps + 1):
-            advanced = step(current, dt, solver, stiffness)
-            stiffness = advanced.stiffness
+            advanced = step(current, dt, solver)
             # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-            current = FlowState(advanced.f, t0 + k * dt, values_checked=True)
+            current = FlowState(
+                advanced.f, t0 + k * dt, values_checked=True, stiffness=advanced.stiffness
+            )
             yield current
 
     @property
@@ -213,27 +214,24 @@ def _cn_solve(
 
 
 def step(
-    state: FlowState,
-    dt: float,
-    solver: Callable[[np.ndarray], np.ndarray] | None = None,
-    stiffness: np.ndarray | None = None,
+    state: FlowState, dt: float, solver: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> FlowState:
     """One Crank-Nicolson step of df/dt = Lap f.
 
     ``solver`` solves the step's system for this dt (``cn_solver(dt / 2)``
-    of the state's manifold); without it, one is built for this step.
-    ``stiffness`` is W f of the state's values when the caller has it (a
-    :class:`Trajectory` pass hands on the previous step's); without it the
-    step applies ``stiffness`` twice, to the old values and to the new.  The
-    new values are scanned once for finite positivity, and the new state
-    carries their stiffness.
+    of the state's manifold); without it, one is built for this step.  The
+    step reads W f from ``state.stiffness`` when the state carries it (a
+    state :func:`step` made does), and otherwise applies ``stiffness`` to
+    the old values too: a chain of n steps from a fresh state applies it
+    n + 1 times.  The new values are scanned once for finite positivity,
+    and the new state carries their stiffness.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     m = state.manifold
     if solver is None:
         solver = m.cn_solver(dt / 2.0)
-    new_values, new_stiffness = _cn_solve(m, dt / 2.0, solver, state.f.values, stiffness)
+    new_values, new_stiffness = _cn_solve(m, dt / 2.0, solver, state.f.values, state.stiffness)
     new_time = state.time + dt
     if not _finite_positive(new_values):
         # the first non-finite node, else the smallest value

@@ -101,9 +101,13 @@ class RandomSmoothData:
 InitialData = ConstantData | TrigPolynomialData | RandomSmoothData
 
 
+def _wave_vector(m: FlatTorus, index) -> np.ndarray:
+    """k = 2 pi index / L, the wave vector of Fourier mode ``index`` on ``m``."""
+    return 2.0 * np.pi * np.asarray(index, dtype=float) / np.asarray(m.side_lengths)
+
+
 def _torus_mode_field(m: FlatTorus, index, phase: float) -> np.ndarray:
-    k = 2.0 * np.pi * np.asarray(index, dtype=float) / np.asarray(m.side_lengths)
-    return np.cos(m.positions @ k + phase)
+    return np.cos(m.positions @ _wave_vector(m, index) + phase)
 
 
 def _build_trig(m: ManifoldDescriptor, data: TrigPolynomialData) -> np.ndarray:
@@ -210,22 +214,13 @@ class SingleModeSolution:
     floor: float
     t0: float
 
-    @property
-    def wave_vector(self) -> np.ndarray:
-        return (
-            2.0
-            * np.pi
-            * np.asarray(self.mode.index, dtype=float)
-            / np.asarray(self.manifold.side_lengths)
-        )
-
     def initial_data(self) -> TrigPolynomialData:
         return TrigPolynomialData(floor=self.floor, modes=(self.mode,))
 
     def quantity_H_at(self, t: float) -> np.ndarray:
         """Exact H = -2 Lap f / f + |grad f|^2 / f^2 - 2n/t for the closed form."""
         m = self.manifold
-        k = self.wave_vector
+        k = _wave_vector(m, self.mode.index)
         mu = float(np.dot(k, k))
         amp = self.mode.amplitude * np.exp(-mu * (t - self.t0))
         theta = m.positions @ k + self.mode.phase

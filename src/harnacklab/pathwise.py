@@ -86,7 +86,7 @@ def check_integrated_harnack(
     """Evaluate the bound in log form for each pair.
 
     Pair times must be snapshot times of ``traj``, whose clock the bound
-    reads as forward time t.  ``values`` holds f at the pairs'
+    reads as forward time t.  A pair passes only with a finite slack.  ``values`` holds f at the pairs'
     points, taken during a pass over ``traj``; without it, they are taken in
     a pass of this call's own.
     """
@@ -101,10 +101,10 @@ def check_integrated_harnack(
         lhs = float(np.log(f1))
         rhs = float(np.log(f2)) + n * np.log(pair.t2 / pair.t1) + gamma / 2.0
         slack = lhs - rhs
+        # an overflowed Gamma gives rhs = inf and slack = -inf, which proves nothing
+        passed = bool(np.isfinite(slack)) and slack <= tol
         reports.append(
-            PairReport(
-                pair=pair, gamma=gamma, lhs=lhs, rhs=rhs, slack=slack, passed=slack <= tol
-            )
+            PairReport(pair=pair, gamma=gamma, lhs=lhs, rhs=rhs, slack=slack, passed=passed)
         )
     return reports
 

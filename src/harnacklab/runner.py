@@ -67,7 +67,8 @@ torus, 8 mode_cutoff plane waves on the sphere).  ``RunConfig``'s own
 checks join two sections: evolution_residual (torus only) is rejected on
 sphere configs, pathwise on backward configs (the integrated bound is a
 statement in t).  On the sphere the entropy suite runs without its
-dissipation sub-gates, and dF_formula/dW_formula are blank.
+dissipation sub-gates, and dF_formula/dW_formula are blank.  A tol_disc
+that overflows to inf is a config error, raised before the flow is stepped.
 
 The direction is a label that only this module reads.  On a static metric
 the backward equation df/dt = -Lap f in tau = -t is the forward equation,
@@ -113,7 +114,9 @@ and 0.0 keep their own text), any other value as ``_fmt`` gives it
     direct Crank-Nicolson solver, ``fft`` on a torus and ``band_cholesky``
     on the sphere, and ``rtol`` the relative residual every solve is checked
     against); the tolerance constant in effect and the resulting tol_disc,
-    initial mass and relative drift.
+    initial mass and relative drift.  ``calibrate`` writes only this file,
+    with its fit (error_ratio null where the fine level is exact); its two
+    clocks are ``Flow``s, so they have a run's step ceiling.
 ``diagnostics.csv``
     one row per snapshot, fixed column order::
 
@@ -240,6 +243,11 @@ class TorusSpec:
         # fails when the config is read, without being built
         check_torus_args(self.dimension, self.side_lengths, self.resolution)
 
+    @property
+    def coarse_resolution(self) -> tuple[int, ...]:
+        """The once-coarsened grid the evolution_residual suite compares against."""
+        return tuple(r // 2 for r in self.resolution)
+
     def build(self) -> ManifoldDescriptor:
         return build_torus(self.dimension, self.side_lengths, self.resolution)
 
@@ -348,11 +356,11 @@ class RunConfig:
                     f"at most {RandomSmoothData.MAX_MODES} are allowed"
                 )
         if "evolution_residual" in suites:
-            if any(r % 4 != 0 or r < 16 for r in self.manifold.resolution):
-                raise ValueError(
-                    "suite 'evolution_residual' coarsens the grid once: torus resolutions "
-                    "must be multiples of 4 and at least 16"
-                )
+            spec = self.manifold
+            try:
+                check_torus_args(spec.dimension, spec.side_lengths, spec.coarse_resolution)
+            except ValueError as exc:
+                raise ValueError(f"suite 'evolution_residual' halves the grid: {exc}") from None
             if self.flow.n_steps % 2 != 0 or self.flow.n_steps < 4:
                 raise ValueError(
                     "suite 'evolution_residual' needs an even step count of at least 4"
@@ -361,9 +369,13 @@ class RunConfig:
 
 def discretization_tolerance(m: ManifoldDescriptor, c: float, dt: float) -> float:
     """tol_disc = C (h^2 + dt), the declared discrete form of the continuum
-    sign statements."""
+    sign statements; a ConfigError unless it is finite, since every gate
+    passes under an infinite bound."""
     h = m.mesh_scale
-    return c * (h * h + dt)
+    tol_disc = c * (h * h + dt)
+    if not np.isfinite(tol_disc):
+        raise ConfigError(f"tol_disc is not finite: tol_disc_constant {c} at mesh scale {h}")
+    return tol_disc
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +635,7 @@ def _suite_evolution_residual(
     # once-coarsened flow around half that index, stepped only that far
     coarse_idx = _residual_index(len(series.time)) // 2
     spec = config.manifold
-    m = build_torus(spec.dimension, spec.side_lengths, tuple(r // 2 for r in spec.resolution))
+    m = build_torus(spec.dimension, spec.side_lengths, spec.coarse_resolution)
     f0 = build_initial_field(config.initial_data, m)
     dt = 2.0 * config.flow.dt
     coarse_traj = solve(m, f0, config.flow.t0, config.flow.t_end, dt)
@@ -641,11 +653,7 @@ def _suite_evolution_residual(
         slacks.append(slack)
         rows.append(
             {
-                "alpha": p.alpha,
-                "beta": p.beta,
-                "b": p.b,
-                "c": p.c,
-                "lam": p.lam,
+                **asdict(p),
                 "variant": p.variant.value,
                 "residual_fine": r_fine,
                 "residual_coarse": r_coarse,
@@ -693,8 +701,10 @@ def _suite_entropy(
     s_tols = config.tolerances.quadrature_tol * np.maximum(1.0, series.time * series.time * scale)
     stokes_worst = float(np.maximum(0.0, np.max(gaps - s_tols)))
     wf_gap = float(np.maximum(0.0, np.max(np.abs(w_direct - f_direct))))
+    # the bounds scale with the mass, so either can overflow a finite tol_disc
     ok = (
-        worst_F <= tol_value
+        np.isfinite(tol_value)
+        and worst_F <= tol_value
         and worst_W <= tol_value
         and worst_dF <= tol_value
         and worst_dW <= tol_value
@@ -725,6 +735,7 @@ def _suite_entropy(
         ok = (
             ok
             and diss_max <= 1e-12 * scale
+            and np.isfinite(xcheck_tol)
             and xcheck <= xcheck_tol
             and xcheck_w <= xcheck_tol
             and diss_identity <= identity_tol
@@ -777,9 +788,10 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
 
         result = case_one_uniqueness_scan(config.paramscan, on_block=sink)
 
+    ni = classify(NI_PARAMS)
     named_ok = (
-        classify(NI_PARAMS).named_match is NamedMatch.NI
-        and classify(NI_PARAMS).case_tag is CaseTag.CASE_ONE
+        ni.named_match is NamedMatch.NI
+        and ni.case_tag is CaseTag.CASE_ONE
         and classify(CAO_HAMILTON_H_PARAMS).named_match is NamedMatch.CAO_HAMILTON_H
         and classify(LI_YAU_PARAMS).named_match is NamedMatch.LI_YAU
     )
@@ -956,25 +968,18 @@ def _trajectory_csv(path: Path, config: RunConfig, traj: Trajectory):
         part.unlink(missing_ok=True)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    constant: float
-    fits: tuple[float, float]
-    errors: tuple[float, float]
-    error_ratio: float
-    resolutions: tuple[int, int]
-
-
-def calibrate_tolerance(config: RunConfig) -> CalibrationResult:
+def calibrate_tolerance(config: RunConfig) -> dict:
     """Fit C in tol_disc = C (h^2 + dt) against the single-mode closed form.
 
     Runs the exactly-solvable raised-cosine flow at two resolutions, each
     axis's capped at 32 and then doubled, with dt scaled as h^2 (so it
     quarters along with h^2 when the grid doubles; otherwise the fitted
-    constant depends on the dt/h^2 ratio instead of the scheme).  The fit is
-    max over snapshots and nodes of |H_discrete - H_exact| divided by
-    (h^2 + dt); the reported constant is the larger of the two fits, floored
-    at C_FLOOR.  Torus configs only.
+    constant depends on the dt/h^2 ratio instead of the scheme).  Each
+    level's clock is a ``Flow``, so it has a run's step ceiling; both are
+    checked before either flow is stepped.  The fit is max over snapshots
+    and nodes of |H_discrete - H_exact| divided by (h^2 + dt); the reported
+    constant is the larger of the two fits, floored at C_FLOOR.  Returns the
+    fields of calibrate's ``trajectory_meta.json``.  Torus configs only.
     """
     if not isinstance(config.manifold, TorusSpec):
         raise ConfigError("calibrate_tolerance needs a torus config")
@@ -988,50 +993,46 @@ def calibrate_tolerance(config: RunConfig) -> CalibrationResult:
         amplitude, floor_val = 0.0, config.initial_data.value
     else:
         amplitude, floor_val = 0.4, 0.8
+    mode = TrigMode(tuple([1] + [0] * (spec.dimension - 1)), amplitude=amplitude)
 
-    fits = []
-    errors = []
-    resolutions = []
+    levels = []
     for level in range(2):
         res = tuple(min(r, 32) * 2**level for r in spec.resolution)
         m = build_torus(spec.dimension, spec.side_lengths, res)
         h = m.mesh_scale
-        dt_target = h * h / 4.0
-        n_steps = max(2, int(np.ceil(span / dt_target)))
-        dt = span / n_steps
-        mode = TrigMode(tuple([1] + [0] * (spec.dimension - 1)), amplitude=amplitude)
+        n_steps = max(2, int(np.ceil(span / (h * h / 4.0))))
+        try:
+            levels.append((m, Flow(t0, t0 + span, span / n_steps)))
+        except ValueError as exc:
+            raise ConfigError(f"calibration at resolution {list(res)}: {exc}") from None
+
+    fits, errors = [], []
+    for m, clock in levels:
         sol = SingleModeSolution(m, mode, floor=floor_val, t0=t0)
-        traj = solve(m, build_initial_field(sol.initial_data(), m), t0, t0 + span, dt)
+        traj = solve(m, build_initial_field(sol.initial_data(), m), t0, clock.t_end, clock.dt)
         err = 0.0
         for state in traj:
             h_disc = quantity_H(log_u(state), state.time).values
             err = max(err, float(np.max(np.abs(h_disc - sol.quantity_H_at(state.time)))))
         errors.append(err)
-        fits.append(err / (h * h + dt))
-        resolutions.append(max(res))
-    constant = max(max(fits), C_FLOOR)
-    return CalibrationResult(
-        constant=constant,
-        fits=(fits[0], fits[1]),
-        errors=(errors[0], errors[1]),
-        error_ratio=errors[0] / errors[1] if errors[1] > 0 else np.inf,
-        resolutions=(resolutions[0], resolutions[1]),
-    )
+        h = m.mesh_scale
+        fits.append(err / (h * h + clock.dt))
+    return {
+        "manifold_hash": manifold_hash(spec),
+        "calibrated_C": max(max(fits), C_FLOOR),
+        "fits": fits,
+        "max_errors": errors,
+        # JSON has no inf: an exact fine level (constant data) has no ratio
+        "error_ratio": errors[0] / errors[1] if errors[1] > 0 else None,
+        "resolutions": [max(m.resolution) for m, _ in levels],
+        "c_floor": C_FLOOR,
+    }
 
 
 def run_calibrate(config: RunConfig) -> RunOutcome:
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cal = calibrate_tolerance(config)
-    meta = {
-        "manifold_hash": manifold_hash(config.manifold),
-        "calibrated_C": cal.constant,
-        "fits": list(cal.fits),
-        "max_errors": list(cal.errors),
-        "error_ratio": cal.error_ratio,
-        "resolutions": list(cal.resolutions),
-        "c_floor": C_FLOOR,
-    }
+    meta = calibrate_tolerance(config)
     _write_json(out_dir / "trajectory_meta.json", meta)
     return RunOutcome(EXIT_PASS, meta, out_dir)
 

@@ -247,9 +247,10 @@ def test_trajectory_iteration_fails_closed(monkeypatch, bad):
 
 
 def test_pass_applies_the_stiffness_once_per_step(monkeypatch):
-    # each step's residual check takes W of its solution, which is the next
-    # step's W f_old, and neither backend's solver applies W to its right
-    # side: a pass of n steps applies the stiffness n + 1 times, a lone step
+    # each step's residual check takes W of its solution, which the new
+    # state carries as the next step's W f_old, and neither backend's solver
+    # applies W to its right side: a pass of n steps, or a chain of n lone
+    # steps, applies the stiffness n + 1 times, a lone step on a fresh state
     # twice, and every state is the one a lone step gives
     circle, sphere = unit_circle(16), hl.build_sphere(2)
     for m, f0 in (
@@ -271,6 +272,11 @@ def test_pass_applies_the_stiffness_once_per_step(monkeypatch):
         states = list(traj)
         assert len(calls) == traj.n_steps + 1
         assert all(np.array_equal(s.f.values, r.f.values) for s, r in zip(states, lone))
+        calls.clear()
+        state = traj.initial
+        for _ in range(traj.n_steps):
+            state = hl.step(state, 0.01)
+        assert len(calls) == traj.n_steps + 1
         calls.clear()
         hl.step(traj.initial, 0.01)
         assert len(calls) == 2

@@ -71,6 +71,15 @@ def test_constant_data_slack_monotone_in_t2(torus2):
     assert slacks[0] > slacks[1] > slacks[2]
 
 
+def test_overflowing_gamma_fails_its_pair():
+    # on a side of 1e154, d^2 / (t2 - t1) overflows: rhs = inf, slack = -inf
+    m = hl.build_torus(1, [1.0e154], [64])
+    traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
+    (report,) = hl.check_integrated_harnack(traj, [SpaceTimePair(0, 32, 0.1, 0.2)], tol=1.0)
+    assert report.gamma == np.inf and report.slack == -np.inf
+    assert not report.passed
+
+
 def test_bound_holds_on_smooth_trajectory():
     m = hl.build_torus(1, [1.0], [64])
     f0 = hl.build_initial_field(

@@ -266,8 +266,9 @@ def test_parse_rejects_uncoarsenable_grid_for_residual_suite():
     text = CONSTANT_CONFIG.replace(
         "resolution: [16, 16]", "resolution: [18, 18]"
     ).replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         parse_config_text(text)
+    assert "evolution_residual" in str(err.value)
 
 
 def test_tolerance_model():
@@ -384,6 +385,34 @@ def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
         assert suite(replace(series, **{field: values}))["pass"] is False
 
 
+def test_entropy_suite_fails_an_overflowing_bound(smoke_snapshots):
+    # the entropy bounds scale tol_disc by the mass, so a finite tol_disc
+    # can still give tol_value = inf, under which every value passes
+    config, traj, series, _, _ = smoke_snapshots
+    assert runner._suite_entropy(config, traj, 1e10, 1e300, series)["pass"] is False
+
+
+def test_infinite_tol_disc_is_a_config_error(tmp_path, monkeypatch):
+    # a side of 1e200 overflows h^2: every gate would pass under tol_disc = inf
+    from dataclasses import replace
+
+    from harnacklab import heatflow
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("the flow was stepped")
+
+    monkeypatch.setattr(heatflow, "step", no_step)
+    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    config = replace(
+        config,
+        manifold=runner.TorusSpec(1, (1.0e200,), (64,)),
+        output=runner.Output(str(tmp_path / "out")),
+    )
+    with pytest.raises(ConfigError) as err:
+        run_config(config)
+    assert "tol_disc_constant" in str(err.value) and "mesh scale" in str(err.value)
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # the config grammar cannot express positivity-losing data (raised
     # cosines keep their coefficient sum inside the floor), so inject a
@@ -479,15 +508,41 @@ suites: [harnack_signs]
 tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
 """
     cal = calibrate_tolerance(parse_config_text(text))
-    assert cal.constant > runner.C_FLOOR
-    assert abs(cal.fits[0] - cal.fits[1]) / cal.fits[0] < 0.2
-    assert 3.5 < cal.error_ratio < 4.5
+    assert cal["calibrated_C"] > runner.C_FLOOR
+    assert abs(cal["fits"][0] - cal["fits"][1]) / cal["fits"][0] < 0.2
+    assert 3.5 < cal["error_ratio"] < 4.5
 
 
 def test_calibrate_constant_data_floors(tmp_path):
-    cal = calibrate_tolerance(constant_config(tmp_path))
-    assert cal.constant == runner.C_FLOOR
-    assert cal.errors[0] < 1e-10
+    outcome = runner.run_calibrate(constant_config(tmp_path))
+
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (outcome.output_dir / "trajectory_meta.json").read_text()
+    cal = json.loads(text, parse_constant=not_json)
+    assert cal["calibrated_C"] == runner.C_FLOOR
+    assert cal["max_errors"][0] < 1e-10
+    assert cal["max_errors"][1] == 0.0 and cal["error_ratio"] is None
+
+
+@pytest.mark.parametrize("side, resolution", [(1.0e-3, "[32]"), (0.2, "[64]")])
+def test_calibrate_clock_has_the_step_ceiling(monkeypatch, side, resolution):
+    # both levels' clocks are checked before either flow is stepped: at side
+    # 0.2 the coarse level takes 10,240 steps and the fine one 40,960
+    from dataclasses import replace
+
+    from harnacklab import heatflow
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a flow was stepped")
+
+    monkeypatch.setattr(heatflow, "step", no_step)
+    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    config = replace(config, manifold=runner.TorusSpec(1, (side,), (64,)))
+    with pytest.raises(ConfigError) as err:
+        calibrate_tolerance(config)
+    assert f"resolution {resolution}" in str(err.value) and "steps" in str(err.value)
 
 
 def test_calibrate_rejects_sphere():
