@@ -337,6 +337,9 @@ def check_torus_args(n: int, sides: tuple[float, ...], res: tuple[int, ...]) -> 
         raise ValueError(f"side lengths must be positive, got {sides}")
     if any(r < 8 or r % 2 != 0 for r in res):
         raise ValueError(f"resolutions must be even and >= 8, got {res}")
+    # the stencils weight by 1/h^2, by multiplication: float ** 2 raises OverflowError
+    if not all(math.isfinite((r / s) * (r / s)) for s, r in zip(sides, res)):
+        raise ValueError(f"side_lengths {sides} at resolution {res} overflow the weight 1/h^2")
     if math.prod(res) > MAX_NODES:
         raise ValueError(f"resolution {res} makes {math.prod(res)} nodes; at most {MAX_NODES}")
 

@@ -89,17 +89,16 @@ evolution_residual is requested, the canonical H tuple's residual (its Q
 held in a three-snapshot window).  It returns them as one
 ``SnapshotSeries``, an array per field, with dF/dt and dW/dt differenced
 from the F and W arrays.  The values equal the per-state reference
-functions of ``harnack`` and ``entropy`` bit for bit.  The suites reduce
-these arrays with np.max/np.maximum, so a NaN or inf at any snapshot fails
-its gate (builtin max skips a NaN that is not first), and they skip the
-one-sided end differences.  The same pass also takes, from each
-state, its mass (for ``mass_drift_rel``), its ``trajectory.csv`` row, the
-f-values at the pathwise pairs (drawn before the pass from the snapshot
-times, which are known without stepping) and the three states around the
-one fine index the ten random residual tuples read.  Each tuple calls
-``harnack.evolution_residual`` on those three states and on the three
-around half that index on the once-coarsened flow, which is stepped, in
-one pass, only through the step after it.
+functions of ``harnack`` and ``entropy`` bit for bit.  The suites hand
+these arrays to their gates (``Gate``), so a NaN or inf at any snapshot
+fails its gate, and they skip the one-sided end differences.  The same
+pass also takes, from each state, its mass (for ``mass_drift_rel``), its
+``trajectory.csv`` row, the f-values at the pathwise pairs (drawn before
+the pass from the snapshot times, which are known without stepping) and
+the three states around the one fine index the ten random residual tuples
+read.  Each tuple calls ``harnack.evolution_residual`` on those three
+states and on the three around half that index on the once-coarsened
+flow, which is stepped, in one pass, only through the step after it.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -138,8 +137,14 @@ and 0.0 keep their own text), any other value as ``_fmt`` gives it
     alpha,beta,b,lam,alpha_minus_beta,b_plus_beta,quarter_square_plus_b,survivor
     -- one row per grid point; lam is empty where alpha = beta.
 ``summary.json``
-    per-suite pass/fail with worst-case slacks; overall_pass; the tolerance
-    model actually applied.  Never contains paths.
+    per suite, a ``gates`` map (each gate's name -> value, bound, pass, the
+    value also under the gate's name), ``pass`` and ``worst_slack``.  A gate
+    passes only when its values and bound are finite and its largest value
+    is at most the bound; overall_pass is the AND of every gate.
+    worst_slack is the largest value - bound over the ranked gates (H and
+    Li-Yau; F, W, dF and dW; the residual tuples' ratio window; the
+    pathwise pairs; the ray deviation), and +inf when any gate is not
+    finite.  Also the tolerance model actually applied.  Never contains paths.
 ``trajectory.csv`` (only with output.export_trajectory)
     comment header (# manifold_hash=..., # dt=..., # direction=...), then
     one row per state: time, then all node values.  Rows are written
@@ -576,22 +581,52 @@ def _config_echo(config: RunConfig, strict: bool) -> dict:
 # suites
 
 
+@dataclass(frozen=True, eq=False)
+class Gate:
+    """One check of a suite: ``values`` (a number or an array) against
+    ``bound``.  ``name`` is the summary.json key that reports the largest
+    value.  Gates compare by identity, as their values may be arrays."""
+
+    name: str
+    values: typing.Any
+    bound: float
+
+
+def _verdict(ranked: list[Gate], unranked: list[Gate]) -> dict:
+    """A suite's report from its gates: each gate's largest value under its
+    name, and in ``gates`` with its bound and pass.  A gate passes only when
+    every value and the bound are finite and the largest value is at most
+    the bound; ``pass`` is the AND of the gates.  ``worst_slack`` is the
+    largest value - bound over the ``ranked`` gates, +inf when any gate's
+    values or bound are not finite."""
+    report, table, slacks = {}, {}, []
+    for gate in ranked + unranked:
+        value, bound = float(np.max(gate.values)), float(gate.bound)
+        finite = bool(np.all(np.isfinite(gate.values)) and np.isfinite(bound))
+        report[gate.name] = value
+        table[gate.name] = {"value": value, "bound": bound, "pass": finite and value <= bound}
+        if not finite:
+            slacks.append(np.inf)
+        elif gate in ranked:
+            slacks.append(value - bound)
+    report["pass"] = all(entry["pass"] for entry in table.values())
+    report["worst_slack"] = max(slacks)
+    report["gates"] = table
+    return report
+
+
 def _suite_harnack_signs(series: SnapshotSeries, tol_disc: float) -> dict:
-    worst_h = float(np.max(series.max_H))
-    worst_ly = float(np.max(series.max_liyau))
-    p_vs_h_max = float(np.max(series.P_vs_H_gap))
     identity_tol = 1e-9
-    passed = worst_h <= tol_disc and worst_ly <= tol_disc and p_vs_h_max <= identity_tol
-    return {
-        "pass": bool(passed),
-        "tol": tol_disc,
-        "worst_max_H": worst_h,
-        "worst_max_P": worst_h,  # P == H pointwise; the identity gap is gated below
-        "worst_max_liyau": worst_ly,
-        "worst_slack": float(np.maximum(worst_h - tol_disc, worst_ly - tol_disc)),
-        "p_vs_h_max_abs_diff": p_vs_h_max,
-        "p_vs_h_identity_tol": identity_tol,
-    }
+    report = _verdict(
+        [
+            Gate("worst_max_H", series.max_H, tol_disc),
+            Gate("worst_max_liyau", series.max_liyau, tol_disc),
+        ],
+        [Gate("p_vs_h_max_abs_diff", series.P_vs_H_gap, identity_tol)],
+    )
+    # P == H pointwise; the identity gap is gated
+    report.update(tol=tol_disc, worst_max_P=report["worst_max_H"], p_vs_h_identity_tol=identity_tol)
+    return report
 
 
 def _draw_residual_params(seed: int) -> list[HarnackParams]:
@@ -661,17 +696,13 @@ def _suite_evolution_residual(
                 "pass": bool(slack <= 0),
             }
         )
-    # the canonical residual at the interior snapshots; np.max keeps a NaN,
-    # which the finiteness gate then fails, as it fails an inf
-    canonical = float(np.max(series.residual))
-    return {
-        "pass": bool(all(row["pass"] for row in rows) and np.isfinite(canonical)),
-        "ratio_window": [lo, hi],
-        "comparison_time": window[1].time,
-        "canonical_max_residual": canonical,
-        "worst_slack": float(np.max(slacks)),
-        "tuples": rows,
-    }
+    # the canonical residual at the interior snapshots need only be finite
+    report = _verdict(
+        [Gate("worst_ratio_slack", slacks, 0.0)],
+        [Gate("canonical_max_residual", series.residual, sys.float_info.max)],
+    )
+    report.update(ratio_window=[lo, hi], comparison_time=window[1].time, tuples=rows)
+    return report
 
 
 def _suite_entropy(
@@ -692,65 +723,40 @@ def _suite_entropy(
 
     # the one-sided end differences dF_fd[0], dF_fd[-1] are not gated
     f_direct, w_direct = series.F_direct, series.W_direct
-    df_fd, dw_fd = series.dF_fd, series.dW_fd
-    worst_F = float(np.max(f_direct))
-    worst_W = float(np.max(w_direct))
-    worst_dF = float(np.max(df_fd[1:-1]))
-    worst_dW = float(np.max(dw_fd[1:-1]))
+    df_fd, dw_fd = series.dF_fd[1:-1], series.dW_fd[1:-1]
     gaps = np.maximum(np.abs(f_direct - series.F_via_H), np.abs(w_direct - series.W_via_P))
     s_tols = config.tolerances.quadrature_tol * np.maximum(1.0, series.time * series.time * scale)
-    stokes_worst = float(np.maximum(0.0, np.max(gaps - s_tols)))
-    wf_gap = float(np.maximum(0.0, np.max(np.abs(w_direct - f_direct))))
-    # the bounds scale with the mass, so either can overflow a finite tol_disc
-    ok = (
-        np.isfinite(tol_value)
-        and worst_F <= tol_value
-        and worst_W <= tol_value
-        and worst_dF <= tol_value
-        and worst_dW <= tol_value
-        and stokes_worst <= 0.0
-        and wf_gap <= identity_tol
-    )
-    summary = {
-        "tol_value": tol_value,
-        "worst_F_direct": worst_F,
-        "worst_W_direct": worst_W,
-        "worst_dF_fd_centered": worst_dF,
-        "worst_dW_fd_centered": worst_dW,
-        "stokes_worst_slack": stokes_worst,
-        "w_equals_f_max_gap": wf_gap,
-        "w_equals_f_tol": identity_tol,
-    }
-    if config.flow.direction == "backward":
-        # series are in tau; the implied t-derivatives flip sign
-        summary["implied_dF_dt_min"] = -worst_dF
-        summary["implied_dW_dt_min"] = -worst_dW
-        summary["implied_dF_dt_gate"] = -tol_value
+    # each snapshot's Stokes slack, floored at 0; NaN where its tolerance is not finite
+    stokes = np.where(np.isfinite(s_tols), np.maximum(0.0, gaps - s_tols), np.nan)
+    ranked = [
+        Gate("worst_F_direct", f_direct, tol_value),
+        Gate("worst_W_direct", w_direct, tol_value),
+        Gate("worst_dF_fd_centered", df_fd, tol_value),
+        Gate("worst_dW_fd_centered", dw_fd, tol_value),
+    ]
+    unranked = [
+        Gate("stokes_worst_slack", stokes, 0.0),
+        Gate("w_equals_f_max_gap", np.abs(w_direct - f_direct), identity_tol),
+    ]
     if m.has_hessian:
         df_formula, dw_formula = series.dF_formula, series.dW_formula
-        diss_max = float(np.maximum(np.max(df_formula), np.max(dw_formula)))
-        xcheck = float(np.max(np.abs(df_fd - df_formula)[1:-1]))
-        xcheck_w = float(np.max(np.abs(dw_fd - dw_formula)[1:-1]))
-        diss_identity = float(np.max(np.abs(df_formula - dw_formula)))
-        ok = (
-            ok
-            and diss_max <= 1e-12 * scale
-            and np.isfinite(xcheck_tol)
-            and xcheck <= xcheck_tol
-            and xcheck_w <= xcheck_tol
-            and diss_identity <= identity_tol
-        )
-        summary.update(
-            {
-                "dissipation_max": diss_max,
-                "xcheck_worst_gap": float(np.maximum(xcheck, xcheck_w)),
-                "xcheck_tol": xcheck_tol,
-                "dissipation_F_vs_W_gap": diss_identity,
-            }
-        )
-    summary["pass"] = bool(ok)
-    summary["worst_slack"] = float(np.max([worst_F, worst_W, worst_dF, worst_dW]) - tol_value)
-    return summary
+        xcheck = (np.abs(df_fd - df_formula[1:-1]), np.abs(dw_fd - dw_formula[1:-1]))
+        diss_identity = np.abs(df_formula - dw_formula)
+        unranked += [
+            Gate("dissipation_max", (df_formula, dw_formula), 1e-12 * scale),
+            Gate("xcheck_worst_gap", xcheck, xcheck_tol),
+            Gate("dissipation_F_vs_W_gap", diss_identity, identity_tol),
+        ]
+    report = _verdict(ranked, unranked)
+    report.update(tol_value=tol_value, w_equals_f_tol=identity_tol)
+    if m.has_hessian:
+        report["xcheck_tol"] = xcheck_tol
+    if config.flow.direction == "backward":
+        # series are in tau; the implied t-derivatives flip sign
+        report["implied_dF_dt_min"] = -report["worst_dF_fd_centered"]
+        report["implied_dW_dt_min"] = -report["worst_dW_fd_centered"]
+        report["implied_dF_dt_gate"] = -tol_value
+    return report
 
 
 def _suite_pathwise(
@@ -761,16 +767,9 @@ def _suite_pathwise(
     values: PairValues,
 ) -> tuple[dict, list]:
     reports = check_integrated_harnack(traj, pairs, tol=tol_disc, values=values)
-    worst = float(np.max([r.slack for r in reports]))
-    summary = {
-        "pass": bool(all(r.passed for r in reports)),
-        "tol": tol_disc,
-        "pair_count": len(reports),
-        "seed": config.tolerances.rng_seed,
-        "worst_slack": worst - tol_disc,
-        "worst_raw_slack": worst,
-    }
-    return summary, reports
+    report = _verdict([Gate("worst_raw_slack", [r.slack for r in reports], tol_disc)], [])
+    report.update(tol=tol_disc, pair_count=len(reports), seed=config.tolerances.rng_seed)
+    return report, reports
 
 
 def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
@@ -795,23 +794,24 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
         and classify(CAO_HAMILTON_H_PARAMS).named_match is NamedMatch.CAO_HAMILTON_H
         and classify(LI_YAU_PARAMS).named_match is NamedMatch.LI_YAU
     )
-    ok = (
-        result.survivors.shape[0] > 0
-        and result.max_ray_deviation <= config.paramscan.step + 1e-12
-        and named_ok
+    n_survivors = int(result.survivors.shape[0])
+    report = _verdict(
+        [Gate("max_ray_deviation", result.max_ray_deviation, config.paramscan.step + 1e-12)],
+        [
+            Gate("no_survivors", float(n_survivors == 0), 0.0),
+            Gate("named_tuples_unrecognized", float(not named_ok), 0.0),
+        ],
     )
-    return {
-        "pass": bool(ok),
-        "step": config.paramscan.step,
-        "constraint_slack": result.tolerance,
-        "n_points": result.n_points,
-        "n_survivors": int(result.survivors.shape[0]),
-        "n_alpha_eq_beta_excluded": result.n_alpha_eq_beta,
-        "n_boundary_survivors": result.n_boundary,
-        "max_ray_deviation": result.max_ray_deviation,
-        "worst_slack": result.max_ray_deviation - config.paramscan.step,
-        "named_tuples_recognized": bool(named_ok),
-    }
+    report.update(
+        step=config.paramscan.step,
+        constraint_slack=result.tolerance,
+        n_points=result.n_points,
+        n_survivors=n_survivors,
+        n_alpha_eq_beta_excluded=result.n_alpha_eq_beta,
+        n_boundary_survivors=result.n_boundary,
+        named_tuples_recognized=bool(named_ok),
+    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -865,14 +865,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
 
             series = entropy_series(traj, with_residual=with_residual, on_state=take)
     except (PositivityLossError, SolverError) as exc:
-        summary = {
-            "overall_pass": False,
-            "exit_code": EXIT_SOLVER_FAILURE,
-            "solver_error": str(exc),
-            "config": _config_echo(config, strict),
-        }
-        _write_json(out_dir / "summary.json", summary)
-        return RunOutcome(EXIT_SOLVER_FAILURE, summary, out_dir)
+        return _finish(out_dir, config, strict, solver_error=str(exc))
 
     mass0 = masses[0]
     mass_drift = float(np.max(np.abs(np.array(masses) - mass0)) / max(1e-300, abs(mass0)))
@@ -932,15 +925,25 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     }
     _write_json(out_dir / "trajectory_meta.json", meta)
 
-    overall = all(s["pass"] for s in suites.values()) if suites else True
-    exit_code = EXIT_PASS if overall else EXIT_GATE_FAILURE
+    return _finish(
+        out_dir, config, strict, suites=suites, suites_requested=list(config.suites),
+        tol_disc=tol_disc, mass_drift_rel=mass_drift,
+    )
+
+
+def _finish(out_dir: Path, config: RunConfig, strict: bool, **facts) -> RunOutcome:
+    """Write summary.json from a run's ``facts`` and the config echo.  A run
+    that met a ``solver_error`` has no verdict and exits 3; otherwise
+    overall_pass is the AND of every suite's gates, and the exit code 0 or 1."""
+    if "solver_error" in facts:
+        overall, exit_code = False, EXIT_SOLVER_FAILURE
+    else:
+        overall = all(suite["pass"] for suite in facts["suites"].values())
+        exit_code = EXIT_PASS if overall else EXIT_GATE_FAILURE
     summary = {
-        "overall_pass": bool(overall),
+        "overall_pass": overall,
         "exit_code": exit_code,
-        "tol_disc": tol_disc,
-        "mass_drift_rel": mass_drift,
-        "suites": suites,
-        "suites_requested": list(config.suites),
+        **facts,
         "config": _config_echo(config, strict),
     }
     _write_json(out_dir / "summary.json", summary)
@@ -998,10 +1001,10 @@ def calibrate_tolerance(config: RunConfig) -> dict:
     levels = []
     for level in range(2):
         res = tuple(min(r, 32) * 2**level for r in spec.resolution)
-        m = build_torus(spec.dimension, spec.side_lengths, res)
-        h = m.mesh_scale
-        n_steps = max(2, int(np.ceil(span / (h * h / 4.0))))
         try:
+            m = build_torus(spec.dimension, spec.side_lengths, res)
+            h = m.mesh_scale
+            n_steps = max(2, int(np.ceil(span / (h * h / 4.0))))
             levels.append((m, Flow(t0, t0 + span, span / n_steps)))
         except ValueError as exc:
             raise ConfigError(f"calibration at resolution {list(res)}: {exc}") from None
@@ -1042,15 +1045,7 @@ def run_scan(config: RunConfig) -> RunOutcome:
         raise ConfigError("scan command needs 'paramscan' among the requested suites")
     out_dir = Path(config.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = _suite_paramscan(config, out_dir)
-    summary = {
-        "overall_pass": result["pass"],
-        "exit_code": EXIT_PASS if result["pass"] else EXIT_GATE_FAILURE,
-        "suites": {"paramscan": result},
-        "config": _config_echo(config, strict=False),
-    }
-    _write_json(out_dir / "summary.json", summary)
-    return RunOutcome(summary["exit_code"], summary, out_dir)
+    return _finish(out_dir, config, False, suites={"paramscan": _suite_paramscan(config, out_dir)})
 
 
 # ---------------------------------------------------------------------------

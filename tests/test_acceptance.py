@@ -9,6 +9,7 @@ direction); the rest drive the library directly.  Run with
 to see one line per criterion.
 """
 
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -81,6 +82,10 @@ def test_criterion_2_harnack_signs(torus_run, sphere_run):
         assert signs["worst_max_P"] <= tol
         assert signs["worst_max_liyau"] <= tol
         assert signs["p_vs_h_max_abs_diff"] <= 1e-9
+        assert outcome.exit_code == 0
+    # the shipped sphere run steps on the banded Cholesky solver
+    meta = Path(sphere_run[0].output.directory) / "trajectory_meta.json"
+    assert json.loads(meta.read_text())["solver"]["linear_solver"] == "band_cholesky"
     print(
         "\nACCEPTANCE 2 PASS: max H, P, Li-Yau <= tol_disc at every snapshot "
         f"(T2 {torus_run[2]:.1f}s, S2 {sphere_run[2]:.1f}s, both < 30s)"

@@ -9,6 +9,7 @@ import pytest
 
 import harnacklab as hl
 from harnacklab import runner
+from harnacklab.pathwise import PairValues, SpaceTimePair
 from harnacklab.runner import (
     DIAGNOSTIC_COLUMNS,
     EXIT_CONFIG_ERROR,
@@ -148,6 +149,11 @@ def test_parse_round_trip(tmp_path):
          "initial_data: floor + 2 * amplitudes is inf"),
         # strict is a command-line flag, not a config key
         (lambda s: s + "strict: true\n", "unknown key 'strict' in config"),
+        # a side so small that the stencil weight 1/h^2 overflows
+        (lambda s: s.replace("side_lengths: [1.0, 1.0]", "side_lengths: [1.0e-200, 1.0]"),
+         "side_lengths (1e-200, 1.0)"),
+        (lambda s: s.replace("side_lengths: [1.0, 1.0]", "side_lengths: [1.0e-160, 1.0]"),
+         "side_lengths (1e-160, 1.0)"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -325,6 +331,27 @@ def test_strict_halves_tolerance(tmp_path):
         constant_config(tmp_path, output=runner.Output(str(tmp_path / "s"))), strict=True
     )
     assert strict.summary["tol_disc"] == pytest.approx(base.summary["tol_disc"] / 2.0)
+    # the shipped smoke run passes under --strict, and both reports record it
+    out = tmp_path / "smoke"
+    args = ["run", str(CONFIG_DIR / "torus_smoke.yaml"), "--strict", "--output-dir", str(out)]
+    assert main(args) == EXIT_PASS
+    for name in ("summary.json", "trajectory_meta.json"):
+        assert '"strict": true' in (out / name).read_text()
+
+
+def test_huge_constant_datum_stays_stationary(tmp_path):
+    # the torus_smoke shape at 1.0e200: the solver's residual norms are taken
+    # on scaled vectors, so their sums of squares do not overflow
+    text = """
+manifold: {kind: torus, dimension: 1, side_lengths: [1.0], resolution: [64]}
+initial_data: {kind: constant, value: 1.0e200}
+flow: {t0: 0.05, t_end: 0.25, dt: 2.0e-3, direction: forward}
+suites: [harnack_signs, evolution_residual, entropy, pathwise]
+tolerances: {tol_disc_constant: 250.0, quadrature_tol: 1.0e-4, pair_count: 50, rng_seed: 20240601}
+output: {directory: PLACEHOLDER}
+""".replace("PLACEHOLDER", str(tmp_path / "huge"))
+    assert run_config(parse_config_text(text)).exit_code == EXIT_PASS
+    assert '"mass_drift_rel": 0.0' in (tmp_path / "huge" / "summary.json").read_text()
 
 
 def test_gate_failure_exit_code(tmp_path):
@@ -357,39 +384,98 @@ def smoke_snapshots():
 
 SIGN_FIELDS = ("max_H", "max_liyau", "P_vs_H_gap")
 
+# each input a NaN or an inf is put in, and the gate that must then fail by
+# name: a series field, the random tuples' evolution residual ("tuples") or
+# one pathwise pair's f-value ("pairs")
+NAN_GATES = {
+    "max_H": "worst_max_H",
+    "max_liyau": "worst_max_liyau",
+    "P_vs_H_gap": "p_vs_h_max_abs_diff",
+    "F_direct": "worst_F_direct",
+    "F_via_H": "stokes_worst_slack",
+    "W_direct": "worst_W_direct",
+    "W_via_P": "stokes_worst_slack",
+    "time": "stokes_worst_slack",
+    "dF_fd": "worst_dF_fd_centered",
+    "dW_fd": "worst_dW_fd_centered",
+    "dF_formula": "dissipation_max",
+    "dW_formula": "dissipation_max",
+    "residual": "canonical_max_residual",
+    "tuples": "worst_ratio_slack",
+    "pairs": "worst_raw_slack",
+}
 
-@pytest.mark.parametrize(
-    "field", SIGN_FIELDS + ("F_direct", "W_via_P", "dF_fd", "dF_formula", "residual")
-)
-def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, field):
-    # builtin max skips a NaN that is not first; the gates must not, and an
-    # inf must fail them too
+
+def suite_with(smoke_snapshots, case, bad=None):
+    """The report of the suite that reads ``case``, with ``bad`` (if given)
+    at one later entry of it."""
     from dataclasses import replace
 
     config, traj, series, tol_disc, mass = smoke_snapshots
-    if field == "residual":
-        fine_idx = runner._residual_index(len(traj))
-        window = list(traj)[fine_idx - 1 : fine_idx + 2]
-
-    def suite(series):
-        if field in SIGN_FIELDS:
-            return runner._suite_harnack_signs(series, tol_disc)
-        if field == "residual":
-            return runner._suite_evolution_residual(config, window, series)
-        return runner._suite_entropy(config, traj, tol_disc, mass, series)
-
-    assert suite(series)["pass"] is True
-    for bad in (float("nan"), float("inf")):
-        values = getattr(series, field).copy()
+    if case == "pairs":
+        pairs = hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
+        values = PairValues(traj, pairs)
+        for k, state in enumerate(traj):
+            values.take(k, state)
+        if bad is not None:
+            values.f[5, 0] = bad
+        return runner._suite_pathwise(config, traj, tol_disc, pairs, values)[0]
+    if bad is not None and case != "tuples":
+        values = getattr(series, case).copy()
         values[5] = bad
-        assert suite(replace(series, **{field: values}))["pass"] is False
+        series = replace(series, **{case: values})
+    if case in SIGN_FIELDS:
+        return runner._suite_harnack_signs(series, tol_disc)
+    if case not in ("residual", "tuples"):
+        return runner._suite_entropy(config, traj, tol_disc, mass, series)
+    fine_idx = runner._residual_index(len(traj))
+    window = list(traj)[fine_idx - 1 : fine_idx + 2]
+    with pytest.MonkeyPatch.context() as mp:
+        if case == "tuples" and bad is not None:
+            mp.setattr(runner, "evolution_residual", lambda *args: bad)
+        return runner._suite_evolution_residual(config, window, series)
+
+
+@pytest.mark.parametrize("case", list(NAN_GATES))
+def test_nan_at_a_later_snapshot_fails_its_suite(smoke_snapshots, case):
+    # builtin max skips a NaN that is not first; the gates must not, and an
+    # inf must fail them too, with worst_slack +inf
+    assert suite_with(smoke_snapshots, case)["pass"] is True
+    for bad in (float("nan"), float("inf")):
+        report = suite_with(smoke_snapshots, case, bad)
+        assert report["pass"] is False
+        assert report["worst_slack"] == np.inf
+        assert report["gates"][NAN_GATES[case]]["pass"] is False
+
+
+def test_every_gate_fails_on_a_nan_in_its_input(smoke_snapshots):
+    # a gate that no NaN case above fails has no NaN coverage
+    names, failed = set(), set()
+    for case in NAN_GATES:
+        names |= set(suite_with(smoke_snapshots, case)["gates"])
+        gates = suite_with(smoke_snapshots, case, float("nan"))["gates"]
+        failed |= {name for name, gate in gates.items() if not gate["pass"]}
+    assert failed == names
 
 
 def test_entropy_suite_fails_an_overflowing_bound(smoke_snapshots):
     # the entropy bounds scale tol_disc by the mass, so a finite tol_disc
     # can still give tol_value = inf, under which every value passes
     config, traj, series, _, _ = smoke_snapshots
-    assert runner._suite_entropy(config, traj, 1e10, 1e300, series)["pass"] is False
+    report = runner._suite_entropy(config, traj, 1e10, 1e300, series)
+    assert report["pass"] is False
+    assert report["worst_slack"] == np.inf
+
+
+def test_pathwise_suite_fails_an_overflowing_gamma(tmp_path):
+    # on a side of 1e154, d^2 / (t2 - t1) overflows: the pair's slack is -inf,
+    # which proves nothing, so the suite fails with worst_slack +inf
+    m = hl.build_torus(1, [1.0e154], [64])
+    traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
+    pairs = [SpaceTimePair(0, 32, 0.1, 0.2)]
+    report, _ = runner._suite_pathwise(constant_config(tmp_path), traj, 1.0, pairs, None)
+    assert report["pass"] is False
+    assert report["worst_slack"] == np.inf
 
 
 def test_infinite_tol_disc_is_a_config_error(tmp_path, monkeypatch):
@@ -545,6 +631,16 @@ def test_calibrate_clock_has_the_step_ceiling(monkeypatch, side, resolution):
     assert f"resolution {resolution}" in str(err.value) and "steps" in str(err.value)
 
 
+def test_calibrate_rejects_an_overflowing_stencil_weight(tmp_path, capsys):
+    # at a side of 1e-200, h^2 underflows and 1/h^2 overflows: a config
+    # error naming the sides, not a division by zero
+    text = (CONFIG_DIR / "torus_smoke.yaml").read_text()
+    assert "side_lengths: [1.0]" in text
+    path = write_config(tmp_path, text.replace("side_lengths: [1.0]", "side_lengths: [1.0e-200]"))
+    assert main(["calibrate", path, "--output-dir", str(tmp_path / "cal")]) == EXIT_CONFIG_ERROR
+    assert "side_lengths" in capsys.readouterr().err
+
+
 def test_calibrate_rejects_sphere():
     text = """
 manifold: {kind: sphere, subdivision: 2}
@@ -604,6 +700,9 @@ paramscan: {alpha_range: [1.5, 2.5], beta_range: [0.5, 1.5], b_range: [-1.5, -0.
     code = main(["scan", write_config(tmp_path, text)])
     assert code == EXIT_PASS
     assert "paramscan: PASS" in capsys.readouterr().out
+    # the slack is taken against the bound that is gated, so a pass is <= 0
+    scan = json.loads((tmp_path / "scan" / "summary.json").read_text())["suites"]["paramscan"]
+    assert scan["pass"] is True and scan["worst_slack"] <= 0
     lines = (tmp_path / "scan" / "paramscan.csv").read_text().splitlines()
     assert lines[0] == "alpha,beta,b,lam,alpha_minus_beta,b_plus_beta,quarter_square_plus_b,survivor"
     assert len(lines) == 1 + 21 * 21 * 21
