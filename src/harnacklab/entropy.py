@@ -47,7 +47,6 @@ from .harnack import (
     evolution_rhs_values,
     log_u,
     log_v,
-    quantity_general_values,
     quantity_H,
     quantity_H_values,
     quantity_liyau_values,
@@ -210,11 +209,10 @@ def _snapshot(
         values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
     if not with_residual:
         return values, None, None
-    params = CAO_HAMILTON_H_PARAMS
-    q = quantity_general_values(params, u, lap_u, grad_sq_u, t, n)
+    q = h_vals  # the canonical tuple's Q is H
     lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
     rhs = evolution_rhs_values(
-        params, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
+        CAO_HAMILTON_H_PARAMS, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
         q, lap_q[0], [comp[0] for comp in grad_q],
     )
     return values, q, rhs

@@ -108,11 +108,10 @@ class Trajectory:
         current = self.initial
         yield current
         for k in range(1, self.n_steps + 1):
-            advanced = step(current, dt, solver)
-            # recompute the clock as t0 + k*dt so gaps stay uniform to rounding
-            current = FlowState(
-                advanced.f, t0 + k * dt, values_checked=True, stiffness=advanced.stiffness
-            )
+            current = step(current, dt, solver)
+            # recompute the clock as t0 + k*dt so gaps stay uniform to rounding;
+            # step_count has checked this clock
+            current.time = t0 + k * dt
             yield current
 
     @property

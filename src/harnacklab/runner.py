@@ -56,14 +56,15 @@ dataclass (``Flow``, ``Tolerances``, ``Output``, ``ScanSpec``), whose fields
 hold its keys, defaults and range checks.  A section with a ``kind`` is a
 union of dataclasses, the kind naming the member: ``TorusSpec | SphereSpec``
 and the three initial-data classes.  An unknown key, a key given twice, a
-missing field or a suite listed twice is a config error naming it; so is a
-value of the wrong type, a non-integral integer, a non-finite number or an
-out-of-range value, including a manifold the builders would reject and a
-clock ``heatflow.step_count`` would.  Run size is bounded, with nothing
-built: 2 to ``Flow.MAX_STEPS`` steps, ``geometry.MAX_NODES`` nodes,
-``Tolerances.MAX_PAIRS`` pairs, ``ScanSpec.MAX_POINTS`` scan points and
-``RandomSmoothData.MAX_MODES`` random modes ((2 mode_cutoff + 1)^n on a
-torus, 8 mode_cutoff plane waves on the sphere).  ``RunConfig``'s own
+missing field, a suite listed twice or an empty suite list is a config
+error naming it; so is a value of the wrong type, a non-integral integer, a
+non-finite number or an out-of-range value, including a manifold the
+builders would reject and a clock ``heatflow.step_count`` would.  Run size
+is bounded, with nothing built: 2 to ``Flow.MAX_STEPS`` steps,
+``geometry.MAX_NODES`` nodes, ``Tolerances.MAX_PAIRS`` pairs,
+``ScanSpec.MAX_POINTS`` scan points and ``RandomSmoothData.MAX_MODES``
+random modes ((2 mode_cutoff + 1)^n on a torus, 8 mode_cutoff plane
+waves on the sphere).  ``RunConfig``'s own
 checks join two sections: evolution_residual (torus only) is rejected on
 sphere configs, pathwise on backward configs (the integrated bound is a
 statement in t).  On the sphere the entropy suite runs without its
@@ -338,6 +339,8 @@ class RunConfig:
 
     def __post_init__(self):
         suites, data = self.suites, self.initial_data
+        if not suites:
+            raise ValueError("suites is empty: a run with no suite checks nothing")
         for i, s in enumerate(suites):
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}; valid suites: {', '.join(SUITE_NAMES)}")

@@ -200,6 +200,17 @@ def test_criterion_7_backward_flows(torus_backward_run, sphere_backward_run):
     )
 
 
+def test_shipped_backward_twin_computes_the_forward_diagnostics(torus_run, torus_backward_run):
+    # on a static metric the backward equation in tau is the forward
+    # equation: columns time through dW_formula match byte for byte
+    def computed_columns(run):
+        text = (Path(run[1].output_dir) / "diagnostics.csv").read_text()
+        return [line.split(",")[:12] for line in text.splitlines()]
+
+    assert torus_run[1].exit_code == torus_backward_run[1].exit_code == 0
+    assert computed_columns(torus_run) == computed_columns(torus_backward_run)
+
+
 def test_criterion_8_parameter_uniqueness():
     spec = ScanSpec((0.5, 4.0), (-2.0, 3.0), (-3.0, 1.0), 0.05)
     res = case_one_uniqueness_scan(spec)

@@ -154,6 +154,9 @@ def test_parse_round_trip(tmp_path):
          "side_lengths (1e-200, 1.0)"),
         (lambda s: s.replace("side_lengths: [1.0, 1.0]", "side_lengths: [1.0e-160, 1.0]"),
          "side_lengths (1e-160, 1.0)"),
+        # a run with no suite would pass without checking anything
+        (lambda s: s.replace("suites: [harnack_signs, entropy, pathwise]", "suites: []"),
+         "suites is empty"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -369,6 +372,31 @@ def test_gate_failure_exit_code(tmp_path):
     outcome = run_config(parse_config_text(text))
     assert outcome.exit_code == EXIT_GATE_FAILURE
     assert not outcome.summary["suites"]["harnack_signs"]["pass"]
+
+
+@pytest.mark.parametrize("halved", [False, True], ids=["exact", "halved"])
+def test_halved_liyau_constant_fails_harnack_signs(tmp_path, monkeypatch, halved):
+    # a mutation check: the Li-Yau quantity 2 lap v - n/t with its constant
+    # n halved by mistake must fail the suite on torus_full cut to 16^2
+    from harnacklab import entropy
+
+    text = (CONFIG_DIR / "torus_full.yaml").read_text()
+    for old, new in (
+        ("resolution: [64, 64]", "resolution: [16, 16]"),
+        ("t_end: 1.0", "t_end: 0.1"),
+        ("suites: [harnack_signs, evolution_residual, entropy, pathwise]",
+         "suites: [harnack_signs]"),
+        ("directory: out/torus_full", f"directory: {tmp_path}"),
+    ):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    if halved:
+        monkeypatch.setattr(
+            entropy, "quantity_liyau_values", lambda lap, t, n: 2.0 * lap - n / (2.0 * t)
+        )
+    signs = run_config(parse_config_text(text)).summary["suites"]["harnack_signs"]
+    assert signs["pass"] is not halved
+    assert signs["gates"]["worst_max_liyau"]["pass"] is not halved
 
 
 @pytest.fixture(scope="module")
@@ -679,12 +707,44 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_malformed_value_is_a_config_error(tmp_path, capsys):
-    text = (CONFIG_DIR / "torus_smoke.yaml").read_text()
-    assert "dt: 2.0e-3" in text
-    code = main(["run", write_config(tmp_path, text.replace("dt: 2.0e-3", "dt: fast"))])
+@pytest.mark.parametrize(
+    "command, name, old, new, fragment",
+    [
+        ("run", "torus_smoke", "dt: 2.0e-3", "dt: fast", "flow.dt"),
+        ("run", "torus_smoke", "  dt: 2.0e-3\n", "  dt: 2.0e-3\n  dt: 4.0e-3\n",
+         "duplicate key 'dt'"),
+        ("run", "torus_smoke", "suites: [harnack_signs, evolution_residual, entropy, pathwise]",
+         "suites: []", "suites"),
+        # 7e13 grid points, 16 GB per array of one alpha block
+        ("scan", "paramscan", "step: 0.05", "step: 1.0e-4", "paramscan"),
+        # h^2 overflows, and every gate would pass under tol_disc = inf
+        ("run", "torus_smoke", "side_lengths: [1.0]", "side_lengths: [1.0e200]",
+         "tol_disc_constant"),
+        # calibrating would take 409,600,001 steps on the coarse grid
+        ("calibrate", "torus_smoke", "side_lengths: [1.0]", "side_lengths: [1.0e-3]",
+         "resolution [32]"),
+    ],
+    ids=["malformed_dt", "dt_twice", "empty_suites", "oversized_scan", "overflowing_tol_disc",
+         "calibration_step_ceiling"],
+)
+def test_main_malformed_value_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, name, old, new, fragment
+):
+    # each input is rejected before a flow is stepped or a scan is made
+    from harnacklab import heatflow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow was stepped or a scan was made")
+
+    monkeypatch.setattr(heatflow, "step", refuse)
+    monkeypatch.setattr(runner, "case_one_uniqueness_scan", refuse)
+    text = (CONFIG_DIR / f"{name}.yaml").read_text()
+    assert text.count(old) == 1
+    path = write_config(tmp_path, text.replace(old, new))
+    code = main([command, path, "--output-dir", str(tmp_path / "out")])
     assert code == EXIT_CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and fragment in err
 
 
 def test_main_scan(tmp_path, capsys):
