@@ -175,6 +175,7 @@ def _snapshot(
     u_field = log_u(state)
     u = u_field.values
     v = v_from_u(u_field, t).values
+    values = {"time": t}
     if m.has_hessian:
         # one padded stencil pass for u and v; v = u - const, but v's
         # operators are taken from v itself, so the P-vs-H, W-vs-F and
@@ -184,8 +185,11 @@ def _snapshot(
         )
         lap_u, lap_v = lap
         grad_u = [comp[0] for comp in grad]
-        grad_sq_u = components_norm_sq(grad_u)
-        grad_sq_v = components_norm_sq([comp[1] for comp in grad])
+        grad_sq_u, grad_sq_v = components_norm_sq(grad)  # row-wise: the same sums
+        hess_u, hess_v = hess
+        ricci_u, ricci_v = m.ricci_quadratic(u), m.ricci_quadratic(v)
+        values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
+        values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
     else:
         lap_u, lap_v = m.laplacian(u), m.laplacian(v)
         grad_sq_u, grad_sq_v = m.grad_norm_sq(u), m.grad_norm_sq(v)
@@ -193,20 +197,14 @@ def _snapshot(
     h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
     p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
     argmax_h = int(np.argmax(h_vals))  # ties go to the lowest node
-    values = {
-        "time": t,
-        "max_H": float(h_vals[argmax_h]),
-        "argmax_H": argmax_h,
-        "max_liyau": float(quantity_liyau_values(lap_v, t, n).max()),
-        "P_vs_H_gap": float(np.max(np.abs(p_vals - h_vals))),
-    }
+    values.update(
+        max_H=float(h_vals[argmax_h]),
+        argmax_H=argmax_h,
+        max_liyau=float(quantity_liyau_values(lap_v, t, n).max()),
+        P_vs_H_gap=float(np.max(np.abs(p_vals - h_vals))),
+    )
     values["F_direct"], values["F_via_H"] = _entropy_pair(m, t, f, grad_sq_u, h_vals)
     values["W_direct"], values["W_via_P"] = _entropy_pair(m, t, f, grad_sq_v, p_vals)
-    if m.has_hessian:
-        hess_u, hess_v = hess
-        ricci_u, ricci_v = m.ricci_quadratic(u), m.ricci_quadratic(v)
-        values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
-        values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
     if not with_residual:
         return values, None, None
     q = h_vals  # the canonical tuple's Q is H

@@ -69,9 +69,7 @@ NI_PARAMS = HarnackParams(2.0, 1.0, -1.0, 1.0, 1.0, Variant.V)
 
 
 def log_u(state: FlowState) -> ScalarField:
-    """u = -ln f."""
-    if not float(state.f.values.min()) > 0:
-        raise ValueError("log transform needs a strictly positive state")
+    """u = -ln f (finite: a FlowState is finite and positive when made)."""
     return ScalarField(-np.log(state.f.values), state.manifold)
 
 

@@ -14,10 +14,10 @@ A :class:`Trajectory` is the flow's sequence of snapshots, stepped only
 while it is iterated and never stored: one pass holds O(nodes) memory,
 however many steps the flow takes.  :func:`step_count` is the one check of
 a flow's clock.  Every state is finite and strictly positive; a step that
-produces a nonpositive node fails loudly (it signals dt too large for the
-data's frequency content) instead of being masked by a positivity-preserving
-scheme.  Every positivity and residual test is written so that NaN or inf
-fails it.
+produces a nonpositive node fails loudly, as a SolverError (it signals dt
+too large for the data's frequency content), instead of being masked by a
+positivity-preserving scheme.  Every positivity and residual test is
+written so that NaN or inf fails it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .geometry import ManifoldDescriptor, ScalarField, SolverError
 CN_SOLVE_RTOL = 1e-12
 
 
-class PositivityLossError(RuntimeError):
-    """A time step produced a nonpositive (or non-finite) node value."""
+class PositivityLossError(SolverError):
+    """A time step produced a nonpositive (or non-finite) node: a SolverError."""
 
     def __init__(self, node: int, value: float, time: float):
         self.node = node
@@ -129,20 +129,20 @@ def _finite_positive(values: np.ndarray) -> bool:
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
-    """The number of dt steps from t0 to t_end: ValueError unless t0 is
-    positive and finite, t_end > t0, and dt > 0 advances the clock from t0
-    and divides t_end - t0 within rounding."""
+    """The number of dt steps from t0 to t_end: ValueError unless 0 < t0 < inf,
+    t_end > t0, n dt = t_end - t0 to 1e-9 of it, and dt > 2 spacing(t_end):
+    rounding moves each time t0 + k dt by at most one spacing, so none coincide."""
     if not 0 < t0 < np.inf:
         raise ValueError(f"t0 must be positive and finite, got {t0}")
     if t_end <= t0:
         raise ValueError(f"t_end must exceed t0, got {t_end} <= {t0}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not dt > 2.0 * np.spacing(t_end):
+        raise ValueError(f"dt = {dt} is too small: times near t_end = {t_end} would repeat")
     span = t_end - t0
-    if not np.isfinite(span / dt) or t0 + dt == t0:
-        raise ValueError(f"dt = {dt} is too small to advance the clock from t0 = {t0}")
     n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+    if abs(n_steps * dt - span) > 1e-9 * span:
         raise ValueError(f"dt = {dt} does not divide t_end - t0 = {span}")
     return n_steps
 

@@ -59,8 +59,9 @@ and the three initial-data classes.  An unknown key, a key given twice, a
 missing field, a suite listed twice or an empty suite list is a config
 error naming it; so is a value of the wrong type, a non-integral integer, a
 non-finite number or an out-of-range value, including a manifold the
-builders would reject and a clock ``heatflow.step_count`` would.  Run size
-is bounded, with nothing built: 2 to ``Flow.MAX_STEPS`` steps,
+builders would reject, a clock ``heatflow.step_count`` would and an
+``output.directory`` that cannot be made.  Run size is bounded, with
+nothing built: 2 to ``Flow.MAX_STEPS`` steps,
 ``geometry.MAX_NODES`` nodes, ``Tolerances.MAX_PAIRS`` pairs,
 ``ScanSpec.MAX_POINTS`` scan points and ``RandomSmoothData.MAX_MODES``
 random modes ((2 mode_cutoff + 1)^n on a torus, 8 mode_cutoff plane
@@ -191,7 +192,6 @@ from .harnack import (  # noqa: F401
 from .heatflow import (
     CN_SOLVE_RTOL,
     FlowState,
-    PositivityLossError,
     SolverError,
     Trajectory,
     solve,
@@ -718,10 +718,6 @@ def _suite_entropy(
     m = traj.manifold
     scale = max(1.0, abs(mass))
     tol_value = tol_disc * scale
-    c = config.tolerances.tol_disc_constant
-    h = m.mesh_scale
-    dt = traj.step_size
-    xcheck_tol = c * (dt * dt + h * h) * scale
     identity_tol = 1e-11 * scale
 
     # the one-sided end differences dF_fd[0], dF_fd[-1] are not gated
@@ -741,19 +737,20 @@ def _suite_entropy(
         Gate("stokes_worst_slack", stokes, 0.0),
         Gate("w_equals_f_max_gap", np.abs(w_direct - f_direct), identity_tol),
     ]
+    facts = {"tol_value": tol_value, "w_equals_f_tol": identity_tol}
     if m.has_hessian:
+        h, dt = m.mesh_scale, traj.step_size
+        facts["xcheck_tol"] = config.tolerances.tol_disc_constant * (dt * dt + h * h) * scale
         df_formula, dw_formula = series.dF_formula, series.dW_formula
         xcheck = (np.abs(df_fd - df_formula[1:-1]), np.abs(dw_fd - dw_formula[1:-1]))
         diss_identity = np.abs(df_formula - dw_formula)
         unranked += [
             Gate("dissipation_max", (df_formula, dw_formula), 1e-12 * scale),
-            Gate("xcheck_worst_gap", xcheck, xcheck_tol),
+            Gate("xcheck_worst_gap", xcheck, facts["xcheck_tol"]),
             Gate("dissipation_F_vs_W_gap", diss_identity, identity_tol),
         ]
     report = _verdict(ranked, unranked)
-    report.update(tol_value=tol_value, w_equals_f_tol=identity_tol)
-    if m.has_hessian:
-        report["xcheck_tol"] = xcheck_tol
+    report.update(facts)
     if config.flow.direction == "backward":
         # series are in tau; the implied t-derivatives flip sign
         report["implied_dF_dt_min"] = -report["worst_dF_fd_centered"]
@@ -828,10 +825,19 @@ class RunOutcome:
     output_dir: Path
 
 
+def _output_dir(config: RunConfig) -> Path:
+    """output.directory, made if missing; a ConfigError naming it when it cannot be."""
+    out_dir = Path(config.output.directory)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir
+    except OSError as exc:
+        raise ConfigError(f"output.directory cannot be made: {exc}") from None
+
+
 def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     """Solve the flow and run the requested suites; ``strict`` halves tol_disc."""
-    out_dir = Path(config.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
 
     m = config.manifold.build()
     f0 = build_initial_field(config.initial_data, m)
@@ -867,7 +873,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
                     _write_columns(export, [[state.time], state.f.values[None, :]])
 
             series = entropy_series(traj, with_residual=with_residual, on_state=take)
-    except (PositivityLossError, SolverError) as exc:
+    except SolverError as exc:
         return _finish(out_dir, config, strict, solver_error=str(exc))
 
     mass0 = masses[0]
@@ -1036,8 +1042,7 @@ def calibrate_tolerance(config: RunConfig) -> dict:
 
 
 def run_calibrate(config: RunConfig) -> RunOutcome:
-    out_dir = Path(config.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     meta = calibrate_tolerance(config)
     _write_json(out_dir / "trajectory_meta.json", meta)
     return RunOutcome(EXIT_PASS, meta, out_dir)
@@ -1046,8 +1051,7 @@ def run_calibrate(config: RunConfig) -> RunOutcome:
 def run_scan(config: RunConfig) -> RunOutcome:
     if "paramscan" not in config.suites:
         raise ConfigError("scan command needs 'paramscan' among the requested suites")
-    out_dir = Path(config.output.directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config)
     return _finish(out_dir, config, False, suites={"paramscan": _suite_paramscan(config, out_dir)})
 
 
@@ -1098,7 +1102,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (PositivityLossError, SolverError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 

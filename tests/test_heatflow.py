@@ -396,7 +396,11 @@ def test_solve_validates_inputs():
         hl.solve(m, good, 0.1, 0.2, 0.03)  # dt does not divide
     for tiny in (5.0e-324, 1.0e-300):
         with pytest.raises(ValueError):
-            hl.solve(m, good, 0.1, 0.2, tiny)  # step count overflows, or t0 + dt == t0
+            hl.solve(m, good, 0.1, 0.2, tiny)  # too small: the snapshot times repeat
+    with pytest.raises(ValueError, match="divide"):
+        hl.solve(m, good, 1.0, 1.00000001, 3.2e-9)  # 4% of the span short of t_end
+    with pytest.raises(ValueError, match="too small"):
+        hl.solve(m, good, 1.0, 1.0000000000000004, 1.2e-16)  # snapshot times repeat
     other = unit_circle(32)
     with pytest.raises(ValueError):
         hl.solve(other, good, 0.1, 0.2, 0.01)  # wrong manifold

@@ -102,6 +102,12 @@ def test_parse_round_trip(tmp_path):
         # a dt too small to count the steps or to advance the clock
         (lambda s: s.replace("dt: 0.01", "dt: 5.0e-324"), "flow: dt = 5e-324"),
         (lambda s: s.replace("dt: 0.01", "dt: 1.0e-300"), "flow: dt = 1e-300"),
+        # a dt 4% of a 1e-8 span short of dividing it, and one so small that
+        # rounding repeats the snapshot times near t_end
+        (lambda s: s.replace("t_end: 1.5, dt: 0.01", "t_end: 1.00000001, dt: 3.2e-9"),
+         "dt = 3.2e-09 does not divide"),
+        (lambda s: s.replace("t_end: 1.5, dt: 0.01", "t_end: 1.0000000000000004, dt: 1.2e-16"),
+         "too small"),
         (lambda s: s.replace("quadrature_tol: 1.0e-6", "quadrature_tol: -1.0"), "quadrature_tol"),
         # run size is bounded: the step count and the random datum's mode count
         (lambda s: s.replace("dt: 0.01", "dt: 1.0e-5"), "makes 50000 steps"),
@@ -397,6 +403,25 @@ def test_halved_liyau_constant_fails_harnack_signs(tmp_path, monkeypatch, halved
     signs = run_config(parse_config_text(text)).summary["suites"]["harnack_signs"]
     assert signs["pass"] is not halved
     assert signs["gates"]["worst_max_liyau"]["pass"] is not halved
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["exact", "flipped"])
+def test_flipped_dissipation_sign_fails_entropy(tmp_path, monkeypatch, flipped):
+    # a mutation check: the closed-form dF/dt with its sign flipped must fail
+    # the entropy suite on torus_smoke, through both gates that read it
+    from dataclasses import replace
+
+    from harnacklab import entropy
+
+    if flipped:
+        dissipation = entropy._dissipation_value
+        monkeypatch.setattr(entropy, "_dissipation_value", lambda *args: -dissipation(*args))
+    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    outcome = run_config(replace(config, output=runner.Output(str(tmp_path))))
+    report = outcome.summary["suites"]["entropy"]
+    assert report["pass"] is not flipped
+    assert report["gates"]["dissipation_max"]["pass"] is not flipped
+    assert report["gates"]["xcheck_worst_gap"]["pass"] is not flipped
 
 
 @pytest.fixture(scope="module")
@@ -745,6 +770,30 @@ def test_main_malformed_value_is_a_config_error(
     assert code == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert "config error:" in err and fragment in err
+
+
+@pytest.mark.parametrize(
+    "command, name", [("run", "torus_smoke"), ("calibrate", "torus_smoke"), ("scan", "paramscan")],
+    ids=["run", "calibrate", "scan"],
+)
+def test_main_unusable_output_directory_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    # an --output-dir that is an existing file is refused before a flow is
+    # stepped or a scan is made
+    from harnacklab import heatflow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow was stepped or a scan was made")
+
+    monkeypatch.setattr(heatflow, "step", refuse)
+    monkeypatch.setattr(runner, "case_one_uniqueness_scan", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main([command, str(CONFIG_DIR / f"{name}.yaml"), "--output-dir", str(taken)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error:" in err and "output.directory" in err
 
 
 def test_main_scan(tmp_path, capsys):
