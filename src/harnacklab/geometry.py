@@ -47,6 +47,7 @@ Cholesky factorization (LAPACK ``dpbtrf``).  A step is then one banded solve
 no stiffness apply.  Both backends solve for d = f - f[0] and add f[0] back,
 so constant data stays bit-for-bit stationary.  ``linear_solver`` names the
 method.  The flow checks the residual of every solve against ``stiffness``.
+Only sphere code imports scipy (at parse, in :func:`check_sphere_args`).
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+if TYPE_CHECKING:  # for the annotations of the sphere's matrices
+    from scipy import sparse
 
 MAX_NODES = 2**18  # the most nodes a manifold may have: a 512^2 or 64^3 torus
 
@@ -420,8 +422,8 @@ class RoundSphere(ManifoldDescriptor):
         edge e's entry of the upper triangle sits in LAPACK upper band
         storage, ``band[kd + i - j, j] = A[i, j]`` for i <= j.
         """
-        # imported here, not with the module: only a sphere's solver needs
-        # it, and it costs every other run about 20 ms and 1 MB at import
+        # only sphere code imports scipy: at module level it would cost torus runs 0.25 s, 25 MB
+        from scipy import sparse
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         n = self.node_count
@@ -468,9 +470,11 @@ class RoundSphere(ManifoldDescriptor):
         solve reports a failure.  The factor lives as long as the returned
         solver, so a flow holds it only while it runs.
         """
+        from scipy.linalg import lapack
+
         perm = self._band_order[0]
         mass = self.quadrature_weights
-        factor, info = dpbtrf(self._cn_band(a), overwrite_ab=1)
+        factor, info = lapack.dpbtrf(self._cn_band(a), overwrite_ab=1)
         if info != 0:
             raise SolverError(
                 f"M - a W (a = {a}) is not positive definite: no Cholesky factor "
@@ -480,7 +484,7 @@ class RoundSphere(ManifoldDescriptor):
         def solve(f: np.ndarray) -> np.ndarray:
             c = f[0]
             d = f - c
-            y, info = dpbtrs(factor, (mass * d)[perm], overwrite_b=1)
+            y, info = lapack.dpbtrs(factor, (mass * d)[perm], overwrite_b=1)
             if info != 0:
                 raise SolverError(f"banded Cholesky solve failed (LAPACK dpbtrs info {info})")
             x = np.empty_like(d)
@@ -545,6 +549,8 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr_matrix:
     """The sparse matrix whose row r holds ``values[r]`` at ``columns[r]``."""
+    from scipy import sparse
+
     rows, per_row = columns.shape
     indptr = np.arange(0, rows * per_row + 1, per_row)
     return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(rows, width))
@@ -552,6 +558,9 @@ def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr
 
 def check_sphere_args(subdivision: int) -> None:
     """Raise ValueError unless :func:`build_sphere` accepts this argument."""
+    # load the sphere's scipy when its config is parsed, not inside its run
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
     if subdivision < 2:
         raise ValueError(f"sphere subdivision must be >= 2, got {subdivision}")
     if 10 * 4 ** min(subdivision, 16) + 2 > MAX_NODES:  # 4**16 alone is over it
@@ -565,6 +574,8 @@ def build_sphere(subdivision: int) -> RoundSphere:
     icosahedron (vertex count 10 * 4**s + 2).  Vertex quadrature weights are
     lumped barycentric triangle areas.
     """
+    from scipy import sparse
+
     check_sphere_args(subdivision)
     verts, faces = _icosahedron()
     for _ in range(subdivision):

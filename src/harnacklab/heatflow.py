@@ -5,7 +5,8 @@ linear system is solved by the backend's direct solver (``cn_solver``: an
 FFT on the torus, a banded Cholesky factor made once on the sphere), built
 once per pass over a flow, and every solution's residual is checked against
 CN_SOLVE_RTOL.  The conjugate-gradient solver :func:`cg_solver` is kept as
-the reference the direct solvers are tested against.  No flow carries a
+the reference the direct solvers are tested against; it is the module's
+only user of scipy, which it imports on its first call.  No flow carries a
 direction: on a static metric the backward equation in tau = -t is this
 forward equation, so a backward run is a forward flow whose clock the
 caller reads as tau.
@@ -27,7 +28,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry import ManifoldDescriptor, ScalarField, SolverError
 
@@ -147,6 +147,12 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
+def cg(*args, **kwargs):
+    """scipy's ``cg``, imported on first call; ``perfbench/tracing.py`` wraps this name."""
+    from scipy.sparse.linalg import cg as scipy_cg
+    return scipy_cg(*args, **kwargs)
+
+
 def cg_solver(m: ManifoldDescriptor, a: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conjugate-gradient solver of (M - a W) x = (M + a W) f.
 
@@ -154,7 +160,10 @@ def cg_solver(m: ManifoldDescriptor, a: float) -> Callable[[np.ndarray], np.ndar
     Crank-Nicolson operator I - a*Lap made SPD under the quadrature inner
     product, solved to relative residual CN_SOLVE_RTOL with one iterative
     refinement pass.  Exact on constant data (the initial residual is zero).
+    It imports scipy when it is called, not with the module.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     mass = m.quadrature_weights
 
     def matvec(x: np.ndarray) -> np.ndarray:

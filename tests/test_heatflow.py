@@ -137,11 +137,11 @@ def test_sphere_solver_rejects_an_indefinite_matrix():
 
 
 def test_sphere_solve_fails_closed_on_a_lapack_error(monkeypatch):
-    from harnacklab import geometry
+    from scipy.linalg import lapack
 
     m = hl.build_sphere(2)
     solve = m.cn_solver(1e-3)
-    monkeypatch.setattr(geometry, "dpbtrs", lambda factor, b, overwrite_b: (b, -2))
+    monkeypatch.setattr(lapack, "dpbtrs", lambda factor, b, overwrite_b: (b, -2))
     with pytest.raises(hl.SolverError, match="dpbtrs info -2"):
         solve(np.linspace(1.0, 2.0, m.node_count))
 
