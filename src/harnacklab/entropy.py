@@ -22,8 +22,10 @@ both dissipation integrals and, on request, the canonical H tuple's
 evolution residual, and returns them as one :class:`SnapshotSeries` with an
 array per field.  On the torus the operators of u and v come from one
 ``FlatTorus.stencils`` pass over the stack [u, v], and the residual's
-Laplacian and gradient of Q from one more; on the sphere each is one
-sparse product.  The kernel works on flat value arrays throughout.
+Laplacian and gradient of Q from one more; on the sphere one
+edge-difference product of each field serves both its Laplacian and its
+|grad|^2 (``RoundSphere.laplacian_and_grad_norm_sq``).  The kernel works on
+flat value arrays throughout.
 """
 
 from __future__ import annotations
@@ -191,8 +193,9 @@ def _snapshot(
         values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
         values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
     else:
-        lap_u, lap_v = m.laplacian(u), m.laplacian(v)
-        grad_sq_u, grad_sq_v = m.grad_norm_sq(u), m.grad_norm_sq(v)
+        # one edge-difference product per field serves its Laplacian and |grad|^2
+        lap_u, grad_sq_u = m.laplacian_and_grad_norm_sq(u)
+        lap_v, grad_sq_v = m.laplacian_and_grad_norm_sq(v)
 
     h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
     p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)

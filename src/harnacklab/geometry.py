@@ -26,12 +26,15 @@ The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
 Laplacian of cos is negative.  On the torus all operators are 2nd-order
 central-difference stencils with periodic wrap; on the sphere the Laplacian
 is the cotangent-weight operator divided by lumped (barycentric) vertex
-areas, and squared gradients come from per-triangle linear-element gradients
+areas, and the squared gradient is the per-triangle linear-element |grad f|^2
 area-averaged to vertices.  ``stiffness`` is the symmetric weighted form W
 with Lap = W / quadrature weight.  On the sphere W is applied in its edge
 form -D^T (w * D f), with D the edge-difference matrix, so every edge term is
-exactly zero on constants; the face gradients and their vertex average are
-likewise two sparse matrices assembled at build time.
+exactly zero on constants.  By the cotangent identity Integral_T |grad f|^2 =
+Sum_k cot(theta_k)/2 (f_i - f_j)^2 the squared gradient is E (D f)^2, with E
+a sparse matrix of positive weights assembled at build time, so it is >= 0,
+exactly zero on constants, and shares D f with the Laplacian
+(``RoundSphere.laplacian_and_grad_norm_sq``).
 
 Crank-Nicolson solve
 --------------------
@@ -393,8 +396,7 @@ class RoundSphere(ManifoldDescriptor):
     edge_weights: np.ndarray   # (E,) cotangent weights (w_ij = (cot a + cot b)/2)
     edge_difference: sparse.csr_matrix   # (E, N): row e gives f[edge_j] - f[edge_i]
     edge_scatter: sparse.csr_matrix      # (N, E): -D^T diag(edge_weights)
-    face_gradient: sparse.csr_matrix     # (3F, N): row 3f + d is component d of grad f on face f
-    face_average: sparse.csr_matrix      # (N, F): area/3 per corner over the vertex weight
+    edge_energy: sparse.csr_matrix       # (N, E): |grad f|^2 = edge_energy @ (D f)^2
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
         """Cotangent-weight edge-difference form Sum_j w_ij (f_j - f_i).
@@ -408,8 +410,21 @@ class RoundSphere(ManifoldDescriptor):
         return self.stiffness(values) / self.quadrature_weights
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        grad = (self.face_gradient @ values).reshape(-1, 3)
-        return self.face_average @ np.einsum("fd,fd->f", grad, grad)
+        """The linear-element |grad f|^2 of each face, area-averaged to its
+        corners, as a sum of squared edge differences (see :func:`build_sphere`).
+
+        Every weight is positive, so the result is >= 0, and exactly 0 on
+        constant fields.
+        """
+        diff = self.edge_difference @ values
+        return self.edge_energy @ (diff * diff)
+
+    def laplacian_and_grad_norm_sq(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(laplacian(values), grad_norm_sq(values))``, bit for bit, from one
+        edge-difference product shared by both."""
+        diff = self.edge_difference @ values
+        lap = (self.edge_scatter @ diff) / self.quadrature_weights
+        return lap, self.edge_energy @ (diff * diff)
 
     @cached_property
     def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -556,6 +571,60 @@ def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr
     return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(rows, width))
 
 
+def _edge_operators(corner_pts, faces: np.ndarray, lumped: np.ndarray) -> dict:
+    """The edges of a closed triangle mesh and its sparse edge operators, by
+    the names of the :class:`RoundSphere` fields ``edge_i`` .. ``edge_energy``.
+
+    ``corner_pts`` holds the positions of every face's corners 0, 1 and 2,
+    ``lumped`` the vertex weights.  The intermediate per-corner arrays live
+    only in this call, so they are freed before the caller goes on.
+    """
+    node_count = len(lumped)
+    # half the cotangent of each face corner's angle, and the index of the
+    # edge opposite that corner; the edges are the sorted keys lo * N + hi
+    half_cot = np.empty(faces.shape)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        u = corner_pts[i] - corner_pts[k]
+        v = corner_pts[j] - corner_pts[k]
+        cot = np.einsum("fd,fd->f", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
+        half_cot[:, k] = 0.5 * cot
+    ends_a, ends_b = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
+    keys = (np.minimum(ends_a, ends_b) * node_count + np.maximum(ends_a, ends_b)).ravel()
+    keys, opposite_edge = np.unique(keys, return_inverse=True)
+    edge_i, edge_j = np.divmod(keys, node_count)
+    # each edge's weight sums the half-cotangents of its two opposite corners
+    edge_weights = np.bincount(opposite_edge, weights=half_cot.ravel(), minlength=len(keys))
+    # the two face corners opposite each edge, as flat indices into faces
+    opposite = np.argsort(opposite_edge, kind="stable").reshape(-1, 2)
+
+    # the operators as sparse matrices, one row per edge, transposed where
+    # they sum into vertices.  Per face, Integral |grad f|^2 =
+    # Sum_k cot(theta_k)/2 (f_i - f_j)^2 over the edges ij opposite its
+    # corners k; a third of it goes to each corner, over that corner's
+    # weight.  So edge e reaches its two endpoints with w_e / (3 M) and its
+    # two opposite corners with cot(theta)/2 / (3 M).
+    endpoints = np.stack([edge_i, edge_j], axis=1)
+    edge_difference = _csr_rows(np.tile([-1.0, 1.0], (len(edge_i), 1)), endpoints, node_count)
+    edge_scatter = _csr_rows(
+        np.stack([edge_weights, -edge_weights], axis=1), endpoints, node_count
+    ).T.tocsr()
+    reached = np.concatenate([endpoints, faces.ravel()[opposite]], axis=1)
+    energy = np.concatenate(
+        [np.stack([edge_weights, edge_weights], axis=1), half_cot.ravel()[opposite]], axis=1
+    )
+    edge_energy = _csr_rows(energy / (3.0 * lumped[reached]), reached, node_count).T.tocsr()
+
+    return {
+        "edge_i": edge_i,
+        "edge_j": edge_j,
+        "edge_weights": edge_weights,
+        "edge_difference": edge_difference,
+        "edge_scatter": edge_scatter,
+        "edge_energy": edge_energy,
+    }
+
+
 def check_sphere_args(subdivision: int) -> None:
     """Raise ValueError unless :func:`build_sphere` accepts this argument."""
     # load the sphere's scipy when its config is parsed, not inside its run
@@ -574,8 +643,6 @@ def build_sphere(subdivision: int) -> RoundSphere:
     icosahedron (vertex count 10 * 4**s + 2).  Vertex quadrature weights are
     lumped barycentric triangle areas.
     """
-    from scipy import sparse
-
     check_sphere_args(subdivision)
     verts, faces = _icosahedron()
     for _ in range(subdivision):
@@ -596,42 +663,8 @@ def build_sphere(subdivision: int) -> RoundSphere:
     lumped = np.zeros(node_count)
     np.add.at(lumped, faces.ravel(), np.repeat(face_areas / 3.0, 3))
 
-    # cotangent weights, accumulated per face corner then summed over the
-    # (at most two) faces sharing each edge
-    rows, cols, vals = [], [], []
-    corner_pts = (p0, p1, p2)
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        u = corner_pts[i] - corner_pts[k]
-        v = corner_pts[j] - corner_pts[k]
-        cot = np.einsum("fd,fd->f", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
-        rows.append(faces[:, i])
-        cols.append(faces[:, j])
-        vals.append(0.5 * cot)
-    w = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(node_count, node_count),
-    ).tocsr()
-    w = w + w.T
-    wc = w.tocoo()
-    upper = wc.row < wc.col
-    edge_i = wc.row[upper].astype(np.int64)
-    edge_j = wc.col[upper].astype(np.int64)
-    edge_weights = wc.data[upper]
-
-    # the operators as sparse matrices: one row per edge (its two endpoints)
-    # or per face (its three corners), transposed where they sum into vertices
-    endpoints = np.stack([edge_i, edge_j], axis=1)
-    edge_difference = _csr_rows(np.tile([-1.0, 1.0], (len(edge_i), 1)), endpoints, node_count)
-    edge_scatter = _csr_rows(
-        np.stack([edge_weights, -edge_weights], axis=1), endpoints, node_count
-    ).T.tocsr()
-    face_gradient = _csr_rows(
-        grad_vectors.transpose(0, 2, 1).reshape(-1, 3), np.repeat(faces, 3, axis=0), node_count
-    )
-    face_average = _csr_rows(face_areas[:, None] / 3.0 / lumped[faces], faces, node_count).T.tocsr()
-
-    edge_lengths = np.linalg.norm(verts[edge_i] - verts[edge_j], axis=1)
+    edges = _edge_operators((p0, p1, p2), faces, lumped)
+    edge_lengths = np.linalg.norm(verts[edges["edge_i"]] - verts[edges["edge_j"]], axis=1)
     return RoundSphere(
         dimension=2,
         node_count=node_count,
@@ -641,13 +674,7 @@ def build_sphere(subdivision: int) -> RoundSphere:
         faces=faces,
         face_areas=face_areas,
         grad_vectors=grad_vectors,
-        edge_i=edge_i,
-        edge_j=edge_j,
-        edge_weights=edge_weights,
-        edge_difference=edge_difference,
-        edge_scatter=edge_scatter,
-        face_gradient=face_gradient,
-        face_average=face_average,
+        **edges,
     )
 
 

@@ -511,35 +511,44 @@ def _fmt(x) -> str:
 _CSV_CHUNK_ROWS = 1024
 
 
-def _column_text(part):
+def _column_text(part, blank=None):
     """The ``_fmt`` text of each value of one column slice, formatted in one
     pass for arrays: for a 1-D float slice, repr of each distinct bit pattern
-    once (-0.0 and 0.0 differ), gathered to every entry holding it; a 2-D
-    float slice gives each row's reprs joined by commas; 1/0 for booleans.
-    A None column, a None value and a masked entry of a masked array are
-    blank."""
+    once (-0.0 and 0.0 differ), gathered to every entry holding it, and blank
+    where the boolean slice ``blank`` is True; a 2-D float slice gives each
+    row's reprs joined by commas; 1/0 for booleans.  A None column and a None
+    value are blank."""
     if part is None:
         return itertools.repeat("")
     if isinstance(part, np.ndarray) and part.dtype == float:
         if part.ndim == 2:
             return [",".join(map(repr, row)) for row in part.tolist()]
-        bits, index = np.unique(np.ma.getdata(part).view(np.int64), return_inverse=True)
+        bits, index = np.unique(part.view(np.int64), return_inverse=True)
         text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index]
-        text[np.ma.getmaskarray(part)] = ""
+        if blank is not None:
+            text[blank] = ""
         return text.tolist()
     if isinstance(part, np.ndarray) and part.dtype == bool:
         return np.where(part, "1", "0").tolist()
     return map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
-def _write_columns(fp, columns) -> None:
+def _write_columns(fp, columns, blank=None) -> None:
     """Write one CSV row per index of the equal-length ``columns`` (arrays,
     sequences or None), joining rows _CSV_CHUNK_ROWS at a time so the text of
-    a long table is never held at once."""
+    a long table is never held at once.  ``blank`` maps the index of a 1-D
+    float column to a boolean array of its length: its True entries are
+    written as blank cells."""
+    blank = blank or {}
     n = max(len(col) for col in columns if col is not None)
     for lo in range(0, n, _CSV_CHUNK_ROWS):
         hi = lo + _CSV_CHUNK_ROWS
-        cells = [_column_text(None if col is None else col[lo:hi]) for col in columns]
+        cells = [
+            _column_text(
+                None if col is None else col[lo:hi], blank[k][lo:hi] if k in blank else None
+            )
+            for k, col in enumerate(columns)
+        ]
         fp.write("\n".join(map(",".join, zip(*cells))) + "\n")
         del cells  # released before the next chunk is formatted
 
@@ -781,9 +790,9 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
     with _open_csv(path, header) as fp:
 
         def sink(block: dict) -> None:
-            # an alpha = beta point has no lam (NaN): masked, a blank cell
-            block = {**block, "lam": np.ma.masked_invalid(block["lam"])}
-            _write_columns(fp, [block[name] for name in header])
+            # an alpha = beta point has no lam (NaN): a blank cell
+            lam_blank = {header.index("lam"): np.isnan(block["lam"])}
+            _write_columns(fp, [block[name] for name in header], blank=lam_blank)
 
         result = case_one_uniqueness_scan(config.paramscan, on_block=sink)
 

@@ -66,17 +66,23 @@ print(json.dumps({
 """
 
 
-def test_torus_commands_never_import_scipy(tmp_path):
-    # scipy serves only the sphere backend and the CG reference solver; a
-    # fresh interpreter, so no module another test imported is loaded there
+def _in_fresh_interpreter(script, tmp_path):
+    """The JSON object that ``script`` prints last, run with the config
+    directory and ``tmp_path`` as arguments in a fresh interpreter, so no
+    module another test imported is loaded there."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", TORUS_COMMANDS_THEN_SPHERE_PARSE, str(CONFIG_DIR), str(tmp_path)],
+        [sys.executable, "-c", script, str(CONFIG_DIR), str(tmp_path)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_torus_commands_never_import_scipy(tmp_path):
+    # scipy serves only the sphere backend and the CG reference solver
+    result = _in_fresh_interpreter(TORUS_COMMANDS_THEN_SPHERE_PARSE, tmp_path)
     assert result["codes"] == [EXIT_PASS] * 4
     assert result["after_torus"] == []
     # a sphere config loads the sphere's scipy modules at parse, so its run loads none
@@ -86,3 +92,25 @@ def test_torus_commands_never_import_scipy(tmp_path):
         "scipy.linalg.lapack": True,
     }
 
+
+RUN_AND_SCAN = """
+import json, sys
+from harnacklab.runner import main
+
+configs, out = sys.argv[1], sys.argv[2]
+before = {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
+codes = [
+    main(["run", configs + "/torus_smoke.yaml", "--output-dir", out + "/run"]),
+    main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"]),
+]
+loaded = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+print(json.dumps({"codes": codes, "loaded": [m for m in loaded if m not in before]}))
+"""
+
+
+def test_run_and_scan_never_import_numpy_ma(tmp_path):
+    # the CSV writer blanks cells by an explicit mask, not a masked array;
+    # numpy < 2 imports numpy.ma with numpy itself, so only the modules the
+    # two commands load are counted
+    result = _in_fresh_interpreter(RUN_AND_SCAN, tmp_path)
+    assert result == {"codes": [EXIT_PASS] * 2, "loaded": []}

@@ -135,9 +135,10 @@ def test_laplacian_sphere_degree_one_harmonic():
 
 
 def test_grad_norm_sq_constant():
+    # every difference of equal values is exactly zero, and so its square
     for m in (hl.build_torus(1, [1.0], [32]), hl.build_sphere(2)):
         gns = hl.grad_norm_sq(hl.constant_field(m, 2.0))
-        assert np.max(np.abs(gns.values)) < 1e-24
+        assert np.all(gns.values == 0.0)
 
 
 def test_grad_norm_sq_single_mode():
@@ -297,6 +298,25 @@ def test_sphere_sparse_operators_match_add_at_reference(subdivision):
             (m.grad_norm_sq(values), _add_at_grad_norm_sq(m, values)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("subdivision", [2, 3, 4, 5])
+def test_sphere_edge_energy_weights_are_positive(subdivision):
+    # every icosphere triangle is acute, so every cotangent weight of the
+    # squared gradient is positive and |grad f|^2 >= 0
+    m = hl.build_sphere(subdivision)
+    assert m.edge_energy.shape == (m.node_count, len(m.edge_i))
+    assert m.edge_energy.nnz == 4 * len(m.edge_i)  # two endpoints, two opposite corners
+    assert np.all(m.edge_energy.data > 0.0)
+
+
+def test_sphere_laplacian_and_grad_norm_sq_share_one_product_bit_for_bit():
+    m = hl.build_sphere(3)
+    rough = np.random.default_rng(8).uniform(0.5, 2.0, m.node_count)
+    lap, gns = m.laplacian_and_grad_norm_sq(rough)
+    assert np.array_equal(lap, m.laplacian(rough))
+    assert np.array_equal(gns, m.grad_norm_sq(rough))
+    assert np.array_equal(m.laplacian(rough), m.stiffness(rough) / m.quadrature_weights)
 
 
 def test_sphere_cn_band_is_the_permuted_sparse_matrix():
