@@ -6,7 +6,6 @@ from .geometry import (
     BackendError,
     FlatTorus,
     ManifoldDescriptor,
-    RoundSphere,
     ScalarField,
     build_sphere,
     build_torus,

@@ -94,11 +94,11 @@ from the F and W arrays.  The values equal the per-state reference
 functions of ``harnack`` and ``entropy`` bit for bit.  The suites hand
 these arrays to their gates (``Gate``), so a NaN or inf at any snapshot
 fails its gate, and they skip the one-sided end differences.  The same
-pass also takes, from each state, its mass (for ``mass_drift_rel``), its
-``trajectory.csv`` row, the f-values at the pathwise pairs (drawn before
-the pass from the snapshot times, which are known without stepping) and
-the three states around the one fine index the ten random residual tuples
-read.  Each tuple calls ``harnack.evolution_residual`` on those three
+pass also takes, from each state, its mass (the entropy suite gates its
+largest relative drift, ``mass_drift_rel``), its ``trajectory.csv`` row,
+the f-values at the pathwise pairs (drawn before the pass from the
+snapshot times, which are known without stepping) and the three states
+around the one fine index the ten random residual tuples read.  Each tuple calls ``harnack.evolution_residual`` on those three
 states and on the three around half that index on the once-coarsened
 flow, which is stepped, in one pass, only through the step after it.
 
@@ -722,6 +722,7 @@ def _suite_entropy(
     traj: Trajectory,
     tol_disc: float,
     mass: float,
+    mass_drift: float,
     series: SnapshotSeries,
 ) -> dict:
     m = traj.manifold
@@ -745,6 +746,8 @@ def _suite_entropy(
     unranked = [
         Gate("stokes_worst_slack", stokes, 0.0),
         Gate("w_equals_f_max_gap", np.abs(w_direct - f_direct), identity_tol),
+        # each step may move the mass by a few roundoffs of itself, no more
+        Gate("mass_drift_rel", mass_drift, 4.0 * sys.float_info.epsilon * traj.n_steps),
     ]
     facts = {"tol_value": tol_value, "w_equals_f_tol": identity_tol}
     if m.has_hessian:
@@ -892,7 +895,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     if "harnack_signs" in config.suites:
         suites["harnack_signs"] = _suite_harnack_signs(series, tol_disc)
     if "entropy" in config.suites:
-        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, series)
+        suites["entropy"] = _suite_entropy(config, traj, tol_disc, mass0, mass_drift, series)
     if with_residual:
         suites["evolution_residual"] = _suite_evolution_residual(config, window, series)
 

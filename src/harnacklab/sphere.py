@@ -1,0 +1,290 @@
+"""The round unit sphere S^2 as an icosphere mesh, :class:`RoundSphere`.
+
+The one module that imports scipy at its top: only sphere code loads it,
+through :func:`harnacklab.geometry.check_sphere_args` when a sphere config
+is parsed, so a torus run never imports scipy.
+
+The Laplacian is the cotangent-weight stiffness W divided by lumped
+(barycentric) vertex areas.  W is applied in its edge form -D^T (w * D f),
+with D the edge-difference matrix, so it is exactly zero on constants.  The
+squared gradient, the linear-element |grad f|^2 area-averaged to vertices,
+is E (D f)^2 by the cotangent identity Integral_T |grad f|^2 = Sum_k
+cot(theta_k)/2 (f_i - f_j)^2, with E a sparse matrix of positive weights:
+it is >= 0, exactly zero on constants, and shares D f with the Laplacian.
+The Crank-Nicolson matrix M - a W is factored once by a banded Cholesky
+factorization in reverse Cuthill-McKee order (:meth:`RoundSphere.cn_solver`).
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
+
+import numpy as np
+from scipy import sparse
+from scipy.linalg import lapack
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from .geometry import ManifoldDescriptor, SolverError
+
+
+@dataclass(frozen=True, eq=False)
+class RoundSphere(ManifoldDescriptor):
+    """Icosphere mesh of the round unit sphere, Ric(X,X) = |X|^2.  Built by
+    :func:`icosphere`, with the mesh arrays and the sparse (CSR) operator
+    matrices assembled from them."""
+
+    linear_solver: ClassVar[str] = "band_cholesky"
+
+    faces: np.ndarray          # (F, 3) vertex indices
+    edge_i: np.ndarray         # (E,) endpoints with edge_i < edge_j
+    edge_j: np.ndarray
+    edge_weights: np.ndarray   # (E,) cotangent weights (w_ij = (cot a + cot b)/2)
+    edge_difference: sparse.csr_matrix   # (E, N): row e gives f[edge_j] - f[edge_i]
+    edge_scatter: sparse.csr_matrix      # (N, E): -D^T diag(edge_weights)
+    edge_energy: sparse.csr_matrix       # (N, E): |grad f|^2 = edge_energy @ (D f)^2
+
+    def stiffness(self, values: np.ndarray) -> np.ndarray:
+        """Cotangent-weight edge-difference form Sum_j w_ij (f_j - f_i).
+
+        Symmetric with zero row sums by construction; each edge difference,
+        and so the whole form, is exactly zero on constant fields.
+        """
+        return self.edge_scatter @ (self.edge_difference @ values)
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        return self.stiffness(values) / self.quadrature_weights
+
+    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
+        """The linear-element |grad f|^2 of each face, area-averaged to its
+        corners, as a sum of squared edge differences (see :func:`_edge_operators`).
+
+        Every weight is positive, so the result is >= 0, and exactly 0 on
+        constant fields.
+        """
+        diff = self.edge_difference @ values
+        return self.edge_energy @ (diff * diff)
+
+    def laplacian_and_grad_norm_sq(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(laplacian(values), grad_norm_sq(values))``, bit for bit, from one
+        edge-difference product shared by both."""
+        diff = self.edge_difference @ values
+        lap = (self.edge_scatter @ diff) / self.quadrature_weights
+        return lap, self.edge_energy @ (diff * diff)
+
+    @cached_property
+    def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Where :meth:`_cn_band` writes the band: ``(perm, rows, cols, kd)``.
+
+        ``perm`` is the reverse Cuthill-McKee order of the edge graph, so
+        ``perm[k]`` is the node at band position k; it keeps the number of
+        superdiagonals ``kd`` small (81 at subdivision 4, against 154 when
+        the nodes are sorted by height).  ``rows[e], cols[e]`` is where
+        edge e's entry of the upper triangle sits in LAPACK upper band
+        storage, ``band[kd + i - j, j] = A[i, j]`` for i <= j.
+        """
+        n = self.node_count
+        heads = np.concatenate([self.edge_i, self.edge_j])
+        tails = np.concatenate([self.edge_j, self.edge_i])
+        graph = sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[perm] = np.arange(n)
+        p, q = rank[self.edge_i], rank[self.edge_j]
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        kd = int((hi - lo).max())
+        return perm, kd + lo - hi, hi, kd
+
+    def _cn_band(self, a: float) -> np.ndarray:
+        """The upper band of M - a W, nodes in :attr:`_band_order`, in LAPACK
+        band storage: a new (kd + 1, N) Fortran-ordered array.
+
+        It is written straight from the edges and the mass.  Each diagonal
+        entry of W sums its edges' -w in edge order, as the product of
+        ``edge_scatter`` and ``edge_difference`` does, so the band holds
+        exactly the entries of that sparse product's M - a W.
+        """
+        perm, rows, cols, kd = self._band_order
+        ends = np.stack([self.edge_i, self.edge_j], axis=1).ravel()
+        w_diagonal = np.bincount(
+            ends, weights=np.repeat(-self.edge_weights, 2), minlength=self.node_count
+        )
+        band = np.zeros((kd + 1, self.node_count), order="F")
+        band[rows, cols] = -a * self.edge_weights
+        band[kd] = (self.quadrature_weights - a * w_diagonal)[perm]
+        return band
+
+    def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Crank-Nicolson solve by one banded Cholesky factor of M - a W.
+
+        For a > 0, M - a W is symmetric positive definite: M is the positive
+        lumped mass and W the negative semidefinite cotangent stiffness.  Its
+        band (:meth:`_cn_band`) is factored in place by LAPACK ``dpbtrf``.
+        A step with d = f - f[0] solves (M - a W) y = M d by one ``dpbtrs``
+        and returns f[0] + (2y - d), since (M - a W)^{-1} (M + a W) d =
+        2 (M - a W)^{-1} M d - d: the right side needs no stiffness apply.
+        Raises SolverError when M - a W is not positive definite, and when a
+        solve reports a failure.  The factor lives as long as the returned
+        solver, so a flow holds it only while it runs.
+        """
+        perm = self._band_order[0]
+        mass = self.quadrature_weights
+        factor, info = lapack.dpbtrf(self._cn_band(a), overwrite_ab=1)
+        if info != 0:
+            raise SolverError(
+                f"M - a W (a = {a}) is not positive definite: no Cholesky factor "
+                f"(LAPACK dpbtrf info {info})"
+            )
+
+        def solve(f: np.ndarray) -> np.ndarray:
+            c = f[0]
+            d = f - c
+            y, info = lapack.dpbtrs(factor, (mass * d)[perm], overwrite_b=1)
+            if info != 0:
+                raise SolverError(f"banded Cholesky solve failed (LAPACK dpbtrs info {info})")
+            x = np.empty_like(d)
+            x[perm] = y
+            return c + (2.0 * x - d)
+
+        return solve
+
+    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
+        return self.grad_norm_sq(values)
+
+    def geodesic_distance(self, x1: int, x2: int) -> float:
+        """Great-circle distance arccos(p1 . p2)."""
+        p1, p2 = self.positions[x1], self.positions[x2]
+        return float(np.arccos(np.clip(np.dot(p1, p2), -1.0, 1.0)))
+
+
+def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = np.array(
+        [
+            (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+            (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+            (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+        ],
+        dtype=float,
+    )
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = np.array(
+        [
+            (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+            (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+            (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+            (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+        ],
+        dtype=np.int64,
+    )
+    return verts, faces
+
+
+def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One 4-way refinement: face (a, b, c) becomes (a, ab, ca), (b, bc, ab),
+    (c, ca, bc) and (ab, bc, ca).  The edge midpoints are numbered from N on
+    in the order the faces first meet them, and each is divided by sqrt(p . p),
+    a matmul of the row by itself: the BLAS dot ``np.linalg.norm`` takes."""
+    node_count = len(verts)
+    ends_b = faces[:, [1, 2, 0]]
+    keys = (np.minimum(faces, ends_b) * node_count + np.maximum(faces, ends_b)).ravel()
+    keys, first, edge = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = np.arange(node_count, node_count + len(keys))
+    lo, hi = np.divmod(keys[order], node_count)
+    p = (verts[lo] + verts[hi]) / 2.0
+    p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+    (a, b, c), (ab, bc, ca) = faces.T, number[edge].reshape(-1, 3).T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([verts, p]), new_faces.reshape(-1, 3)
+
+
+def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr_matrix:
+    """The sparse matrix whose row r holds ``values[r]`` at ``columns[r]``."""
+    rows, per_row = columns.shape
+    indptr = np.arange(0, rows * per_row + 1, per_row)
+    return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(rows, width))
+
+
+def _edge_operators(corner_pts, faces: np.ndarray, lumped: np.ndarray) -> dict:
+    """The edges of a closed triangle mesh and its sparse edge operators, by
+    the names of the :class:`RoundSphere` fields ``edge_i`` .. ``edge_energy``.
+
+    ``corner_pts`` holds the positions of every face's corners 0, 1 and 2,
+    ``lumped`` the vertex weights.  The intermediate per-corner arrays live
+    only in this call, so they are freed before the caller goes on.
+    """
+    node_count = len(lumped)
+    # half the cotangent of each face corner's angle, and the index of the
+    # edge opposite that corner; the edges are the sorted keys lo * N + hi
+    half_cot = np.empty(faces.shape)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        u = corner_pts[i] - corner_pts[k]
+        v = corner_pts[j] - corner_pts[k]
+        cot = np.einsum("fd,fd->f", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
+        half_cot[:, k] = 0.5 * cot
+    ends_a, ends_b = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
+    keys = (np.minimum(ends_a, ends_b) * node_count + np.maximum(ends_a, ends_b)).ravel()
+    keys, opposite_edge = np.unique(keys, return_inverse=True)
+    edge_i, edge_j = np.divmod(keys, node_count)
+    # each edge's weight sums the half-cotangents of its two opposite corners
+    edge_weights = np.bincount(opposite_edge, weights=half_cot.ravel(), minlength=len(keys))
+    # the two face corners opposite each edge, as flat indices into faces
+    opposite = np.argsort(opposite_edge, kind="stable").reshape(-1, 2)
+
+    # the operators as sparse matrices, one row per edge, transposed where
+    # they sum into vertices.  Per face, Integral |grad f|^2 =
+    # Sum_k cot(theta_k)/2 (f_i - f_j)^2 over the edges ij opposite its
+    # corners k; a third of it goes to each corner, over that corner's
+    # weight.  So edge e reaches its two endpoints with w_e / (3 M) and its
+    # two opposite corners with cot(theta)/2 / (3 M).
+    endpoints = np.stack([edge_i, edge_j], axis=1)
+    edge_difference = _csr_rows(np.tile([-1.0, 1.0], (len(edge_i), 1)), endpoints, node_count)
+    edge_scatter = _csr_rows(
+        np.stack([edge_weights, -edge_weights], axis=1), endpoints, node_count
+    ).T.tocsr()
+    reached = np.concatenate([endpoints, faces.ravel()[opposite]], axis=1)
+    energy = np.concatenate(
+        [np.stack([edge_weights, edge_weights], axis=1), half_cot.ravel()[opposite]], axis=1
+    )
+    edge_energy = _csr_rows(energy / (3.0 * lumped[reached]), reached, node_count).T.tocsr()
+
+    return {
+        "edge_i": edge_i,
+        "edge_j": edge_j,
+        "edge_weights": edge_weights,
+        "edge_difference": edge_difference,
+        "edge_scatter": edge_scatter,
+        "edge_energy": edge_energy,
+    }
+
+
+def icosphere(subdivision: int) -> RoundSphere:
+    """The icosahedron refined ``subdivision`` times, with its lumped vertex
+    areas and edge operators; :func:`harnacklab.geometry.build_sphere`, the
+    entry point, checks the argument."""
+    verts, faces = _icosahedron()
+    for _ in range(subdivision):
+        verts, faces = _subdivide(verts, faces)
+
+    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    face_areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
+    node_count = len(verts)
+    lumped = np.zeros(node_count)
+    np.add.at(lumped, faces.ravel(), np.repeat(face_areas / 3.0, 3))
+
+    edges = _edge_operators((p0, p1, p2), faces, lumped)
+    edge_lengths = np.linalg.norm(verts[edges["edge_i"]] - verts[edges["edge_j"]], axis=1)
+    return RoundSphere(
+        dimension=2,
+        node_count=node_count,
+        quadrature_weights=lumped,
+        positions=verts,
+        mesh_scale=float(edge_lengths.max()),
+        faces=faces,
+        **edges,
+    )

@@ -2,6 +2,7 @@
 as the ``harnacklab`` console script would, and checks its exit code,
 output and report files."""
 
+import ast
 import hashlib
 import json
 import os
@@ -91,6 +92,39 @@ def test_torus_commands_never_import_scipy(tmp_path):
         "scipy.sparse.csgraph": True,
         "scipy.linalg.lapack": True,
     }
+
+
+def _scipy_imports(path):
+    """The name of the outermost function around each ``import scipy...``
+    or ``from scipy... import`` in the source file ``path``, None at module
+    level."""
+    tree = ast.parse(path.read_text())
+    scope = {}
+    for node in ast.walk(tree):  # breadth first: the outermost function comes first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                scope.setdefault(inner, node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            yield scope.get(node)
+
+
+def test_scipy_is_imported_only_by_the_sphere_module_and_the_cg_reference():
+    # the sphere module imports scipy at its top; the CG reference solver
+    # imports it lazily, when called; no other source imports it
+    places = {
+        (path.name, function)
+        for path in sorted((ROOT / "src" / "harnacklab").glob("*.py"))
+        for function in _scipy_imports(path)
+    }
+    assert ("sphere.py", None) in places
+    assert places - {("sphere.py", None)} <= {("heatflow.py", "cg"), ("heatflow.py", "cg_solver")}
 
 
 RUN_AND_SCAN = """

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 import harnacklab as hl
+from harnacklab import sphere
 from harnacklab.geometry import BackendError, components_norm_sq, grad_components
 
 
@@ -53,7 +54,7 @@ def test_build_sphere_area():
     assert abs(m.total_volume - 4 * np.pi) / (4 * np.pi) < 0.01
     assert m.dimension == 2
     assert m.node_count == 10 * 4**4 + 2
-    assert isinstance(m, hl.RoundSphere)
+    assert isinstance(m, sphere.RoundSphere)
 
 
 def test_build_sphere_area_converges_monotonically():
@@ -66,6 +67,42 @@ def test_build_sphere_area_converges_monotonically():
 def test_build_sphere_rejects_low_subdivision():
     with pytest.raises(ValueError):
         hl.build_sphere(1)
+
+
+def _loop_subdivide(verts, faces):
+    """The icosphere refinement as a Python loop over faces, with a dict of
+    midpoints: the reference for ``sphere._subdivide``."""
+    vlist = list(verts)
+    midpoint = {}
+
+    def mid(i, j):
+        key = (i, j) if i < j else (j, i)
+        k = midpoint.get(key)
+        if k is None:
+            p = (vlist[i] + vlist[j]) / 2.0
+            p = p / np.linalg.norm(p)
+            k = len(vlist)
+            vlist.append(p)
+            midpoint[key] = k
+        return k
+
+    new_faces = []
+    for a, b, c in faces:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(vlist), np.array(new_faces, dtype=np.int64)
+
+
+def test_subdivide_matches_the_loop_bit_for_bit():
+    # same vertex numbering, and each midpoint normalised by the same dot
+    # product, so every sphere report is as the loop would give it
+    verts, faces = sphere._icosahedron()
+    want_verts, want_faces = verts, faces
+    for _ in range(5):
+        verts, faces = sphere._subdivide(verts, faces)
+        want_verts, want_faces = _loop_subdivide(want_verts, want_faces)
+        assert np.array_equal(faces, want_faces)
+        assert np.array_equal(verts, want_verts)
 
 
 def test_node_ceiling_admits_the_meshes_in_use():
@@ -278,11 +315,18 @@ def _add_at_stiffness(m, values):
 
 def _add_at_grad_norm_sq(m, values):
     """The sphere |grad f|^2 as face gradients scattered to vertices (np.add.at form)."""
-    fv = values[m.faces]
-    grad = np.einsum("fm,fmd->fd", fv, m.grad_vectors)
+    p0, p1, p2 = (m.positions[m.faces[:, k]] for k in range(3))
+    cross = np.cross(p1 - p0, p2 - p0)
+    double_area = np.linalg.norm(cross, axis=1)
+    normals = cross / double_area[:, None]
+    # the gradient of the hat function at corner k is (n x e_k) / (2A), with
+    # e_k the edge opposite corner k, traversed consistently
+    opposite = np.stack([p2 - p1, p0 - p2, p1 - p0], axis=1)  # (F, 3, 3)
+    grad_vectors = np.cross(normals[:, None, :], opposite) / double_area[:, None, None]
+    grad = np.einsum("fm,fmd->fd", values[m.faces], grad_vectors)
     gsq = np.einsum("fd,fd->f", grad, grad)
     out = np.zeros(m.node_count)
-    np.add.at(out, m.faces.ravel(), np.repeat(m.face_areas / 3.0 * gsq, 3))
+    np.add.at(out, m.faces.ravel(), np.repeat(double_area / 6.0 * gsq, 3))
     out /= m.quadrature_weights
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 import harnacklab as hl
 from harnacklab.heatflow import cg_solver
+from harnacklab.sphere import RoundSphere
 
 
 def unit_circle(res=128):
@@ -172,8 +173,8 @@ def test_doubled_sphere_clock_fails_the_rate_check(monkeypatch):
     # and checked with 2a, passes every residual check; the rate reads 4
     from harnacklab import heatflow
 
-    build, check = hl.RoundSphere.cn_solver, heatflow._cn_solve
-    monkeypatch.setattr(hl.RoundSphere, "cn_solver", lambda m, a: build(m, 2.0 * a))
+    build, check = RoundSphere.cn_solver, heatflow._cn_solve
+    monkeypatch.setattr(RoundSphere, "cn_solver", lambda m, a: build(m, 2.0 * a))
     monkeypatch.setattr(heatflow, "_cn_solve", lambda m, a, *args: check(m, 2.0 * a, *args))
     assert sphere_clock_gap() > 1e-4
 

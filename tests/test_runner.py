@@ -424,6 +424,40 @@ def test_flipped_dissipation_sign_fails_entropy(tmp_path, monkeypatch, flipped):
     assert report["gates"]["xcheck_worst_gap"]["pass"] is not flipped
 
 
+@pytest.mark.parametrize("leaked", [False, True], ids=["exact", "leaked"])
+@pytest.mark.parametrize(
+    "name, cuts",
+    [
+        ("torus_smoke", ()),
+        ("sphere_signs", (("subdivision: 4", "subdivision: 3"), ("t_end: 1.0", "t_end: 0.1"))),
+    ],
+    ids=["torus", "sphere"],
+)
+def test_solver_mass_leak_fails_only_mass_drift(tmp_path, monkeypatch, name, cuts, leaked):
+    # a mutation check: a Crank-Nicolson solver whose every result is scaled
+    # by 1 + 1e-13 stays inside the solve's residual bound, so only the mass
+    # conservation gate can see it; it must, and nothing else may fail
+    from harnacklab.geometry import FlatTorus
+    from harnacklab.sphere import RoundSphere
+
+    text = (CONFIG_DIR / f"{name}.yaml").read_text()
+    for old, new in cuts + ((f"directory: out/{name}", f"directory: {tmp_path}"),):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    if leaked:
+        backend = RoundSphere if name == "sphere_signs" else FlatTorus
+        build = backend.cn_solver
+
+        def leaky_solver(m, a):
+            solve = build(m, a)
+            return lambda f: solve(f) * (1.0 + 1e-13)
+
+        monkeypatch.setattr(backend, "cn_solver", leaky_solver)
+    suites = run_config(parse_config_text(text)).summary["suites"]
+    failed = {gate for suite in suites.values() for gate, g in suite["gates"].items() if not g["pass"]}
+    assert failed == ({"mass_drift_rel"} if leaked else set())
+
+
 @pytest.fixture(scope="module")
 def smoke_snapshots():
     config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
@@ -431,15 +465,19 @@ def smoke_snapshots():
     f0 = hl.build_initial_field(config.initial_data, m)
     traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
     tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.flow.dt)
-    series = hl.entropy_series(traj, with_residual=True)
-    return config, traj, series, tol_disc, hl.integrate(f0)
+    masses = []
+    series = hl.entropy_series(
+        traj, with_residual=True, on_state=lambda k, state: masses.append(hl.integrate(state.f))
+    )
+    drift = np.max(np.abs(np.array(masses) - masses[0])) / abs(masses[0])
+    return config, traj, series, tol_disc, masses[0], drift
 
 
 SIGN_FIELDS = ("max_H", "max_liyau", "P_vs_H_gap")
 
 # each input a NaN or an inf is put in, and the gate that must then fail by
-# name: a series field, the random tuples' evolution residual ("tuples") or
-# one pathwise pair's f-value ("pairs")
+# name: a series field, the random tuples' evolution residual ("tuples"),
+# one pathwise pair's f-value ("pairs") or the run's mass drift ("mass_drift")
 NAN_GATES = {
     "max_H": "worst_max_H",
     "max_liyau": "worst_max_liyau",
@@ -456,6 +494,7 @@ NAN_GATES = {
     "residual": "canonical_max_residual",
     "tuples": "worst_ratio_slack",
     "pairs": "worst_raw_slack",
+    "mass_drift": "mass_drift_rel",
 }
 
 
@@ -464,7 +503,7 @@ def suite_with(smoke_snapshots, case, bad=None):
     at one later entry of it."""
     from dataclasses import replace
 
-    config, traj, series, tol_disc, mass = smoke_snapshots
+    config, traj, series, tol_disc, mass, drift = smoke_snapshots
     if case == "pairs":
         pairs = hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
         values = PairValues(traj, pairs)
@@ -473,14 +512,16 @@ def suite_with(smoke_snapshots, case, bad=None):
         if bad is not None:
             values.f[5, 0] = bad
         return runner._suite_pathwise(config, traj, tol_disc, pairs, values)[0]
-    if bad is not None and case != "tuples":
+    if case == "mass_drift":
+        drift = drift if bad is None else bad
+    elif bad is not None and case != "tuples":
         values = getattr(series, case).copy()
         values[5] = bad
         series = replace(series, **{case: values})
     if case in SIGN_FIELDS:
         return runner._suite_harnack_signs(series, tol_disc)
     if case not in ("residual", "tuples"):
-        return runner._suite_entropy(config, traj, tol_disc, mass, series)
+        return runner._suite_entropy(config, traj, tol_disc, mass, drift, series)
     fine_idx = runner._residual_index(len(traj))
     window = list(traj)[fine_idx - 1 : fine_idx + 2]
     with pytest.MonkeyPatch.context() as mp:
@@ -514,8 +555,8 @@ def test_every_gate_fails_on_a_nan_in_its_input(smoke_snapshots):
 def test_entropy_suite_fails_an_overflowing_bound(smoke_snapshots):
     # the entropy bounds scale tol_disc by the mass, so a finite tol_disc
     # can still give tol_value = inf, under which every value passes
-    config, traj, series, _, _ = smoke_snapshots
-    report = runner._suite_entropy(config, traj, 1e10, 1e300, series)
+    config, traj, series, _, _, drift = smoke_snapshots
+    report = runner._suite_entropy(config, traj, 1e10, 1e300, drift, series)
     assert report["pass"] is False
     assert report["worst_slack"] == np.inf
 
