@@ -5,7 +5,7 @@ import pytest
 
 import harnacklab as hl
 from harnacklab.heatflow import cg_solver
-from harnacklab.sphere import RoundSphere
+from test_mutations import scale_clock
 
 
 def unit_circle(res=128):
@@ -171,11 +171,7 @@ def test_sphere_flow_decays_the_degree_one_moment_at_rate_two():
 def test_doubled_sphere_clock_fails_the_rate_check(monkeypatch):
     # a flow that runs twice as fast as its labelled clock, its solver built
     # and checked with 2a, passes every residual check; the rate reads 4
-    from harnacklab import heatflow
-
-    build, check = RoundSphere.cn_solver, heatflow._cn_solve
-    monkeypatch.setattr(RoundSphere, "cn_solver", lambda m, a: build(m, 2.0 * a))
-    monkeypatch.setattr(heatflow, "_cn_solve", lambda m, a, *args: check(m, 2.0 * a, *args))
+    scale_clock(monkeypatch, 2.0)
     assert sphere_clock_gap() > 1e-4
 
 

@@ -23,6 +23,7 @@ from harnacklab.runner import (
     parse_config_text,
     run_config,
 )
+from test_mutations import ROW, check_row
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -380,82 +381,19 @@ def test_gate_failure_exit_code(tmp_path):
     assert not outcome.summary["suites"]["harnack_signs"]["pass"]
 
 
-@pytest.mark.parametrize("halved", [False, True], ids=["exact", "halved"])
-def test_halved_liyau_constant_fails_harnack_signs(tmp_path, monkeypatch, halved):
-    # a mutation check: the Li-Yau quantity 2 lap v - n/t with its constant
-    # n halved by mistake must fail the suite on torus_full cut to 16^2
-    from harnacklab import entropy
-
-    text = (CONFIG_DIR / "torus_full.yaml").read_text()
-    for old, new in (
-        ("resolution: [64, 64]", "resolution: [16, 16]"),
-        ("t_end: 1.0", "t_end: 0.1"),
-        ("suites: [harnack_signs, evolution_residual, entropy, pathwise]",
-         "suites: [harnack_signs]"),
-        ("directory: out/torus_full", f"directory: {tmp_path}"),
-    ):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    if halved:
-        monkeypatch.setattr(
-            entropy, "quantity_liyau_values", lambda lap, t, n: 2.0 * lap - n / (2.0 * t)
-        )
-    signs = run_config(parse_config_text(text)).summary["suites"]["harnack_signs"]
-    assert signs["pass"] is not halved
-    assert signs["gates"]["worst_max_liyau"]["pass"] is not halved
-
-
 @pytest.mark.parametrize("flipped", [False, True], ids=["exact", "flipped"])
 def test_flipped_dissipation_sign_fails_entropy(tmp_path, monkeypatch, flipped):
-    # a mutation check: the closed-form dF/dt with its sign flipped must fail
-    # the entropy suite on torus_smoke, through both gates that read it
-    from dataclasses import replace
-
-    from harnacklab import entropy
-
-    if flipped:
-        dissipation = entropy._dissipation_value
-        monkeypatch.setattr(entropy, "_dissipation_value", lambda *args: -dissipation(*args))
-    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
-    outcome = run_config(replace(config, output=runner.Output(str(tmp_path))))
-    report = outcome.summary["suites"]["entropy"]
-    assert report["pass"] is not flipped
-    assert report["gates"]["dissipation_max"]["pass"] is not flipped
-    assert report["gates"]["xcheck_worst_gap"]["pass"] is not flipped
+    # the closed-form dF/dt with its sign flipped fails the entropy suite on
+    # torus_smoke through both gates that read it: the mutation table's rows
+    check_row(tmp_path, monkeypatch, *ROW["smoke-dissipation_flipped" if flipped else "smoke-exact"])
 
 
 @pytest.mark.parametrize("leaked", [False, True], ids=["exact", "leaked"])
-@pytest.mark.parametrize(
-    "name, cuts",
-    [
-        ("torus_smoke", ()),
-        ("sphere_signs", (("subdivision: 4", "subdivision: 3"), ("t_end: 1.0", "t_end: 0.1"))),
-    ],
-    ids=["torus", "sphere"],
-)
-def test_solver_mass_leak_fails_only_mass_drift(tmp_path, monkeypatch, name, cuts, leaked):
-    # a mutation check: a Crank-Nicolson solver whose every result is scaled
-    # by 1 + 1e-13 stays inside the solve's residual bound, so only the mass
-    # conservation gate can see it; it must, and nothing else may fail
-    from harnacklab.geometry import FlatTorus
-    from harnacklab.sphere import RoundSphere
-
-    text = (CONFIG_DIR / f"{name}.yaml").read_text()
-    for old, new in cuts + ((f"directory: out/{name}", f"directory: {tmp_path}"),):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    if leaked:
-        backend = RoundSphere if name == "sphere_signs" else FlatTorus
-        build = backend.cn_solver
-
-        def leaky_solver(m, a):
-            solve = build(m, a)
-            return lambda f: solve(f) * (1.0 + 1e-13)
-
-        monkeypatch.setattr(backend, "cn_solver", leaky_solver)
-    suites = run_config(parse_config_text(text)).summary["suites"]
-    failed = {gate for suite in suites.values() for gate, g in suite["gates"].items() if not g["pass"]}
-    assert failed == ({"mass_drift_rel"} if leaked else set())
+@pytest.mark.parametrize("cut", ["smoke", "sphere3"], ids=["torus", "sphere"])
+def test_solver_mass_leak_fails_only_mass_drift(tmp_path, monkeypatch, cut, leaked):
+    # a solver whose every result is scaled by 1 + 1e-13 fails only the mass
+    # conservation gate: the mutation table's rows
+    check_row(tmp_path, monkeypatch, *ROW[f"{cut}-{'leak_1e-13' if leaked else 'exact'}"])
 
 
 @pytest.fixture(scope="module")
