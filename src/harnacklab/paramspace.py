@@ -200,6 +200,7 @@ def case_one_uniqueness_scan(spec: ScanSpec, on_block=None) -> ScanResult:
     n_boundary = 0
     max_dev = 0.0
     bb, b2 = np.meshgrid(beta_grid, b_grid, indexing="ij")
+    c2 = b2 + bb  # the only constraint that does not depend on alpha
 
     for alpha in a_grid:
         g = alpha - bb
@@ -209,7 +210,6 @@ def case_one_uniqueness_scan(spec: ScanSpec, on_block=None) -> ScanResult:
             lam = np.where(degenerate, np.nan, alpha / (2.0 * g))
             c3 = np.where(degenerate, np.inf, alpha * alpha / (4.0 * g) + b2)
         c1 = g
-        c2 = b2 + bb
         surv = (~degenerate) & (c1 > 0) & (c2 >= -delta) & (c3 <= delta)
 
         if on_block is not None:

@@ -108,7 +108,10 @@ timestamps, shortest round-trip float formatting, LF line endings)
 Every CSV is written column by column through one writer: a float column
 as repr, taken once per distinct bit pattern of each chunk of rows (so -0.0
 and 0.0 keep their own text), any other value as ``_fmt`` gives it
-(integers as integers, booleans as 1/0, None as an empty cell).
+(integers as integers, booleans as 1/0, None as an empty cell).  The scan
+writes its table in blocks, one per alpha; a float column that repeats the
+previous block bit for bit (beta, b, b_plus_beta) reuses that block's text,
+so it is formatted once per scan.
 
 ``trajectory_meta.json``
     manifold hash and shape; the solver (``linear_solver`` is the backend's
@@ -158,7 +161,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import itertools
 import json
 import sys
@@ -512,12 +514,12 @@ _CSV_CHUNK_ROWS = 1024
 
 
 def _column_text(part, blank=None):
-    """The ``_fmt`` text of each value of one column slice, formatted in one
-    pass for arrays: for a 1-D float slice, repr of each distinct bit pattern
-    once (-0.0 and 0.0 differ), gathered to every entry holding it, and blank
-    where the boolean slice ``blank`` is True; a 2-D float slice gives each
-    row's reprs joined by commas; 1/0 for booleans.  A None column and a None
-    value are blank."""
+    """The ``_fmt`` text of each value of one column, or of a chunk of its
+    rows, formatted in one pass for arrays: for a 1-D float part, repr of
+    each distinct bit pattern once (-0.0 and 0.0 differ), gathered to every
+    entry holding it, and blank where the boolean part ``blank`` is True; a
+    2-D float part gives each row's reprs joined by commas; 1/0 for
+    booleans.  A None column and a None value are blank."""
     if part is None:
         return itertools.repeat("")
     if isinstance(part, np.ndarray) and part.dtype == float:
@@ -533,18 +535,45 @@ def _column_text(part, blank=None):
     return map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
-def _write_columns(fp, columns, blank=None) -> None:
+def _repeated_text(columns, blank, kept) -> dict:
+    """The text of each 1-D float column without blanks that repeats the
+    previous block's column bit for bit, by column index.  ``kept`` carries,
+    from block to block, each such column's bits (its ``int64`` view, so
+    -0.0 and 0.0 differ, and so do two NaN payloads) and, once the column
+    has repeated, its text."""
+    text = {}
+    for k, col in enumerate(columns):
+        if k in blank or not (isinstance(col, np.ndarray) and col.dtype == float and col.ndim == 1):
+            continue
+        bits = col.view(np.int64)
+        last_bits, last_text = kept.get(k, (None, None))
+        if last_bits is None or not np.array_equal(bits, last_bits):
+            kept[k] = (bits.copy(), None)
+            continue
+        text[k] = _column_text(col) if last_text is None else last_text
+        kept[k] = (last_bits, text[k])
+    return text
+
+
+def _write_columns(fp, columns, blank=None, kept=None) -> None:
     """Write one CSV row per index of the equal-length ``columns`` (arrays,
     sequences or None), joining rows _CSV_CHUNK_ROWS at a time so the text of
     a long table is never held at once.  ``blank`` maps the index of a 1-D
     float column to a boolean array of its length: its True entries are
-    written as blank cells."""
+    written as blank cells.
+
+    A table written in blocks passes one ``kept`` dict with every block.  A
+    1-D float column without blanks that repeats the previous block's bits
+    is then formatted once, for its whole block, and that text is reused
+    while the column keeps repeating (:func:`_repeated_text`).  Every other
+    column is formatted chunk by chunk and holds no text."""
     blank = blank or {}
+    whole = {} if kept is None else _repeated_text(columns, blank, kept)
     n = max(len(col) for col in columns if col is not None)
     for lo in range(0, n, _CSV_CHUNK_ROWS):
         hi = lo + _CSV_CHUNK_ROWS
         cells = [
-            _column_text(
+            whole[k][lo:hi] if k in whole else _column_text(
                 None if col is None else col[lo:hi], blank[k][lo:hi] if k in blank else None
             )
             for k, col in enumerate(columns)
@@ -574,6 +603,10 @@ def _manifold_echo(spec: TorusSpec | SphereSpec) -> dict:
 
 
 def manifold_hash(spec: TorusSpec | SphereSpec) -> str:
+    # imported here, its only use: hashlib loads OpenSSL (about 3.7 MB of
+    # peak RSS), which a scan never needs
+    import hashlib
+
     blob = json.dumps(_manifold_echo(spec), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -790,12 +823,14 @@ def _suite_paramscan(config: RunConfig, out_dir: Path) -> dict:
         "alpha", "beta", "b", "lam",
         "alpha_minus_beta", "b_plus_beta", "quarter_square_plus_b", "survivor",
     )
+    # beta, b and b_plus_beta repeat in every alpha block: formatted once
+    kept = {}
     with _open_csv(path, header) as fp:
 
         def sink(block: dict) -> None:
             # an alpha = beta point has no lam (NaN): a blank cell
             lam_blank = {header.index("lam"): np.isnan(block["lam"])}
-            _write_columns(fp, [block[name] for name in header], blank=lam_blank)
+            _write_columns(fp, [block[name] for name in header], blank=lam_blank, kept=kept)
 
         result = case_one_uniqueness_scan(config.paramscan, on_block=sink)
 

@@ -1,8 +1,9 @@
 """The round unit sphere S^2 as an icosphere mesh, :class:`RoundSphere`.
 
-The one module that imports scipy at its top: only sphere code loads it,
-through :func:`harnacklab.geometry.check_sphere_args` when a sphere config
-is parsed, so a torus run never imports scipy.
+The one module that imports scipy at its top, and only ``scipy.sparse``
+and ``scipy.linalg.lapack``: only sphere code loads them, through
+:func:`harnacklab.geometry.check_sphere_args` when a sphere config is
+parsed, so a torus run never imports scipy.
 
 The Laplacian is the cotangent-weight stiffness W divided by lumped
 (barycentric) vertex areas.  W is applied in its edge form -D^T (w * D f),
@@ -12,7 +13,9 @@ is E (D f)^2 by the cotangent identity Integral_T |grad f|^2 = Sum_k
 cot(theta_k)/2 (f_i - f_j)^2, with E a sparse matrix of positive weights:
 it is >= 0, exactly zero on constants, and shares D f with the Laplacian.
 The Crank-Nicolson matrix M - a W is factored once by a banded Cholesky
-factorization in reverse Cuthill-McKee order (:meth:`RoundSphere.cn_solver`).
+factorization in reverse Cuthill-McKee order (:meth:`RoundSphere.cn_solver`),
+an order this module takes itself by a breadth-first search in numpy and
+plain Python (:func:`_reverse_cuthill_mckee`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .geometry import ManifoldDescriptor, SolverError
 
@@ -78,18 +80,16 @@ class RoundSphere(ManifoldDescriptor):
     def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Where :meth:`_cn_band` writes the band: ``(perm, rows, cols, kd)``.
 
-        ``perm`` is the reverse Cuthill-McKee order of the edge graph, so
-        ``perm[k]`` is the node at band position k; it keeps the number of
-        superdiagonals ``kd`` small (81 at subdivision 4, against 154 when
-        the nodes are sorted by height).  ``rows[e], cols[e]`` is where
-        edge e's entry of the upper triangle sits in LAPACK upper band
-        storage, ``band[kd + i - j, j] = A[i, j]`` for i <= j.
+        ``perm`` is the reverse Cuthill-McKee order of the edge graph
+        (:func:`_reverse_cuthill_mckee`), so ``perm[k]`` is the node at band
+        position k; it keeps the number of superdiagonals ``kd`` small (81
+        at subdivision 4, against 154 when the nodes are sorted by height).
+        ``rows[e], cols[e]`` is where edge e's entry of the upper triangle
+        sits in LAPACK upper band storage, ``band[kd + i - j, j] = A[i, j]``
+        for i <= j.
         """
         n = self.node_count
-        heads = np.concatenate([self.edge_i, self.edge_j])
-        tails = np.concatenate([self.edge_j, self.edge_i])
-        graph = sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
-        perm = reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64)
+        perm = _reverse_cuthill_mckee(self.edge_i, self.edge_j, n)
         rank = np.empty(n, dtype=np.int64)
         rank[perm] = np.arange(n)
         p, q = rank[self.edge_i], rank[self.edge_j]
@@ -157,6 +157,46 @@ class RoundSphere(ManifoldDescriptor):
         """Great-circle distance arccos(p1 . p2)."""
         p1, p2 = self.positions[x1], self.positions[x2]
         return float(np.arccos(np.clip(np.dot(p1, p2), -1.0, 1.0)))
+
+
+def _reverse_cuthill_mckee(edge_i: np.ndarray, edge_j: np.ndarray, n: int) -> np.ndarray:
+    """The reverse Cuthill-McKee order of the graph on ``n`` nodes with the
+    undirected edges ``edge_i[e]``--``edge_j[e]`` (Cuthill & McKee 1969).
+
+    A breadth-first search from a node of least degree, which appends each
+    node's unvisited neighbours by increasing degree, ties by increasing
+    node number; seeds are tried in ``np.argsort`` order of the degrees, so
+    a disconnected graph is ordered component by component; the order is
+    then reversed.  These are the choices of scipy's
+    ``csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)`` on the
+    graph's CSR matrix, and the order equals its node for node.
+    """
+    heads = np.concatenate([edge_i, edge_j])
+    tails = np.concatenate([edge_j, edge_i])
+    # int32, as scipy's degrees: np.argsort's order of ties can depend on the dtype
+    degree = np.bincount(heads, minlength=n).astype(np.int32)
+    # each node's neighbours, sorted by degree, ties by number: a stable sort
+    # of any subset of them, the unvisited ones, keeps this order
+    by_node = np.lexsort((tails, degree[tails], heads))
+    neighbours = tails[by_node].tolist()
+    starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
+
+    visited = [False] * n
+    order = []
+    for seed in np.argsort(degree).tolist():
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        order.append(seed)
+        head = len(order) - 1
+        while head < len(order):  # order doubles as the queue
+            node = order[head]
+            head += 1
+            for other in neighbours[starts[node]:starts[node + 1]]:
+                if not visited[other]:
+                    visited[other] = True
+                    order.append(other)
+    return np.array(order[::-1], dtype=np.int64)
 
 
 def _icosahedron() -> tuple[np.ndarray, np.ndarray]:

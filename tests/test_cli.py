@@ -58,7 +58,7 @@ codes = [
 ]
 after_torus = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 parse_config(configs + "/sphere_signs.yaml")
-names = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg.lapack")
+names = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg.lapack")
 print(json.dumps({
     "codes": codes,
     "after_torus": after_torus,
@@ -86,10 +86,12 @@ def test_torus_commands_never_import_scipy(tmp_path):
     result = _in_fresh_interpreter(TORUS_COMMANDS_THEN_SPHERE_PARSE, tmp_path)
     assert result["codes"] == [EXIT_PASS] * 4
     assert result["after_torus"] == []
-    # a sphere config loads the sphere's scipy modules at parse, so its run loads none
+    # a sphere config loads the sphere's scipy modules at parse, so its run
+    # loads none; it orders its band without csgraph, which loads sparse.linalg
     assert result["after_sphere_parse"] == {
         "scipy.sparse": True,
-        "scipy.sparse.csgraph": True,
+        "scipy.sparse.csgraph": False,
+        "scipy.sparse.linalg": False,
         "scipy.linalg.lapack": True,
     }
 
@@ -148,3 +150,24 @@ def test_run_and_scan_never_import_numpy_ma(tmp_path):
     # two commands load are counted
     result = _in_fresh_interpreter(RUN_AND_SCAN, tmp_path)
     assert result == {"codes": [EXIT_PASS] * 2, "loaded": []}
+
+
+SCAN = """
+import json, sys
+import numpy
+
+configs, out = sys.argv[1], sys.argv[2]
+before = "_hashlib" in sys.modules
+from harnacklab.runner import main
+
+code = main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"])
+print(json.dumps({"code": code, "loaded": not before and "_hashlib" in sys.modules}))
+"""
+
+
+def test_scan_never_loads_openssl(tmp_path):
+    # hashlib (and with it OpenSSL's _hashlib) is imported only to hash a
+    # manifold, which a scan never does; numpy < 2 imports numpy.random,
+    # and so hashlib, with numpy itself, so only what the scan loads counts
+    result = _in_fresh_interpreter(SCAN, tmp_path)
+    assert result == {"code": EXIT_PASS, "loaded": False}

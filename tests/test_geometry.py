@@ -379,6 +379,36 @@ def test_sphere_cn_band_is_the_permuted_sparse_matrix():
     assert np.array_equal(dense, lhs.toarray()[perm][:, perm])
 
 
+def _edge_graph(edge_i, edge_j, n):
+    heads, tails = np.concatenate([edge_i, edge_j]), np.concatenate([edge_j, edge_i])
+    return sparse.csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n, n))
+
+
+@pytest.mark.parametrize("subdivision, kd", [(2, 21), (3, 41), (4, 81), (5, 161)])
+def test_sphere_band_order_is_scipys_reverse_cuthill_mckee(subdivision, kd):
+    # the sphere orders its band without csgraph, node for node as csgraph does
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    m = hl.build_sphere(subdivision)
+    perm, _, _, got_kd = m._band_order
+    graph = _edge_graph(m.edge_i, m.edge_j, m.node_count)
+    assert np.array_equal(perm, reverse_cuthill_mckee(graph, symmetric_mode=True))
+    assert got_kd == kd
+
+
+def test_reverse_cuthill_mckee_orders_each_component_as_scipy():
+    # two meshes side by side: one search per component, seeded in argsort order
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    small, large = hl.build_sphere(2), hl.build_sphere(3)
+    offset = large.node_count
+    edge_i = np.concatenate([large.edge_i, small.edge_i + offset])
+    edge_j = np.concatenate([large.edge_j, small.edge_j + offset])
+    n = offset + small.node_count
+    want = reverse_cuthill_mckee(_edge_graph(edge_i, edge_j, n), symmetric_mode=True)
+    assert np.array_equal(sphere._reverse_cuthill_mckee(edge_i, edge_j, n), want)
+
+
 def test_hessian_penalty_sphere_unsupported():
     m = hl.build_sphere(2)
     with pytest.raises(BackendError):

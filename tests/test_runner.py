@@ -855,6 +855,43 @@ def test_write_columns_matches_csv_writer_on_edge_values(tmp_path):
     assert b"\n-0.0,," in text and b"\n0.0,nan," in text
 
 
+@pytest.mark.parametrize("change", ["signed_zero", "nan_payload"])
+def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, change):
+    # a block reuses the text kept from the block before only when every bit
+    # repeats: -0.0 == 0.0 as floats, and two NaN payloads both read "nan"
+    base = np.resize([0.0, 1.5, np.nan, -2.25, 0.1], 3 * runner._CSV_CHUNK_ROWS - 72)
+    other = base.copy()
+    if change == "signed_zero":
+        other[0] = -0.0
+    else:
+        other.view(np.int64)[2] ^= 1
+    assert np.array_equal(other, base, equal_nan=True)
+    blocks = [base, base, other, other, other]
+
+    formatted = []
+    column_text = runner._column_text
+
+    def recording(part, blank=None):
+        formatted[-1].append(part.view(np.int64).copy())
+        return column_text(part, blank)
+
+    monkeypatch.setattr(runner, "_column_text", recording)
+    kept = {}
+    with open(tmp_path / "kept.csv", "w", newline="") as fp:
+        for block in blocks:
+            formatted.append([])
+            runner._write_columns(fp, [block], kept=kept)
+    # three chunks, then the repeat formatted whole, once; the changed block
+    # chunk by chunk from its own bits; its repeats once, then not at all
+    assert [len(parts) for parts in formatted] == [3, 1, 3, 1, 0]
+    assert np.array_equal(np.concatenate(formatted[2]), other.view(np.int64))
+
+    with open(tmp_path / "plain.csv", "w", newline="") as fp:
+        for block in blocks:
+            runner._write_columns(fp, [block])
+    assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_write_columns_peak_does_not_grow_with_rows():
     # each chunk's text is released before the next chunk is formatted, so
     # three chunks of rows peak no higher than one
