@@ -13,8 +13,9 @@ identity test) and its own dissipation integral.  Weights are taken as f
 directly, which avoids catastrophic cancellation at small t.
 
 :func:`entropy_series` walks a trajectory once, as it is stepped, holding
-O(nodes) memory; a caller's ``on_state`` sees each state on the way, so
-one pass of the flow serves every consumer.  Per snapshot it computes
+O(nodes) memory besides one float64 per snapshot for each field of its
+result; a caller's ``on_state`` sees each state on the way, so one pass of
+the flow serves every consumer.  Per snapshot it computes
 u, v, their Laplacians, the gradient of u, |grad v|^2 and (on a backend
 with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
 exactly once, and derives from them the Harnack sign maxima, both entropies,
@@ -30,7 +31,7 @@ flat value arrays throughout.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -243,22 +244,27 @@ def entropy_series(
         raise ValueError("the evolution residual is only available on the torus")
 
     dt = traj.step_size
-    cols: defaultdict[str, list] = defaultdict(list)  # field -> one value per snapshot
+    count = len(traj)
+    series: dict[str, np.ndarray] = {}  # field -> one value per snapshot
+    if with_residual:
+        series["residual"] = np.empty(count - 2)
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
     for i, state in enumerate(traj):
         if on_state is not None:
             on_state(i, state)
         values, q, rhs = _snapshot(m, state, with_residual)
+        if i == 0:
+            for name in values:
+                series[name] = np.empty(count, dtype=np.int64 if name == "argmax_H" else float)
         for name, value in values.items():
-            cols[name].append(value)
+            series[name][i] = value
         if with_residual:
             window.append((q, rhs))
             if i >= 2:
                 (q_prev, _), (_, rhs_mid), (q_next, _) = window
                 dq_dt = (q_next - q_prev) / (2.0 * dt)
-                cols["residual"].append(float(np.max(np.abs(dq_dt - rhs_mid))))
+                series["residual"][i - 2] = np.max(np.abs(dq_dt - rhs_mid))
 
-    series = {name: np.array(values) for name, values in cols.items()}
     # np.gradient differences the interior as (x[i+1] - x[i-1]) / (2 dt) and
     # the two ends one-sided as (x[1] - x[0]) / dt and (x[-1] - x[-2]) / dt
     return SnapshotSeries(

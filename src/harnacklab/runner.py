@@ -509,8 +509,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-# rows per write of the CSV column writer
-_CSV_CHUNK_ROWS = 1024
+# cells per write of the CSV column writer: 1024 rows of the scan's 8
+# columns, 630 of the 13 diagnostics columns
+_CSV_CHUNK_CELLS = 8192
 
 
 def _column_text(part, blank=None):
@@ -557,10 +558,12 @@ def _repeated_text(columns, blank, kept) -> dict:
 
 def _write_columns(fp, columns, blank=None, kept=None) -> None:
     """Write one CSV row per index of the equal-length ``columns`` (arrays,
-    sequences or None), joining rows _CSV_CHUNK_ROWS at a time so the text of
-    a long table is never held at once.  ``blank`` maps the index of a 1-D
-    float column to a boolean array of its length: its True entries are
-    written as blank cells.
+    sequences or None), joining as many rows at a time as fit in
+    _CSV_CHUNK_CELLS cells (at least one), so the text of a long or wide
+    table is never held at once; a 2-D part counts its width, any other
+    column one cell a row.  ``blank`` maps the index of a 1-D float column
+    to a boolean array of its length: its True entries are written as blank
+    cells.
 
     A table written in blocks passes one ``kept`` dict with every block.  A
     1-D float column without blanks that repeats the previous block's bits
@@ -570,8 +573,12 @@ def _write_columns(fp, columns, blank=None, kept=None) -> None:
     blank = blank or {}
     whole = {} if kept is None else _repeated_text(columns, blank, kept)
     n = max(len(col) for col in columns if col is not None)
-    for lo in range(0, n, _CSV_CHUNK_ROWS):
-        hi = lo + _CSV_CHUNK_ROWS
+    width = sum(
+        col.shape[1] if isinstance(col, np.ndarray) and col.ndim == 2 else 1 for col in columns
+    )
+    rows = max(1, _CSV_CHUNK_CELLS // width)
+    for lo in range(0, n, rows):
+        hi = lo + rows
         cells = [
             whole[k][lo:hi] if k in whole else _column_text(
                 None if col is None else col[lo:hi], blank[k][lo:hi] if k in blank else None
@@ -905,13 +912,13 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     if "pathwise" in config.suites:
         pairs = sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
         pair_values = PairValues(traj, pairs)
-    masses: list[float] = []
+    masses = np.empty(len(traj))
     window: list[FlowState] = []
     try:
         with _trajectory_csv(out_dir / "trajectory.csv", config, traj) as export:
 
             def take(k: int, state: FlowState) -> None:
-                masses.append(integrate(state.f))
+                masses[k] = integrate(state.f)
                 if with_residual and abs(k - fine_idx) <= 1:
                     window.append(state)
                 if pair_values is not None:
@@ -923,8 +930,8 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     except SolverError as exc:
         return _finish(out_dir, config, strict, solver_error=str(exc))
 
-    mass0 = masses[0]
-    mass_drift = float(np.max(np.abs(np.array(masses) - mass0)) / max(1e-300, abs(mass0)))
+    mass0 = float(masses[0])
+    mass_drift = float(np.max(np.abs(masses - mass0)) / max(1e-300, abs(mass0)))
 
     suites: dict[str, dict] = {}
     if "harnack_signs" in config.suites:

@@ -176,25 +176,26 @@ def _reverse_cuthill_mckee(edge_i: np.ndarray, edge_j: np.ndarray, n: int) -> np
     # int32, as scipy's degrees: np.argsort's order of ties can depend on the dtype
     degree = np.bincount(heads, minlength=n).astype(np.int32)
     # each node's neighbours, sorted by degree, ties by number: a stable sort
-    # of any subset of them, the unvisited ones, keeps this order
-    by_node = np.lexsort((tails, degree[tails], heads))
-    neighbours = tails[by_node].tolist()
+    # of any subset of them, the unvisited ones, keeps this order.  They stay
+    # one numpy array; only the node being visited takes its slice as a list
+    neighbours = tails[np.lexsort((tails, degree[tails], heads))]
+    del heads, tails  # the search holds only the sorted neighbours
     starts = np.concatenate([[0], np.cumsum(degree)]).tolist()
 
-    visited = [False] * n
+    visited = bytearray(n)
     order = []
     for seed in np.argsort(degree).tolist():
         if visited[seed]:
             continue
-        visited[seed] = True
+        visited[seed] = 1
         order.append(seed)
         head = len(order) - 1
         while head < len(order):  # order doubles as the queue
             node = order[head]
             head += 1
-            for other in neighbours[starts[node]:starts[node + 1]]:
+            for other in neighbours[starts[node]:starts[node + 1]].tolist():
                 if not visited[other]:
-                    visited[other] = True
+                    visited[other] = 1
                     order.append(other)
     return np.array(order[::-1], dtype=np.int64)
 
@@ -249,49 +250,81 @@ def _csr_rows(values: np.ndarray, columns: np.ndarray, width: int) -> sparse.csr
     return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(rows, width))
 
 
-def _edge_operators(corner_pts, faces: np.ndarray, lumped: np.ndarray) -> dict:
-    """The edges of a closed triangle mesh and its sparse edge operators, by
-    the names of the :class:`RoundSphere` fields ``edge_i`` .. ``edge_energy``.
+def _csr_columns(values: np.ndarray, rows: np.ndarray, height: int) -> sparse.csr_matrix:
+    """The sparse matrix whose column c holds ``values[c]`` at ``rows[c]``:
+    the transpose of ``_csr_rows(values, rows, height)``, assembled in row
+    order.  One stable argsort of each entry's row keeps a row's entries in
+    increasing column order, as ``.T.tocsr()`` does, so ``indptr``,
+    ``indices`` and ``data`` equal that transpose's, with no copy of it held."""
+    columns, per_column = rows.shape
+    flat = rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=height))])
+    data = values.ravel()[order]
+    indices = np.floor_divide(order, per_column, out=order)  # each entry's column
+    return sparse.csr_matrix((data, indices, indptr), shape=(height, columns))
 
-    ``corner_pts`` holds the positions of every face's corners 0, 1 and 2,
-    ``lumped`` the vertex weights.  The intermediate per-corner arrays live
-    only in this call, so they are freed before the caller goes on.
-    """
-    node_count = len(lumped)
-    # half the cotangent of each face corner's angle, and the index of the
-    # edge opposite that corner; the edges are the sorted keys lo * N + hi
+
+def _corner_weights(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lumped (barycentric) vertex areas, and half the cotangent of each
+    face corner's angle, an (F, 3) array.  The per-corner point arrays live
+    only in this call, so they are freed before the edges are assembled."""
+    p = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    face_areas = 0.5 * np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]), axis=1)
+    lumped = np.zeros(len(verts))
+    np.add.at(lumped, faces.ravel(), np.repeat(face_areas / 3.0, 3))
     half_cot = np.empty(faces.shape)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        u = corner_pts[i] - corner_pts[k]
-        v = corner_pts[j] - corner_pts[k]
+        u = p[i] - p[k]
+        v = p[j] - p[k]
         cot = np.einsum("fd,fd->f", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
         half_cot[:, k] = 0.5 * cot
+    return lumped, half_cot
+
+
+def _edge_operators(faces: np.ndarray, half_cot: np.ndarray, lumped: np.ndarray) -> dict:
+    """The edges of a closed triangle mesh and its sparse edge operators, by
+    the names of the :class:`RoundSphere` fields ``edge_i`` .. ``edge_energy``.
+
+    ``half_cot`` holds half the cotangent of each face corner's angle,
+    ``lumped`` the vertex weights (:func:`_corner_weights`).  Each
+    intermediate is freed once used, so the call holds, besides what it
+    returns, at most one operator's assembly.
+    """
+    node_count = len(lumped)
+    # the index of the edge opposite each face corner; the edges are the
+    # sorted keys lo * N + hi
     ends_a, ends_b = faces[:, [1, 2, 0]], faces[:, [2, 0, 1]]
     keys = (np.minimum(ends_a, ends_b) * node_count + np.maximum(ends_a, ends_b)).ravel()
+    del ends_a, ends_b
     keys, opposite_edge = np.unique(keys, return_inverse=True)
     edge_i, edge_j = np.divmod(keys, node_count)
+    del keys
     # each edge's weight sums the half-cotangents of its two opposite corners
-    edge_weights = np.bincount(opposite_edge, weights=half_cot.ravel(), minlength=len(keys))
+    edge_weights = np.bincount(opposite_edge, weights=half_cot.ravel(), minlength=len(edge_i))
     # the two face corners opposite each edge, as flat indices into faces
     opposite = np.argsort(opposite_edge, kind="stable").reshape(-1, 2)
+    del opposite_edge
 
-    # the operators as sparse matrices, one row per edge, transposed where
-    # they sum into vertices.  Per face, Integral |grad f|^2 =
+    # the operators as sparse matrices, one row per edge, or one column per
+    # edge where they sum into vertices.  Per face, Integral |grad f|^2 =
     # Sum_k cot(theta_k)/2 (f_i - f_j)^2 over the edges ij opposite its
     # corners k; a third of it goes to each corner, over that corner's
     # weight.  So edge e reaches its two endpoints with w_e / (3 M) and its
     # two opposite corners with cot(theta)/2 / (3 M).
     endpoints = np.stack([edge_i, edge_j], axis=1)
     edge_difference = _csr_rows(np.tile([-1.0, 1.0], (len(edge_i), 1)), endpoints, node_count)
-    edge_scatter = _csr_rows(
+    edge_scatter = _csr_columns(
         np.stack([edge_weights, -edge_weights], axis=1), endpoints, node_count
-    ).T.tocsr()
+    )
     reached = np.concatenate([endpoints, faces.ravel()[opposite]], axis=1)
     energy = np.concatenate(
         [np.stack([edge_weights, edge_weights], axis=1), half_cot.ravel()[opposite]], axis=1
     )
-    edge_energy = _csr_rows(energy / (3.0 * lumped[reached]), reached, node_count).T.tocsr()
+    del endpoints, opposite
+    energy /= 3.0 * lumped[reached]
+    edge_energy = _csr_columns(energy, reached, node_count)
 
     return {
         "edge_i": edge_i,
@@ -311,17 +344,12 @@ def icosphere(subdivision: int) -> RoundSphere:
     for _ in range(subdivision):
         verts, faces = _subdivide(verts, faces)
 
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    face_areas = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
-    node_count = len(verts)
-    lumped = np.zeros(node_count)
-    np.add.at(lumped, faces.ravel(), np.repeat(face_areas / 3.0, 3))
-
-    edges = _edge_operators((p0, p1, p2), faces, lumped)
+    lumped, half_cot = _corner_weights(verts, faces)
+    edges = _edge_operators(faces, half_cot, lumped)
     edge_lengths = np.linalg.norm(verts[edges["edge_i"]] - verts[edges["edge_j"]], axis=1)
     return RoundSphere(
         dimension=2,
-        node_count=node_count,
+        node_count=len(verts),
         quadrature_weights=lumped,
         positions=verts,
         mesh_scale=float(edge_lengths.max()),

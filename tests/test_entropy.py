@@ -121,6 +121,35 @@ def test_entropy_series_sphere_has_no_dissipation_columns():
         hl.entropy_series(traj, with_residual=True)
 
 
+def test_entropy_series_peak_grows_by_one_float_a_field_a_snapshot():
+    # every field holds one float64 a snapshot, 8 B, and np.gradient's
+    # differences a few bytes more: about 9 B a field.  A list of Python
+    # floats holds a pointer and a float object, 8 + 24 B, and its conversion
+    # to an array 8 B more: about 33 B a field.  16 B separates the two
+    import tracemalloc
+    from dataclasses import fields
+
+    m = hl.build_torus(1, [1.0], [16])
+    data = hl.RandomSmoothData(seed=9, mode_cutoff=1, amplitude=0.3, floor=1.0)
+    f0 = hl.build_initial_field(data, m)
+
+    def series_peak(states):
+        traj = hl.solve(m, f0, 0.1, 0.1 + (states - 1) * 1e-3, 1e-3)
+        assert len(traj) == states
+        tracemalloc.start()
+        try:
+            series = hl.entropy_series(traj, with_residual=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(getattr(series, f.name) is not None for f in fields(series))
+
+    small, field_count = series_peak(1001)
+    large, _ = series_peak(4001)
+    assert field_count == 14
+    assert large - small <= 16 * field_count * 3000
+
+
 @pytest.mark.parametrize(
     "m", [hl.build_torus(2, [1.0, 1.0], [16, 16]), hl.build_sphere(2)], ids=["T2_16", "S2_sub2"]
 )

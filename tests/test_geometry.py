@@ -354,6 +354,90 @@ def test_sphere_edge_energy_weights_are_positive(subdivision):
     assert np.all(m.edge_energy.data > 0.0)
 
 
+def _edge_major_operators(m):
+    """The three sparse operators built edge-major, one row per edge, and
+    transposed by ``.T.tocsr()`` where they sum into vertices: the reference
+    for the sphere's assembly in row order."""
+    n, e = m.node_count, len(m.edge_i)
+    p = [m.positions[m.faces[:, k]] for k in range(3)]
+    half_cot = np.empty(m.faces.shape)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        u, v = p[i] - p[k], p[j] - p[k]
+        cot = np.einsum("fd,fd->f", u, v) / np.linalg.norm(np.cross(u, v), axis=1)
+        half_cot[:, k] = 0.5 * cot
+    # the edge opposite each face corner, found by its key lo * N + hi, and
+    # the two corners opposite each edge, as flat indices into faces
+    a, b = m.faces[:, [1, 2, 0]], m.faces[:, [2, 0, 1]]
+    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+    opposite_edge = np.searchsorted(m.edge_i * n + m.edge_j, keys)
+    opposite = np.argsort(opposite_edge, kind="stable").reshape(-1, 2)
+
+    def edge_rows(values, columns):
+        indptr = np.arange(0, columns.size + 1, columns.shape[1])
+        return sparse.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(e, n))
+
+    w = m.edge_weights
+    ends = np.stack([m.edge_i, m.edge_j], axis=1)
+    reached = np.concatenate([ends, m.faces.ravel()[opposite]], axis=1)
+    energy = np.concatenate([np.stack([w, w], axis=1), half_cot.ravel()[opposite]], axis=1)
+    return {
+        "edge_difference": edge_rows(np.tile([-1.0, 1.0], (e, 1)), ends),
+        "edge_scatter": edge_rows(np.stack([w, -w], axis=1), ends).T.tocsr(),
+        "edge_energy": edge_rows(energy / (3.0 * m.quadrature_weights[reached]), reached).T.tocsr(),
+    }
+
+
+@pytest.mark.parametrize("subdivision", [2, 3, 4, 5])
+def test_sphere_operators_equal_transposed_construction(subdivision):
+    # the operators assembled in row order hold exactly the arrays of the
+    # edge-major construction and its transpose: same entries, same order
+    m = hl.build_sphere(subdivision)
+    for name, want in _edge_major_operators(m).items():
+        got = getattr(m, name)
+        assert got.shape == want.shape, name
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got, part), getattr(want, part)
+            assert got_part.dtype == want_part.dtype, (name, part)
+            assert np.array_equal(got_part, want_part), (name, part)
+
+
+def _traced(call):
+    """``call()``, the tracemalloc size of what it keeps, and its peak."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_build_sphere_peaks_at_most_twice_what_it_keeps():
+    # at sub4 the mesh and its three operators keep about 1.2 MB.  The build
+    # holds at most one operator's assembly on top of that (edge_energy: four
+    # entries an edge, E = 7680, each a value, a row and a sort position,
+    # 3 * 4E * 8 B = 0.74 MB) and peaks at 1.7x.  An operator assembled edge
+    # by edge and then transposed holds both copies, and per-corner point
+    # arrays kept alive through the assembly add 0.37 MB more: 3.0x
+    hl.build_sphere(2)  # scipy is loaded before the trace
+    _, kept, peak = _traced(lambda: hl.build_sphere(4))
+    assert peak <= 2.0 * kept
+
+
+def test_sphere_band_order_peaks_at_most_five_times_what_it_keeps():
+    # at sub4 the order keeps perm (N int64) and each edge's band row and
+    # column (E int64 each), 0.14 MB.  The sort of the 2E incidences holds
+    # their heads, tails, degrees and sort order, 2E * 8 B each (4 B for the
+    # degrees), and peaks at 3.5x.  The incidences as a list of Python ints add 2E * 36 B
+    # = 0.55 MB, 3.9x by themselves: 8.2x
+    m = hl.build_sphere(4)
+    _, kept, peak = _traced(lambda: m._band_order)
+    assert peak <= 5.0 * kept
+
+
 def test_sphere_laplacian_and_grad_norm_sq_share_one_product_bit_for_bit():
     m = hl.build_sphere(3)
     rough = np.random.default_rng(8).uniform(0.5, 2.0, m.node_count)

@@ -859,7 +859,8 @@ def test_write_columns_matches_csv_writer_on_edge_values(tmp_path):
 def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, change):
     # a block reuses the text kept from the block before only when every bit
     # repeats: -0.0 == 0.0 as floats, and two NaN payloads both read "nan"
-    base = np.resize([0.0, 1.5, np.nan, -2.25, 0.1], 3 * runner._CSV_CHUNK_ROWS - 72)
+    # one column: a chunk holds _CSV_CHUNK_CELLS rows, so this is three chunks
+    base = np.resize([0.0, 1.5, np.nan, -2.25, 0.1], 3 * runner._CSV_CHUNK_CELLS - 72)
     other = base.copy()
     if change == "signed_zero":
         other[0] = -0.0
@@ -895,24 +896,39 @@ def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, ch
 def test_write_columns_peak_does_not_grow_with_rows():
     # each chunk's text is released before the next chunk is formatted, so
     # three chunks of rows peak no higher than one
+    chunk = runner._CSV_CHUNK_CELLS // 13  # rows per chunk of 13 columns
+    columns = _random_columns(13, 3 * chunk)
+    one = _writer_peak([col[:chunk] for col in columns])
+    assert _writer_peak(columns) <= 1.1 * one
+
+
+def test_write_columns_peak_does_not_grow_with_columns():
+    # a chunk holds a fixed number of cells, so twice the columns take half
+    # the rows a chunk and peak no higher.  With a fixed number of rows a
+    # chunk instead, the text of a chunk, and the peak, doubles (about 1.96x
+    # here), so 1.2x separates the two with room for the per-call overhead
+    rows = 3 * (runner._CSV_CHUNK_CELLS // 13)  # three chunks of 13 columns, six of 26
+    columns = _random_columns(26, rows)
+    assert _writer_peak(columns) <= 1.2 * _writer_peak(columns[:13])
+
+
+def _random_columns(count, rows):
+    rng = np.random.default_rng(3)
+    return [rng.random(rows) for _ in range(count)]
+
+
+def _writer_peak(columns):
+    """The tracemalloc peak of writing ``columns`` to the null device."""
     import os
     import tracemalloc
 
-    rng = np.random.default_rng(3)
-    columns = [rng.random(3 * runner._CSV_CHUNK_ROWS) for _ in range(13)]
-
-    def peak(rows):
-        parts = [col[:rows] for col in columns]
-        with open(os.devnull, "w") as fp:
-            tracemalloc.start()
-            try:
-                runner._write_columns(fp, parts)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-    one = peak(runner._CSV_CHUNK_ROWS)
-    assert peak(3 * runner._CSV_CHUNK_ROWS) <= 1.1 * one
+    with open(os.devnull, "w") as fp:
+        tracemalloc.start()
+        try:
+            runner._write_columns(fp, columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 SPHERE_CONFIG = CONSTANT_CONFIG.replace(
@@ -1066,9 +1082,10 @@ def test_fine_flow_is_stepped_once(tmp_path, monkeypatch, text, steps):
 def test_run_holds_no_trajectory(tmp_path):
     # a stored trajectory holds (n_steps + 1) * node_count * 8 bytes; the run
     # must peak below a quarter of that.  1600 steps, not fewer: the column
-    # writer holds up to 1024 rows of diagnostics text at once, about 1.4 kB
-    # a row against the 2 kB a snapshot the bound allows here, so with fewer
-    # rows than that the text alone comes close to the bound
+    # writer holds up to 630 rows of diagnostics text at once (8192 cells of
+    # 13 columns), about 1.4 kB a row against the 2 kB a snapshot the bound
+    # allows here, so with not many more rows than that the text alone comes
+    # close to the bound
     import tracemalloc
     from dataclasses import replace
 
