@@ -26,7 +26,11 @@ array per field.  On the torus the operators of u and v come from one
 Laplacian and gradient of Q from one more; on the sphere one
 edge-difference product of each field serves both its Laplacian and its
 |grad|^2 (``RoundSphere.laplacian_and_grad_norm_sq``).  The kernel works on
-flat value arrays throughout.
+flat value arrays throughout.  Each formula is evaluated term by term, in
+its written order, into arrays its function allocates itself, so no
+operation makes a fresh temporary and no operator array is written; the
+snapshot frees the arrays the residual does not read before it makes the
+residual's.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .geometry import (
 )
 from .harnack import (
     CAO_HAMILTON_H_PARAMS,
+    evolution_residual_values,
     evolution_rhs_values,
     log_u,
     log_v,
@@ -99,8 +104,14 @@ def _entropy_pair(
     """The entropy integral direct from |grad w|^2, and via t^2 q f with q
     the matching Harnack quantity (H for u, P for v)."""
     n = m.dimension
-    direct = float(np.dot(m.quadrature_weights, (t * t * grad_sq - 2.0 * n * t) * f))
-    via_q = float(np.dot(m.quadrature_weights, t * t * q * f))
+    # (t^2 grad_sq - 2nt) f, then t^2 q f, each formed in one array
+    integrand = np.multiply(grad_sq, t * t)
+    integrand -= 2.0 * n * t
+    integrand *= f
+    direct = float(np.dot(m.quadrature_weights, integrand))
+    np.multiply(q, t * t, out=integrand)
+    integrand *= f
+    via_q = float(np.dot(m.quadrature_weights, integrand))
     return direct, via_q
 
 
@@ -112,8 +123,10 @@ def _dissipation_value(
     ricci: np.ndarray,
     grad_sq: np.ndarray,
 ) -> float:
-    integrand = hess + ricci + grad_sq / t
-    return -2.0 * t * t * float(np.dot(m.quadrature_weights, f * integrand))
+    integrand = hess + ricci
+    integrand += np.divide(grad_sq, t)
+    integrand *= f
+    return -2.0 * t * t * float(np.dot(m.quadrature_weights, integrand))
 
 
 def _entropy(state: FlowState, w: ScalarField) -> tuple[float, float]:
@@ -183,16 +196,16 @@ def _snapshot(
         # one padded stencil pass for u and v; v = u - const, but v's
         # operators are taken from v itself, so the P-vs-H, W-vs-F and
         # dissipation cross-checks compare two computations
-        lap, grad, hess = m.stencils(
+        (lap_u, lap_v), grad, (hess_u, hess_v) = m.stencils(
             (u, v), laplacian=True, gradient=True, hessian=(DISSIPATION_LAMBDA, t)
         )
-        lap_u, lap_v = lap
         grad_u = [comp[0] for comp in grad]
         grad_sq_u, grad_sq_v = components_norm_sq(grad)  # row-wise: the same sums
-        hess_u, hess_v = hess
-        ricci_u, ricci_v = m.ricci_quadratic(u), m.ricci_quadratic(v)
+        ricci_u = m.ricci_quadratic(u)
         values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
-        values["dW_formula"] = _dissipation_value(m, t, f, hess_v, ricci_v, grad_sq_v)
+        values["dW_formula"] = _dissipation_value(
+            m, t, f, hess_v, m.ricci_quadratic(v), grad_sq_v
+        )
     else:
         # one edge-difference product per field serves its Laplacian and |grad|^2
         lap_u, grad_sq_u = m.laplacian_and_grad_norm_sq(u)
@@ -201,16 +214,19 @@ def _snapshot(
     h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
     p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
     argmax_h = int(np.argmax(h_vals))  # ties go to the lowest node
+    gap = p_vals - h_vals
     values.update(
         max_H=float(h_vals[argmax_h]),
         argmax_H=argmax_h,
         max_liyau=float(quantity_liyau_values(lap_v, t, n).max()),
-        P_vs_H_gap=float(np.max(np.abs(p_vals - h_vals))),
+        P_vs_H_gap=float(np.abs(gap, out=gap).max()),
     )
     values["F_direct"], values["F_via_H"] = _entropy_pair(m, t, f, grad_sq_u, h_vals)
     values["W_direct"], values["W_via_P"] = _entropy_pair(m, t, f, grad_sq_v, p_vals)
     if not with_residual:
         return values, None, None
+    # the residual reads none of these: they go before its arrays are made
+    del v, lap_u, lap_v, p_vals, gap
     q = h_vals  # the canonical tuple's Q is H
     lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
     rhs = evolution_rhs_values(
@@ -262,8 +278,9 @@ def entropy_series(
             window.append((q, rhs))
             if i >= 2:
                 (q_prev, _), (_, rhs_mid), (q_next, _) = window
-                dq_dt = (q_next - q_prev) / (2.0 * dt)
-                series["residual"][i - 2] = np.max(np.abs(dq_dt - rhs_mid))
+                series["residual"][i - 2] = evolution_residual_values(
+                    q_prev, q_next, rhs_mid, dt
+                )
 
     # np.gradient differences the interior as (x[i+1] - x[i-1]) / (2 dt) and
     # the two ends one-sided as (x[1] - x[0]) / dt and (x[-1] - x[-2]) / dt

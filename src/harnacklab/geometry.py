@@ -22,7 +22,9 @@ implementation, :meth:`FlatTorus.stencils`: it copies a stack of k fields
 once into a wrap-padded array and takes the Laplacian, gradient and Hessian
 penalty of every field from views of that copy.  The single-field operators,
 ``stiffness`` and so the flow's residual checks are thin calls into it, and
-the snapshot kernel passes it u and v together.
+the snapshot kernel passes it u and v together.  The operators write into
+arrays they allocate themselves, in their formulas' order, with no fresh
+array per operation and no argument written.
 
 A Crank-Nicolson step of size dt = 2a solves (M - a W) x = (M + a W) f, with
 M the diagonal quadrature mass, by the backend's direct ``cn_solver(a)``,
@@ -144,9 +146,11 @@ def components_norm_sq(components: list[np.ndarray]) -> np.ndarray:
     Applied to :func:`grad_components` this is the torus |grad f|^2, so a
     caller that already holds the components need not take them again.
     """
-    out = np.zeros(components[0].shape)
-    for comp in components:
-        out += comp * comp
+    # started from the first square: 0.0 + x * x is x * x, which is never -0.0
+    out = components[0] * components[0]
+    square = np.empty_like(out)
+    for comp in components[1:]:
+        out += np.multiply(comp, comp, out=square)
     return out
 
 
@@ -181,8 +185,12 @@ class FlatTorus(ManifoldDescriptor):
         both sides of every axis.  The axes are padded in turn, each across
         the full extent of the others, so the corners hold the diagonal
         neighbours that the mixed differences read, and every shifted
-        operand is a view of that one copy.  Each axis's second difference f+ - 2f + f- is taken once
-        and serves both the Laplacian and the Hessian diagonal.
+        operand is a view of that one copy.  Each axis's second difference
+        f+ - 2f + f- is taken once and serves both the Laplacian and the
+        Hessian diagonal.  Each difference is formed in place, in its
+        operations' written order, in one of two work arrays: the second
+        difference and 2f, which then hold 2 x mixed x mixed and each mixed
+        difference.  The Laplacian and Hessian sums start from +0.0.
         """
         if hessian is not None and hessian[1] <= 0:
             raise ValueError(f"t must be positive, got {hessian[1]}")
@@ -208,23 +216,34 @@ class FlatTorus(ManifoldDescriptor):
             hess = np.zeros(centre.shape)
         if lap is not None or hess is not None:
             two_f = 2.0 * centre
+            diff = np.empty(centre.shape)
             for fp, fm, h in zip(plus, minus, spacings):
-                diff = (fp - two_f + fm) / (h * h)
+                np.subtract(fp, two_f, out=diff)
+                diff += fm
+                diff /= h * h
                 if lap is not None:
                     lap += diff
                 if hess is not None:
-                    hess += (diff - shift) ** 2
+                    diff -= shift
+                    diff *= diff
+                    hess += diff
         grad = None
         if gradient:
-            grad = [
-                ((fp - fm) / (2.0 * h)).reshape(flat) for fp, fm, h in zip(plus, minus, spacings)
-            ]
+            grad = []
+            for fp, fm, h in zip(plus, minus, spacings):
+                comp = np.subtract(fp, fm)
+                comp /= 2.0 * h
+                grad.append(comp.reshape(flat))
         if hess is not None:
+            mixed, term = two_f, diff  # free: the second differences are done
             for (ax1, ax2), (pp, pm, mp, mm) in diagonal_at.items():
-                mixed = (padded[pp] - padded[pm] - padded[mp] + padded[mm]) / (
-                    4.0 * spacings[ax1] * spacings[ax2]
-                )
-                hess += 2.0 * mixed * mixed
+                np.subtract(padded[pp], padded[pm], out=mixed)
+                mixed -= padded[mp]
+                mixed += padded[mm]
+                mixed /= 4.0 * spacings[ax1] * spacings[ax2]
+                np.multiply(mixed, 2.0, out=term)
+                term *= mixed
+                hess += term
             hess = hess.reshape(flat)
         if lap is not None:
             lap = lap.reshape(flat)
@@ -264,7 +283,9 @@ class FlatTorus(ManifoldDescriptor):
         return self.stencils((values,), laplacian=True)[0][0]
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
-        return self.quadrature_weights * self.laplacian(values)
+        lap = self.laplacian(values)
+        lap *= self.quadrature_weights
+        return lap
 
     def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
         """Central-difference gradient components, one flat array per axis."""
@@ -286,20 +307,32 @@ class FlatTorus(ManifoldDescriptor):
         The stencil's eigenvalue at wave number k is
         lam_k = sum_axes (2 cos(2 pi k / r) - 2) / h^2, so the step multiplies
         each Fourier coefficient by (1 + a lam_k) / (1 - a lam_k); the zero
-        mode's factor is exactly 1.  The last axis is the half spectrum.
+        mode's factor is exactly 1.  The last axis is the half spectrum.  The
+        pair is taken as the one-axis transforms ``np.fft.rfftn`` and
+        ``irfftn`` make in numpy 2 (forward from the last axis down, inverse
+        from the first axis up), with the factor applied in place, so it
+        equals ``irfftn(rfftn(d) * factor)`` bit for bit there.
         """
         n, res = self.dimension, self.resolution
         lam = np.zeros(res[:-1] + (res[-1] // 2 + 1,))
         for ax, (r, h) in enumerate(zip(res, self.spacings)):
             k = np.arange(lam.shape[ax]).reshape([-1 if i == ax else 1 for i in range(n)])
             lam = lam + (2.0 * np.cos(2.0 * np.pi * k / r) - 2.0) / (h * h)
-        factor = (1.0 + a * lam) / (1.0 - a * lam)
-        axes = tuple(range(n))
+        # complex, as numpy casts it to multiply a complex spectrum
+        factor = ((1.0 + a * lam) / (1.0 - a * lam)).astype(complex)
 
         def solve(f: np.ndarray) -> np.ndarray:
             c = f[0]
-            spectrum = np.fft.rfftn((f - c).reshape(res))
-            return c + np.fft.irfftn(spectrum * factor, s=res, axes=axes).ravel()
+            # rfftn and irfftn, one axis at a time, in the order numpy takes them
+            spectrum = np.fft.rfft((f - c).reshape(res), axis=n - 1)
+            for ax in range(n - 2, -1, -1):
+                spectrum = np.fft.fft(spectrum, axis=ax)
+            spectrum *= factor
+            for ax in range(n - 1):
+                spectrum = np.fft.ifft(spectrum, axis=ax)
+            x = np.fft.irfft(spectrum, res[-1], axis=n - 1).ravel()
+            x += c
+            return x
 
         return solve
 

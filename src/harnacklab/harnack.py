@@ -70,7 +70,9 @@ NI_PARAMS = HarnackParams(2.0, 1.0, -1.0, 1.0, 1.0, Variant.V)
 
 def log_u(state: FlowState) -> ScalarField:
     """u = -ln f (finite: a FlowState is finite and positive when made)."""
-    return ScalarField(-np.log(state.f.values), state.manifold)
+    u = np.log(state.f.values)
+    np.negative(u, out=u)
+    return ScalarField(u, state.manifold)
 
 
 def v_from_u(u: ScalarField, t: float) -> ScalarField:
@@ -89,20 +91,38 @@ def log_v(state: FlowState) -> ScalarField:
 # ``grad_sq`` = |grad w|^2, ...).  The ScalarField functions and the
 # one-pass snapshot kernel in :mod:`harnacklab.entropy` both evaluate them,
 # so each formula has one implementation and one floating-point order.
+# Each evaluates its formula term by term, left to right, into arrays it
+# allocates itself (``-=``, ``*=``, ``out=``), so no operation makes a fresh
+# temporary and no argument is written.
 
 
 def quantity_H_values(lap: np.ndarray, grad_sq: np.ndarray, t: float, n: int) -> np.ndarray:
-    return 2.0 * lap - grad_sq - 2.0 * n / t
+    """2 lap - grad_sq - 2n/t."""
+    vals = 2.0 * lap
+    vals -= grad_sq
+    vals -= 2.0 * n / t
+    return vals
 
 
 def quantity_liyau_values(lap: np.ndarray, t: float, n: int) -> np.ndarray:
-    return 2.0 * lap - n / t
+    """2 lap - n/t."""
+    vals = 2.0 * lap
+    vals -= n / t
+    return vals
 
 
 def quantity_general_values(
     p: HarnackParams, w: np.ndarray, lap: np.ndarray, grad_sq: np.ndarray, t: float, n: int
 ) -> np.ndarray:
-    return p.alpha * lap - p.beta * grad_sq - p.b * w / t - p.c * n / t
+    """alpha lap - beta grad_sq - b w/t - c n/t."""
+    vals = p.alpha * lap
+    term = np.multiply(grad_sq, p.beta)
+    vals -= term
+    np.multiply(w, p.b, out=term)
+    term /= t
+    vals -= term
+    vals -= p.c * n / t
+    return vals
 
 
 def evolution_rhs_values(
@@ -123,23 +143,39 @@ def evolution_rhs_values(
     ``p.lam``, the Ricci term, and Q with its Laplacian and gradient."""
     ab = p.alpha - p.beta
     k = 2.0 * ab * p.lam / p.alpha
-    cross = np.zeros(w.shape)
+    # lap_q - 2 cross - 2ab hess - 2ab ricci - (k/t) q - (b + k beta) grad_sq / t
+    # + (1 - k) b w / t^2 + (1 - k) c n / t^2 + ab n lam^2 / (2 t^2), left to
+    # right, each array term formed in ``term`` and summed into ``vals``
+    vals, term = np.zeros(w.shape), np.empty(w.shape)
     for cq, cw in zip(grad_q, grad_w):
-        cross += cq * cw
-    vals = (
-        lap_q
-        - 2.0 * cross
-        - 2.0 * ab * hess
-        - 2.0 * ab * ricci
-        - (k / t) * q
-        - (p.b + k * p.beta) * grad_sq / t
-        + (1.0 - k) * p.b * w / (t * t)
-        + (1.0 - k) * p.c * n / (t * t)
-        + ab * n * p.lam * p.lam / (2.0 * t * t)
-    )
+        vals += np.multiply(cq, cw, out=term)  # the cross term, from +0.0
+    vals *= 2.0
+    np.subtract(lap_q, vals, out=vals)
+    vals -= np.multiply(hess, 2.0 * ab, out=term)
+    vals -= np.multiply(ricci, 2.0 * ab, out=term)
+    vals -= np.multiply(q, k / t, out=term)
+    np.multiply(grad_sq, p.b + k * p.beta, out=term)
+    term /= t
+    vals -= term
+    np.multiply(w, (1.0 - k) * p.b, out=term)
+    term /= t * t
+    vals += term
+    vals += (1.0 - k) * p.c * n / (t * t)
+    vals += ab * n * p.lam * p.lam / (2.0 * t * t)
     if p.variant is Variant.V:
         vals += p.b * n / (2.0 * t * t)
     return vals
+
+
+def evolution_residual_values(
+    q_prev: np.ndarray, q_next: np.ndarray, rhs: np.ndarray, dt: float
+) -> float:
+    """max |(q_next - q_prev) / (2 dt) - rhs|: the centered time difference
+    of Q across two snapshots 2 dt apart against the right side between them."""
+    mismatch = q_next - q_prev
+    mismatch /= 2.0 * dt
+    mismatch -= rhs
+    return float(np.abs(mismatch, out=mismatch).max())
 
 
 def quantity_H(u: ScalarField, t: float) -> ScalarField:
@@ -221,9 +257,8 @@ def evolution_residual(window: Iterable[FlowState], dt: float, p: HarnackParams)
     prev, here, next_ = window
     q_prev = quantity_general(_log_transform(prev, p.variant), prev.time, p)
     q_next = quantity_general(_log_transform(next_, p.variant), next_.time, p)
-    dq_dt = (q_next.values - q_prev.values) / (2.0 * dt)
     rhs = evolution_rhs(_log_transform(here, p.variant), here.time, p)
-    return float(np.max(np.abs(dq_dt - rhs.values)))
+    return evolution_residual_values(q_prev.values, q_next.values, rhs.values, dt)
 
 
 @dataclass(frozen=True)

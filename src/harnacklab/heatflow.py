@@ -19,6 +19,11 @@ produces a nonpositive node fails loudly, as a SolverError (it signals dt
 too large for the data's frequency content), instead of being masked by a
 positivity-preserving scheme.  Every positivity and residual test is
 written so that NaN or inf fails it.
+
+A step's numerics write into arrays the step allocates itself (``-=``,
+``*=``, ``out=``), not into a fresh array per operation; every operation,
+its order and its association are those of the written formula, so a step
+is bit-identical to the expression it evaluates.
 """
 
 from __future__ import annotations
@@ -124,8 +129,9 @@ class Trajectory:
 
 
 def _finite_positive(values: np.ndarray) -> bool:
-    """True when every value is finite and > 0 (NaN and inf fail)."""
-    return bool(values.min() > 0) and bool(np.isfinite(values).all())
+    """True when every value is finite and > 0: NaN fails both comparisons,
+    -inf the first and inf the second."""
+    return bool(values.min() > 0) and bool(values.max() < np.inf)
 
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
@@ -203,16 +209,23 @@ def _cn_solve(
     mass = m.quadrature_weights
     if stiffness_old is None:
         stiffness_old = m.stiffness(f_old)
-    rhs = mass * f_old + a * stiffness_old
+    # taken before the right side's arrays exist: the stencil pass holds fewer at once
     stiffness_new = m.stiffness(x)
-    peak = float(np.abs(rhs).max())
+    rhs = mass * f_old
+    work = a * stiffness_old
+    rhs += work
+    peak = float(np.abs(rhs, out=work).max())
     if not math.isfinite(peak):
         raise SolverError("Crank-Nicolson right side is not finite: the data overflow the operator")
     # one power of two, exact short of underflow, brings max|rhs| >= 1 into
     # [0.5, 1) so the sums of squares cannot overflow; NaN or inf still fails
     scale = math.ldexp(1.0, -max(math.frexp(peak)[1], 0))
-    rhs_norm = float(np.linalg.norm(rhs * scale))
-    resid_norm = float(np.linalg.norm((rhs - (mass * x - a * stiffness_new)) * scale))
+    rhs_norm = float(np.linalg.norm(np.multiply(rhs, scale, out=work)))
+    lhs = mass * x
+    lhs -= np.multiply(stiffness_new, a, out=work)
+    rhs -= lhs
+    rhs *= scale
+    resid_norm = float(np.linalg.norm(rhs))
     if not resid_norm <= CN_SOLVE_RTOL * rhs_norm:
         raise SolverError(
             f"Crank-Nicolson solve missed its residual bound: relative residual "

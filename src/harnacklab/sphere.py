@@ -57,7 +57,9 @@ class RoundSphere(ManifoldDescriptor):
         return self.edge_scatter @ (self.edge_difference @ values)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.stiffness(values) / self.quadrature_weights
+        lap = self.stiffness(values)
+        lap /= self.quadrature_weights
+        return lap
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
         """The linear-element |grad f|^2 of each face, area-averaged to its
@@ -67,14 +69,17 @@ class RoundSphere(ManifoldDescriptor):
         constant fields.
         """
         diff = self.edge_difference @ values
-        return self.edge_energy @ (diff * diff)
+        diff *= diff
+        return self.edge_energy @ diff
 
     def laplacian_and_grad_norm_sq(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(laplacian(values), grad_norm_sq(values))``, bit for bit, from one
         edge-difference product shared by both."""
         diff = self.edge_difference @ values
-        lap = (self.edge_scatter @ diff) / self.quadrature_weights
-        return lap, self.edge_energy @ (diff * diff)
+        lap = self.edge_scatter @ diff
+        lap /= self.quadrature_weights
+        diff *= diff
+        return lap, self.edge_energy @ diff
 
     @cached_property
     def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -146,7 +151,10 @@ class RoundSphere(ManifoldDescriptor):
                 raise SolverError(f"banded Cholesky solve failed (LAPACK dpbtrs info {info})")
             x = np.empty_like(d)
             x[perm] = y
-            return c + (2.0 * x - d)
+            x *= 2.0
+            x -= d
+            x += c
+            return x
 
         return solve
 
