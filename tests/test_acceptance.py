@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
+from harnacklab.config import parse_config
 from harnacklab.initialdata import wrapped_distance_sq
 from harnacklab.paramspace import NamedMatch, ScanSpec, case_one_uniqueness_scan, classify
 from harnacklab.pathwise import SpaceTimePair
-from harnacklab.runner import _draw_residual_params, parse_config, run_config
+from harnacklab.runner import run_config
+from harnacklab.suites import _draw_residual_params
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

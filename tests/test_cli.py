@@ -46,7 +46,8 @@ def test_trajectory_export_of_shipped_smoke(tmp_path):
 TORUS_COMMANDS_THEN_SPHERE_PARSE = """
 import json, sys
 import harnacklab
-from harnacklab.runner import main, parse_config
+from harnacklab.config import parse_config
+from harnacklab.runner import main
 
 configs, out = sys.argv[1], sys.argv[2]
 smoke = configs + "/torus_smoke.yaml"

@@ -18,14 +18,9 @@ from pathlib import Path
 import pytest
 
 from harnacklab import entropy, heatflow
+from harnacklab.config import parse_config_text
 from harnacklab.geometry import FlatTorus
-from harnacklab.runner import (
-    EXIT_GATE_FAILURE,
-    EXIT_PASS,
-    EXIT_SOLVER_FAILURE,
-    parse_config_text,
-    run_config,
-)
+from harnacklab.runner import EXIT_GATE_FAILURE, EXIT_PASS, EXIT_SOLVER_FAILURE, run_config
 from harnacklab.sphere import RoundSphere
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

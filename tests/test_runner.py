@@ -8,21 +8,35 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab import runner
+from harnacklab import runner, suites
+from harnacklab.config import (
+    ConfigError,
+    Flow,
+    Output,
+    Tolerances,
+    TorusSpec,
+    parse_config,
+    parse_config_text,
+)
 from harnacklab.pathwise import PairValues, SpaceTimePair
-from harnacklab.runner import (
+from harnacklab.report import (
+    _CSV_CHUNK_CELLS,
     DIAGNOSTIC_COLUMNS,
+    _column_text,
+    _fmt,
+    _write_columns,
+    manifold_hash,
+)
+from harnacklab.runner import (
     EXIT_CONFIG_ERROR,
     EXIT_GATE_FAILURE,
     EXIT_PASS,
     EXIT_SOLVER_FAILURE,
-    ConfigError,
     calibrate_tolerance,
-    discretization_tolerance,
     main,
-    parse_config_text,
     run_config,
 )
+from harnacklab.suites import discretization_tolerance
 from test_mutations import ROW, check_row
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -174,7 +188,7 @@ def test_parse_errors_name_the_field(mangle, fragment):
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
 def test_shipped_configs_parse(path):
-    runner.parse_config(path)
+    parse_config(path)
 
 
 # the manifold hash of each shipped config: a report key, so reading the
@@ -192,8 +206,8 @@ SHIPPED_MANIFOLD_HASHES = {
 def test_shipped_manifold_hashes_are_pinned():
     assert sorted(p.name for p in CONFIG_DIR.glob("*.yaml")) == sorted(SHIPPED_MANIFOLD_HASHES)
     for name, expected in SHIPPED_MANIFOLD_HASHES.items():
-        config = runner.parse_config(CONFIG_DIR / name)
-        assert runner.manifold_hash(config.manifold) == expected, name
+        config = parse_config(CONFIG_DIR / name)
+        assert manifold_hash(config.manifold) == expected, name
 
 
 def test_parse_rejects_unknown_mode_key():
@@ -227,7 +241,7 @@ def test_parse_fills_defaults_from_the_dataclasses():
         "suites: [harnack_signs, entropy, pathwise]", "suites: [paramscan]"
     )
     config = parse_config_text(text)
-    assert config.tolerances == runner.Tolerances(
+    assert config.tolerances == Tolerances(
         tol_disc_constant=10.0, quadrature_tol=1.0e-6, rng_seed=7
     )
     assert config.tolerances.pair_count == 100
@@ -305,7 +319,7 @@ def test_constant_run_passes_and_reports(tmp_path):
     assert outcome.summary["overall_pass"]
 
     diag = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
-    assert diag[0] == ",".join(runner.DIAGNOSTIC_COLUMNS)
+    assert diag[0] == ",".join(DIAGNOSTIC_COLUMNS)
     assert len(diag) == 1 + 51
     # F column is exactly linear: -2 n t c Vol = -4t
     first = diag[1].split(",")
@@ -328,17 +342,17 @@ def test_constant_run_passes_and_reports(tmp_path):
 
 
 def test_runs_are_byte_deterministic(tmp_path):
-    out_a = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "a"))))
-    out_b = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "b"))))
+    out_a = run_config(constant_config(tmp_path, output=Output(str(tmp_path / "a"))))
+    out_b = run_config(constant_config(tmp_path, output=Output(str(tmp_path / "b"))))
     assert out_a.exit_code == out_b.exit_code == EXIT_PASS
     for name in ("summary.json", "diagnostics.csv", "trajectory_meta.json", "pathwise.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_strict_halves_tolerance(tmp_path):
-    base = run_config(constant_config(tmp_path, output=runner.Output(str(tmp_path / "n"))))
+    base = run_config(constant_config(tmp_path, output=Output(str(tmp_path / "n"))))
     strict = run_config(
-        constant_config(tmp_path, output=runner.Output(str(tmp_path / "s"))), strict=True
+        constant_config(tmp_path, output=Output(str(tmp_path / "s"))), strict=True
     )
     assert strict.summary["tol_disc"] == pytest.approx(base.summary["tol_disc"] / 2.0)
     # the shipped smoke run passes under --strict, and both reports record it
@@ -398,8 +412,8 @@ def test_solver_mass_leak_fails_only_mass_drift(tmp_path, monkeypatch, cut, leak
 
 @pytest.fixture(scope="module")
 def smoke_snapshots():
-    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
-    m = config.manifold.build()
+    config = parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    m = runner.build_manifold(config.manifold)
     f0 = hl.build_initial_field(config.initial_data, m)
     traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
     tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.flow.dt)
@@ -449,7 +463,8 @@ def suite_with(smoke_snapshots, case, bad=None):
             values.take(k, state)
         if bad is not None:
             values.f[5, 0] = bad
-        return runner._suite_pathwise(config, traj, tol_disc, pairs, values)[0]
+        reports = hl.check_integrated_harnack(traj, pairs, tol=tol_disc, values=values)
+        return suites.pathwise(config, reports, tol_disc)
     if case == "mass_drift":
         drift = drift if bad is None else bad
     elif bad is not None and case != "tuples":
@@ -457,15 +472,16 @@ def suite_with(smoke_snapshots, case, bad=None):
         values[5] = bad
         series = replace(series, **{case: values})
     if case in SIGN_FIELDS:
-        return runner._suite_harnack_signs(series, tol_disc)
+        return suites.harnack_signs(series, tol_disc)
     if case not in ("residual", "tuples"):
-        return runner._suite_entropy(config, traj, tol_disc, mass, drift, series)
-    fine_idx = runner._residual_index(len(traj))
+        return suites.entropy(config, traj.manifold, tol_disc, mass, drift, series)
+    fine_idx = suites._residual_index(len(traj))
     window = list(traj)[fine_idx - 1 : fine_idx + 2]
-    with pytest.MonkeyPatch.context() as mp:
-        if case == "tuples" and bad is not None:
-            mp.setattr(runner, "evolution_residual", lambda *args: bad)
-        return runner._suite_evolution_residual(config, window, series)
+    residuals = runner.residual_tuples(config, window, fine_idx)
+    if case == "tuples" and bad is not None:
+        # every evolution residual of the tuples, fine and coarse, is ``bad``
+        residuals = [(p, bad, bad) for p, _, _ in residuals]
+    return suites.evolution_residual(config, residuals, window[1].time, series)
 
 
 @pytest.mark.parametrize("case", list(NAN_GATES))
@@ -494,7 +510,7 @@ def test_entropy_suite_fails_an_overflowing_bound(smoke_snapshots):
     # the entropy bounds scale tol_disc by the mass, so a finite tol_disc
     # can still give tol_value = inf, under which every value passes
     config, traj, series, _, _, drift = smoke_snapshots
-    report = runner._suite_entropy(config, traj, 1e10, 1e300, drift, series)
+    report = suites.entropy(config, traj.manifold, 1e10, 1e300, drift, series)
     assert report["pass"] is False
     assert report["worst_slack"] == np.inf
 
@@ -505,7 +521,8 @@ def test_pathwise_suite_fails_an_overflowing_gamma(tmp_path):
     m = hl.build_torus(1, [1.0e154], [64])
     traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
     pairs = [SpaceTimePair(0, 32, 0.1, 0.2)]
-    report, _ = runner._suite_pathwise(constant_config(tmp_path), traj, 1.0, pairs, None)
+    reports = hl.check_integrated_harnack(traj, pairs, tol=1.0)
+    report = suites.pathwise(constant_config(tmp_path), reports, 1.0)
     assert report["pass"] is False
     assert report["worst_slack"] == np.inf
 
@@ -520,11 +537,11 @@ def test_infinite_tol_disc_is_a_config_error(tmp_path, monkeypatch):
         raise AssertionError("the flow was stepped")
 
     monkeypatch.setattr(heatflow, "step", no_step)
-    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    config = parse_config(CONFIG_DIR / "torus_smoke.yaml")
     config = replace(
         config,
-        manifold=runner.TorusSpec(1, (1.0e200,), (64,)),
-        output=runner.Output(str(tmp_path / "out")),
+        manifold=TorusSpec(1, (1.0e200,), (64,)),
+        output=Output(str(tmp_path / "out")),
     )
     with pytest.raises(ConfigError) as err:
         run_config(config)
@@ -537,8 +554,8 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     # spiky admissible field to exercise the failure path
     config = constant_config(
         tmp_path,
-        flow=runner.Flow(t0=1.0, t_end=21.0, dt=5.0),
-        output=runner.Output(str(tmp_path / "out"), export_trajectory=True),
+        flow=Flow(t0=1.0, t_end=21.0, dt=5.0),
+        output=Output(str(tmp_path / "out"), export_trajectory=True),
     )
 
     def spiky(data, m):
@@ -593,7 +610,7 @@ def test_backward_run_reports_implied_derivatives(tmp_path):
 def test_trajectory_export(tmp_path):
     data = hl.RandomSmoothData(seed=3, mode_cutoff=2, amplitude=0.4, floor=1.0)
     config = constant_config(
-        tmp_path, output=runner.Output(str(tmp_path / "out"), export_trajectory=True),
+        tmp_path, output=Output(str(tmp_path / "out"), export_trajectory=True),
         initial_data=data,
     )
     run_config(config)
@@ -606,11 +623,11 @@ def test_trajectory_export(tmp_path):
     assert len(row) == 1 + 16 * 16
     assert float(row[0]) == pytest.approx(1.0)
     # every row is exactly the _fmt text of time and node values
-    m = config.manifold.build()
+    m = runner.build_manifold(config.manifold)
     flow = config.flow
     traj = hl.solve(m, hl.build_initial_field(data, m), flow.t0, flow.t_end, flow.dt)
     for line, state in zip(lines[3:], traj):
-        assert line == ",".join(runner._fmt(x) for x in [state.time, *state.f.values])
+        assert line == ",".join(_fmt(x) for x in [state.time, *state.f.values])
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +673,8 @@ def test_calibrate_clock_has_the_step_ceiling(monkeypatch, side, resolution):
         raise AssertionError("a flow was stepped")
 
     monkeypatch.setattr(heatflow, "step", no_step)
-    config = runner.parse_config(CONFIG_DIR / "torus_smoke.yaml")
-    config = replace(config, manifold=runner.TorusSpec(1, (side,), (64,)))
+    config = parse_config(CONFIG_DIR / "torus_smoke.yaml")
+    config = replace(config, manifold=TorusSpec(1, (side,), (64,)))
     with pytest.raises(ConfigError) as err:
         calibrate_tolerance(config)
     assert f"resolution {resolution}" in str(err.value) and "steps" in str(err.value)
@@ -817,9 +834,9 @@ def test_paramscan_csv_matches_rowwise_reference(tmp_path):
         def sink(block):
             for i in range(block["alpha"].size):
                 lam = block["lam"][i]
-                row = [runner._fmt(block[name][i]) for name in header[:7]]
-                row[3] = "" if np.isnan(lam) else runner._fmt(lam)
-                writer.writerow(row + [runner._fmt(bool(block["survivor"][i]))])
+                row = [_fmt(block[name][i]) for name in header[:7]]
+                row[3] = "" if np.isnan(lam) else _fmt(lam)
+                writer.writerow(row + [_fmt(bool(block["survivor"][i]))])
 
         hl.case_one_uniqueness_scan(spec, on_block=sink)
     written = (tmp_path / "out" / "paramscan.csv").read_bytes()
@@ -840,15 +857,15 @@ def test_write_columns_matches_csv_writer_on_edge_values(tmp_path):
     flags = np.resize([True, False, False], n)
     written = tmp_path / "written.csv"
     with open(written, "w", newline="") as fp:
-        runner._write_columns(fp, [flat, nan_or_one, part, flags], blank={1: blank})
+        _write_columns(fp, [flat, nan_or_one, part, flags], blank={1: blank})
     ref = tmp_path / "reference.csv"
     with open(ref, "w", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         for i in range(n):
             writer.writerow(
-                [runner._fmt(flat[i]), "" if blank[i] else runner._fmt(nan_or_one[i])]
-                + [runner._fmt(x) for x in part[i]]
-                + [runner._fmt(flags[i])]
+                [_fmt(flat[i]), "" if blank[i] else _fmt(nan_or_one[i])]
+                + [_fmt(x) for x in part[i]]
+                + [_fmt(flags[i])]
             )
     text = written.read_bytes()
     assert text == ref.read_bytes()
@@ -860,7 +877,7 @@ def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, ch
     # a block reuses the text kept from the block before only when every bit
     # repeats: -0.0 == 0.0 as floats, and two NaN payloads both read "nan"
     # one column: a chunk holds _CSV_CHUNK_CELLS rows, so this is three chunks
-    base = np.resize([0.0, 1.5, np.nan, -2.25, 0.1], 3 * runner._CSV_CHUNK_CELLS - 72)
+    base = np.resize([0.0, 1.5, np.nan, -2.25, 0.1], 3 * _CSV_CHUNK_CELLS - 72)
     other = base.copy()
     if change == "signed_zero":
         other[0] = -0.0
@@ -870,18 +887,18 @@ def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, ch
     blocks = [base, base, other, other, other]
 
     formatted = []
-    column_text = runner._column_text
+    column_text = _column_text
 
     def recording(part, blank=None):
         formatted[-1].append(part.view(np.int64).copy())
         return column_text(part, blank)
 
-    monkeypatch.setattr(runner, "_column_text", recording)
+    monkeypatch.setattr("harnacklab.report._column_text", recording)
     kept = {}
     with open(tmp_path / "kept.csv", "w", newline="") as fp:
         for block in blocks:
             formatted.append([])
-            runner._write_columns(fp, [block], kept=kept)
+            _write_columns(fp, [block], kept=kept)
     # three chunks, then the repeat formatted whole, once; the changed block
     # chunk by chunk from its own bits; its repeats once, then not at all
     assert [len(parts) for parts in formatted] == [3, 1, 3, 1, 0]
@@ -889,14 +906,14 @@ def test_write_columns_reuses_text_only_for_equal_bits(tmp_path, monkeypatch, ch
 
     with open(tmp_path / "plain.csv", "w", newline="") as fp:
         for block in blocks:
-            runner._write_columns(fp, [block])
+            _write_columns(fp, [block])
     assert (tmp_path / "kept.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_write_columns_peak_does_not_grow_with_rows():
     # each chunk's text is released before the next chunk is formatted, so
     # three chunks of rows peak no higher than one
-    chunk = runner._CSV_CHUNK_CELLS // 13  # rows per chunk of 13 columns
+    chunk = _CSV_CHUNK_CELLS // 13  # rows per chunk of 13 columns
     columns = _random_columns(13, 3 * chunk)
     one = _writer_peak([col[:chunk] for col in columns])
     assert _writer_peak(columns) <= 1.1 * one
@@ -907,7 +924,7 @@ def test_write_columns_peak_does_not_grow_with_columns():
     # the rows a chunk and peak no higher.  With a fixed number of rows a
     # chunk instead, the text of a chunk, and the peak, doubles (about 1.96x
     # here), so 1.2x separates the two with room for the per-call overhead
-    rows = 3 * (runner._CSV_CHUNK_CELLS // 13)  # three chunks of 13 columns, six of 26
+    rows = 3 * (_CSV_CHUNK_CELLS // 13)  # three chunks of 13 columns, six of 26
     columns = _random_columns(26, rows)
     assert _writer_peak(columns) <= 1.2 * _writer_peak(columns[:13])
 
@@ -925,7 +942,7 @@ def _writer_peak(columns):
     with open(os.devnull, "w") as fp:
         tracemalloc.start()
         try:
-            runner._write_columns(fp, columns)
+            _write_columns(fp, columns)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -948,7 +965,7 @@ SPHERE_CONFIG = CONSTANT_CONFIG.replace(
 def test_meta_names_the_backend_solver(tmp_path, text, linear_solver):
     from dataclasses import replace
 
-    run_config(replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out"))))
+    run_config(replace(parse_config_text(text), output=Output(str(tmp_path / "out"))))
     meta = json.loads((tmp_path / "out" / "trajectory_meta.json").read_text())
     assert meta["solver"] == {
         "scheme": "crank_nicolson", "linear_solver": linear_solver, "rtol": 1e-12
@@ -982,7 +999,7 @@ def test_backward_twin_computes_the_forward_diagnostics(tmp_path, text):
     for direction in ("forward", "backward"):
         config = parse_config_text(text.replace("direction: forward", f"direction: {direction}"))
         out = tmp_path / direction
-        assert run_config(replace(config, output=runner.Output(str(out)))).exit_code == EXIT_PASS
+        assert run_config(replace(config, output=Output(str(out)))).exit_code == EXIT_PASS
         lines = (out / "diagnostics.csv").read_text().splitlines()
         columns[direction] = [line.split(",")[:computed] for line in lines]
     flow = config.flow
@@ -1003,9 +1020,9 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
     # sphere run leaves dissipation and residual blank
     from dataclasses import replace
 
-    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
+    config = replace(parse_config_text(text), output=Output(str(tmp_path / "out")))
     run_config(config)
-    m = config.manifold.build()
+    m = runner.build_manifold(config.manifold)
     f0 = hl.build_initial_field(config.initial_data, m)
     traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
     series = hl.entropy_series(traj, with_residual="evolution_residual" in config.suites)
@@ -1022,7 +1039,7 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([runner._fmt(x) for x in row])
+                writer.writerow([_fmt(x) for x in row])
         return path.read_bytes()
 
     residual = [None] * len(traj)
@@ -1030,11 +1047,11 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
         residual[1:-1] = series.residual
     diag_rows = [
         [None if getattr(series, name) is None else getattr(series, name)[i]
-         for name in runner.DIAGNOSTIC_COLUMNS[:-1]] + [residual[i]]
+         for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual[i]]
         for i in range(len(traj))
     ]
     diag = (tmp_path / "out" / "diagnostics.csv").read_bytes()
-    assert diag == reference(runner.DIAGNOSTIC_COLUMNS, diag_rows)
+    assert diag == reference(DIAGNOSTIC_COLUMNS, diag_rows)
     pw_rows = [
         (r.pair.x1, r.pair.x2, r.pair.t1, r.pair.t2, r.gamma, r.lhs, r.rhs, r.slack, r.passed)
         for r in pairs
@@ -1045,7 +1062,7 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
     rows = [line.split(",") for line in diag.decode().splitlines()[1:]]
     torus = m.has_hessian
     for i, cells in enumerate(rows):
-        assert len(cells) == len(runner.DIAGNOSTIC_COLUMNS)
+        assert len(cells) == len(DIAGNOSTIC_COLUMNS)
         assert (cells[9] != "" and cells[11] != "") is torus  # dF_formula, dW_formula
         assert (cells[12] != "") is (torus and 0 < i < len(rows) - 1)  # residual_maxnorm
 
@@ -1074,7 +1091,7 @@ def test_fine_flow_is_stepped_once(tmp_path, monkeypatch, text, steps):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(heatflow, "step", counted)
-    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
+    config = replace(parse_config_text(text), output=Output(str(tmp_path / "out")))
     assert run_config(config).exit_code == EXIT_PASS
     assert len(calls) == steps
 
@@ -1096,7 +1113,7 @@ flow: {t0: 0.05, t_end: 0.85, dt: 5.0e-4}
 suites: [harnack_signs, evolution_residual, entropy, pathwise]
 tolerances: {tol_disc_constant: 260.0, quadrature_tol: 1.0e-4, rng_seed: 11}
 """
-    config = replace(parse_config_text(text), output=runner.Output(str(tmp_path / "out")))
+    config = replace(parse_config_text(text), output=Output(str(tmp_path / "out")))
     stored = (1600 + 1) * 32 * 32 * 8
     tracemalloc.start()
     try:
