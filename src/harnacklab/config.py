@@ -49,8 +49,9 @@ and the three initial-data classes.  An unknown key, a key given twice, a
 missing field, a suite listed twice or an empty suite list is a config
 error naming it; so is a value of the wrong type, a non-integral integer, a
 non-finite number or an out-of-range value, including a manifold the
-builders would reject, a clock ``heatflow.step_count`` would and an
-``output.directory`` that cannot be made.  Run size is bounded, with
+builders would reject and a clock ``heatflow.step_count`` would; and so
+is, from ``runner.main``, an ``output.directory`` or report file that
+cannot be made or written.  Run size is bounded, with
 nothing built: 2 to ``Flow.MAX_STEPS`` steps,
 ``geometry.MAX_NODES`` nodes, ``Tolerances.MAX_PAIRS`` pairs,
 ``ScanSpec.MAX_POINTS`` scan points and ``RandomSmoothData.MAX_MODES``

@@ -1,5 +1,8 @@
 """Report files: their layouts, their writers and the config echo.
 
+No writer catches an OSError: ``runner.main`` makes it a config error
+naming ``output.directory`` (exit 2).
+
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
 ------------------------------------------------------------------
@@ -48,8 +51,8 @@ so it is formatted once per scan.
 ``trajectory.csv`` (only with output.export_trajectory)
     comment header (# manifold_hash=..., # dt=..., # direction=...), then
     one row per state: time, then all node values.  Rows are written
-    during the pass to ``trajectory.csv.part``, which is renamed when the
-    pass completes; a solver failure removes it.
+    during the pass to ``trajectory.csv.part``, which is renamed once the
+    run's flows are stepped; a solver failure in either flow removes it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, SphereSpec, TorusSpec
+from .config import RunConfig, SphereSpec, TorusSpec
 from .entropy import SnapshotSeries
 from .geometry import ManifoldDescriptor
 from .heatflow import CN_SOLVE_RTOL, FlowState
@@ -81,13 +84,10 @@ PARAMSCAN_COLUMNS = (
 
 
 def output_dir(config: RunConfig) -> Path:
-    """output.directory, made if missing; a ConfigError naming it when it cannot be."""
+    """output.directory, made if missing."""
     out_dir = Path(config.output.directory)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return out_dir
-    except OSError as exc:
-        raise ConfigError(f"output.directory cannot be made: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _fmt(x) -> str:

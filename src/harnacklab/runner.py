@@ -131,7 +131,9 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
                     export(state)
 
             series = entropy_series(traj, with_residual=with_residual, on_state=take)
-    except SolverError as exc:
+            if with_residual:
+                residuals = residual_tuples(config, window, fine_idx)
+    except SolverError as exc:  # in the fine flow or the coarse one
         return _finish(out_dir, config, strict, solver_error=str(exc))
 
     mass0 = float(masses[0])
@@ -143,7 +145,6 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     if "entropy" in requested:
         verdicts["entropy"] = suites.entropy(config, m, tol_disc, mass0, mass_drift, series)
     if with_residual:
-        residuals = residual_tuples(config, window, fine_idx)
         verdicts["evolution_residual"] = suites.evolution_residual(
             config, residuals, window[1].time, series
         )
@@ -339,6 +340,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
+    except OSError as exc:  # the output directory or a report file in it
+        print(f"config error: output.directory cannot be written: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     if "solver_error" in outcome.summary:  # no suite ran, so none has a verdict
         print(f"solver failure: {outcome.summary['solver_error']}", file=sys.stderr)

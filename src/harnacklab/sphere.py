@@ -57,24 +57,14 @@ class RoundSphere(ManifoldDescriptor):
         return self.edge_scatter @ (self.edge_difference @ values)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        lap = self.stiffness(values)
-        lap /= self.quadrature_weights
-        return lap
+        return self.laplacian_and_grad_norm_sq(values)[0]
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        """The linear-element |grad f|^2 of each face, area-averaged to its
-        corners, as a sum of squared edge differences (see :func:`_edge_operators`).
-
-        Every weight is positive, so the result is >= 0, and exactly 0 on
-        constant fields.
-        """
-        diff = self.edge_difference @ values
-        diff *= diff
-        return self.edge_energy @ diff
+        return self.laplacian_and_grad_norm_sq(values)[1]
 
     def laplacian_and_grad_norm_sq(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(laplacian(values), grad_norm_sq(values))``, bit for bit, from one
-        edge-difference product shared by both."""
+        """The Laplacian and the squared gradient of ``values``, both from one
+        edge-difference product (see :func:`_edge_operators`)."""
         diff = self.edge_difference @ values
         lap = self.edge_scatter @ diff
         lap /= self.quadrature_weights

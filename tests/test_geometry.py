@@ -438,15 +438,6 @@ def test_sphere_band_order_peaks_at_most_five_times_what_it_keeps():
     assert peak <= 5.0 * kept
 
 
-def test_sphere_laplacian_and_grad_norm_sq_share_one_product_bit_for_bit():
-    m = hl.build_sphere(3)
-    rough = np.random.default_rng(8).uniform(0.5, 2.0, m.node_count)
-    lap, gns = m.laplacian_and_grad_norm_sq(rough)
-    assert np.array_equal(lap, m.laplacian(rough))
-    assert np.array_equal(gns, m.grad_norm_sq(rough))
-    assert np.array_equal(m.laplacian(rough), m.stiffness(rough) / m.quadrature_weights)
-
-
 def test_sphere_cn_band_is_the_permuted_sparse_matrix():
     # the band written from the edges holds exactly the entries of the
     # sparse M - a W, in reverse Cuthill-McKee order

@@ -13,11 +13,13 @@ Rows are named ``<cut>-<mutation>``: ``pytest -k sphere3-clock`` selects
 the clock rows on the sphere.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from harnacklab import entropy, heatflow
+from harnacklab import entropy, heatflow, pathwise, runner
 from harnacklab.config import parse_config_text
 from harnacklab.geometry import FlatTorus
 from harnacklab.runner import EXIT_GATE_FAILURE, EXIT_PASS, EXIT_SOLVER_FAILURE, run_config
@@ -88,18 +90,38 @@ def scale_laplacian(monkeypatch, k, everywhere):
         _scale_solvers(monkeypatch, k)
 
 
-def leak(monkeypatch, rate):
-    """Each solve's result scaled by 1 + rate: mass leaks at every step."""
+def leak(monkeypatch, rate, resolution=None):
+    """Each solve's result scaled by 1 + rate: mass leaks at every step; with
+    ``resolution``, only on the torus of that resolution."""
 
     def leaky(build):
         def cn_solver(m, a):
             solve = build(m, a)
+            if resolution is not None and getattr(m, "resolution", None) != resolution:
+                return solve
             return lambda f: solve(f) * (1.0 + rate)
 
         return cn_solver
 
     for backend in BACKENDS:
         _wrap(monkeypatch, backend, "cn_solver", leaky)
+
+
+def drop_time_factor(check):
+    """``check_integrated_harnack`` with n ln(t2/t1) taken off each rhs, and
+    each slack and verdict taken again against the same tol."""
+
+    def checked(traj, pairs, tol, values=None):
+        n = traj.manifold.dimension
+        reports = []
+        for r in check(traj, pairs, tol=tol, values=values):
+            rhs = r.rhs - n * np.log(r.pair.t2 / r.pair.t1)
+            slack = r.lhs - rhs
+            passed = bool(np.isfinite(slack)) and slack <= tol
+            reports.append(replace(r, rhs=rhs, slack=slack, passed=passed))
+        return reports
+
+    return checked
 
 
 # each mutation: a monkeypatch applied before the run, or config edits made
@@ -114,8 +136,24 @@ MUTATIONS = {
     "dissipation_flipped": lambda mp: _wrap(
         mp, entropy, "_dissipation_value", lambda value: lambda *args: -value(*args)
     ),
+    # the closed-form dF/dt without its |grad u|^2 / t term
+    "dissipation_no_grad": lambda mp: _wrap(
+        mp, entropy, "_dissipation_value",
+        lambda value: lambda m, t, f, hess, ricci, grad_sq: value(
+            m, t, f, hess, ricci, np.zeros_like(grad_sq)
+        ),
+    ),
+    # the integrated Harnack bound without its Gamma/2 term, or without its
+    # n ln(t2/t1) term
+    "pathwise_gamma_zero": lambda mp: mp.setattr(pathwise, "gamma_infimum", lambda m, pair: 0.0),
+    "pathwise_no_time_factor": lambda mp: _wrap(
+        mp, runner, "check_integrated_harnack", drop_time_factor
+    ),
     "leak_1e-13": lambda mp: leak(mp, 1e-13),
     "leak_1e-12": lambda mp: leak(mp, 1e-12),
+    # torus_smoke's once-coarsened flow (32 nodes) only, which the residual
+    # suite steps after the fine pass
+    "coarse_leak_1e-12": lambda mp: leak(mp, 1e-12, resolution=(32,)),
     "clock_x2": lambda mp: scale_clock(mp, 2.0),
     "clock_x0.5": lambda mp: scale_clock(mp, 0.5),
     "diag_lap_x1.01": lambda mp: scale_laplacian(mp, 1.01, everywhere=False),
@@ -129,6 +167,7 @@ MUTATIONS = {
 CLOCK_FOUND = "ROADMAP items 1 and 14: no sphere gate sees a wrong clock"
 DIAG_LAP_FOUND = "ROADMAP item 14; CHANGES.md FOUND: a ±1% error in the diagnostics' Laplacian"
 LIYAU_FOUND = "ROADMAP item 3; CHANGES.md FOUND: a halved Li-Yau constant"
+PATHWISE_FOUND = "ROADMAP item 18: the pathwise gate passes without a term of its bound"
 
 
 def row(cut, mutation, exit_code, failing=(), found=None):
@@ -147,6 +186,8 @@ ROWS = [
     row("sphere3", "leak_1e-13", EXIT_GATE_FAILURE, {"mass_drift_rel"}),
     row("smoke", "leak_1e-12", EXIT_SOLVER_FAILURE),
     row("sphere3", "leak_1e-12", EXIT_SOLVER_FAILURE),
+    # a failure in the coarse flow ends the run like one in the fine flow
+    row("smoke", "coarse_leak_1e-12", EXIT_SOLVER_FAILURE),
     row("smoke", "clock_x2", EXIT_GATE_FAILURE, {"worst_ratio_slack"}),
     row("smoke", "clock_x0.5", EXIT_GATE_FAILURE, {"worst_ratio_slack"}),
     row("smoke", "lap_x1.01", EXIT_GATE_FAILURE, {"worst_ratio_slack"}),
@@ -162,19 +203,20 @@ ROWS = [
     row("smoke", "liyau_halved", EXIT_PASS, found=LIYAU_FOUND),
     row("smoke", "data_x1e200", EXIT_GATE_FAILURE, {"stokes_worst_slack"},
         found="ROADMAP item 10; CHANGES.md FOUND: the Stokes gate passes on its floor of 1"),
+    # xcheck_worst_gap reads 0.0343 against its bound 0.0713
+    row("smoke", "dissipation_no_grad", EXIT_PASS,
+        found="ROADMAP item 17: the dissipation cross-check passes without a whole term"),
+    # worst_raw_slack reads 0.063 against 0.561 on smoke, 0.019 against
+    # 1.104 on sphere3 without Gamma; 0.028 and -0.734 without the time factor
+    row("smoke", "pathwise_gamma_zero", EXIT_PASS, found=PATHWISE_FOUND),
+    row("sphere3", "pathwise_gamma_zero", EXIT_PASS, found=PATHWISE_FOUND),
+    row("smoke", "pathwise_no_time_factor", EXIT_PASS, found=PATHWISE_FOUND),
+    row("sphere3", "pathwise_no_time_factor", EXIT_PASS, found=PATHWISE_FOUND),
 ]
-
-
-# each row's values by its id, for the tests that keep an older name
-ROW = {param.id: param.values for param in ROWS}
 
 
 @pytest.mark.parametrize("cut, mutation, exit_code, failing, found", ROWS)
 def test_mutation(tmp_path, monkeypatch, cut, mutation, exit_code, failing, found):
-    check_row(tmp_path, monkeypatch, cut, mutation, exit_code, failing, found)
-
-
-def check_row(tmp_path, monkeypatch, cut, mutation, exit_code, failing, found):
     """Run ``cut`` under ``mutation`` and assert the row's outcome."""
     name, edits = CUTS[cut]
     change = MUTATIONS[mutation]
@@ -192,3 +234,4 @@ def check_row(tmp_path, monkeypatch, cut, mutation, exit_code, failing, found):
     if exit_code == EXIT_SOLVER_FAILURE:
         assert "suites" not in outcome.summary
         assert "residual bound" in outcome.summary["solver_error"]
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
