@@ -6,7 +6,8 @@ naming ``output.directory`` (exit 2).
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
 ------------------------------------------------------------------
-Every CSV is written column by column through one writer: a float column
+Every CSV but the ``trajectory.csv`` export, which joins each state's
+row itself, is written column by column through one writer: a float column
 as repr, taken once per distinct bit pattern of each chunk of rows (so -0.0
 and 0.0 keep their own text), any other value as ``_fmt`` gives it
 (integers as integers, booleans as 1/0, None as an empty cell).  The scan
@@ -19,9 +20,9 @@ so it is formatted once per scan.
     direct Crank-Nicolson solver, ``fft`` on a torus and ``band_cholesky``
     on the sphere, and ``rtol`` the relative residual every solve is checked
     against); the tolerance constant in effect and the resulting tol_disc,
-    initial mass and relative drift.  ``calibrate`` writes only this file,
-    with its fit (error_ratio null where the fine level is exact); its two
-    clocks are ``Flow``s, so they have a run's step ceiling.
+    initial mass and relative drift.  A ``calibrate`` that succeeds writes
+    only this file, with its fit (error_ratio null where the fine level is
+    exact); its two clocks are ``Flow``s, so they have a run's step ceiling.
 ``diagnostics.csv``
     one row per snapshot, fixed column order::
 
@@ -47,7 +48,8 @@ so it is formatted once per scan.
     value also under the gate's name), ``pass`` and ``worst_slack``
     (``harnacklab.suites`` gives each suite's report).  overall_pass is the
     AND of every gate.  Also the tolerance model actually applied.  Never
-    contains paths.
+    contains paths.  After a solver failure it is the only file left, with
+    ``solver_error`` in place of the suites.
 ``trajectory.csv`` (only with output.export_trajectory)
     comment header (# manifold_hash=..., # dt=..., # direction=...), then
     one row per state: time, then all node values.  Rows are written
@@ -107,16 +109,13 @@ _CSV_CHUNK_CELLS = 8192
 
 def _column_text(part, blank=None):
     """The ``_fmt`` text of each value of one column, or of a chunk of its
-    rows, formatted in one pass for arrays: for a 1-D float part, repr of
-    each distinct bit pattern once (-0.0 and 0.0 differ), gathered to every
-    entry holding it, and blank where the boolean part ``blank`` is True; a
-    2-D float part gives each row's reprs joined by commas; 1/0 for
-    booleans.  A None column and a None value are blank."""
+    rows, formatted in one pass for arrays: for a float part, repr of each
+    distinct bit pattern once (-0.0 and 0.0 differ), gathered to every
+    entry holding it, and blank where the boolean part ``blank`` is True;
+    1/0 for booleans.  A None column and a None value are blank."""
     if part is None:
         return itertools.repeat("")
     if isinstance(part, np.ndarray) and part.dtype == float:
-        if part.ndim == 2:
-            return [",".join(map(repr, row)) for row in part.tolist()]
         bits, index = np.unique(part.view(np.int64), return_inverse=True)
         text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index]
         if blank is not None:
@@ -128,14 +127,14 @@ def _column_text(part, blank=None):
 
 
 def _repeated_text(columns, blank, kept) -> dict:
-    """The text of each 1-D float column without blanks that repeats the
+    """The text of each float column without blanks that repeats the
     previous block's column bit for bit, by column index.  ``kept`` carries,
     from block to block, each such column's bits (its ``int64`` view, so
     -0.0 and 0.0 differ, and so do two NaN payloads) and, once the column
     has repeated, its text."""
     text = {}
     for k, col in enumerate(columns):
-        if k in blank or not (isinstance(col, np.ndarray) and col.dtype == float and col.ndim == 1):
+        if k in blank or not (isinstance(col, np.ndarray) and col.dtype == float):
             continue
         bits = col.view(np.int64)
         last_bits, last_text = kept.get(k, (None, None))
@@ -148,26 +147,22 @@ def _repeated_text(columns, blank, kept) -> dict:
 
 
 def _write_columns(fp, columns, blank=None, kept=None) -> None:
-    """Write one CSV row per index of the equal-length ``columns`` (arrays,
-    sequences or None), joining as many rows at a time as fit in
+    """Write one CSV row per index of the equal-length ``columns`` (1-D
+    arrays, sequences or None), joining as many rows at a time as fit in
     _CSV_CHUNK_CELLS cells (at least one), so the text of a long or wide
-    table is never held at once; a 2-D part counts its width, any other
-    column one cell a row.  ``blank`` maps the index of a 1-D float column
-    to a boolean array of its length: its True entries are written as blank
-    cells.
+    table is never held at once.  ``blank`` maps the index of a float
+    column to a boolean array of its length: its True entries are written
+    as blank cells.
 
     A table written in blocks passes one ``kept`` dict with every block.  A
-    1-D float column without blanks that repeats the previous block's bits
-    is then formatted once, for its whole block, and that text is reused
+    float column without blanks that repeats the previous block's bits is
+    then formatted once, for its whole block, and that text is reused
     while the column keeps repeating (:func:`_repeated_text`).  Every other
     column is formatted chunk by chunk and holds no text."""
     blank = blank or {}
     whole = {} if kept is None else _repeated_text(columns, blank, kept)
     n = max(len(col) for col in columns if col is not None)
-    width = sum(
-        col.shape[1] if isinstance(col, np.ndarray) and col.ndim == 2 else 1 for col in columns
-    )
-    rows = max(1, _CSV_CHUNK_CELLS // width)
+    rows = max(1, _CSV_CHUNK_CELLS // len(columns))
     for lo in range(0, n, rows):
         hi = lo + rows
         cells = [
@@ -299,7 +294,7 @@ def trajectory_csv(path: Path, config: RunConfig):
             fp.write(f"# direction={config.flow.direction}\n")
 
             def write_state(state: FlowState) -> None:
-                _write_columns(fp, [[state.time], state.f.values[None, :]])
+                fp.write(",".join(map(repr, [state.time, *state.f.values.tolist()])) + "\n")
 
             yield write_state
         part.replace(path)

@@ -6,8 +6,10 @@ One config file = one reproducible experiment.  The CLI offers
     harnacklab calibrate <config>  fit the tolerance constant C (torus only)
     harnacklab scan <config>       parameter-uniqueness scan only
 
-with exit codes 0 (all gates pass), 1 (gate failure), 2 (config error),
-3 (solver failure).  ``--seed`` overrides the config RNG seed, ``--output-dir``
+with exit codes 0 (all gates pass), 1 (gate failure), 2 (config error: no
+``summary.json``) and 3 (solver failure in any flow of ``run`` or ``calibrate``:
+``summary.json`` alone, naming it).  A ``calibrate`` that succeeds writes only
+``trajectory_meta.json``.  ``--seed`` overrides the config RNG seed, ``--output-dir``
 the output directory, and ``--strict`` (not a config key) halves tol_disc.
 
 The config grammar is in ``harnacklab.config``, the gates in
@@ -278,7 +280,10 @@ def calibrate_tolerance(config: RunConfig) -> dict:
 
 def run_calibrate(config: RunConfig) -> RunOutcome:
     out_dir = report.output_dir(config)
-    meta = calibrate_tolerance(config)
+    try:
+        meta = calibrate_tolerance(config)
+    except SolverError as exc:  # at either calibration level
+        return _finish(out_dir, config, False, solver_error=str(exc))
     report.write_json(out_dir / "trajectory_meta.json", meta)
     return RunOutcome(EXIT_PASS, meta, out_dir)
 
@@ -337,9 +342,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
     except OSError as exc:  # the output directory or a report file in it
         print(f"config error: output.directory cannot be written: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

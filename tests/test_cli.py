@@ -1,19 +1,181 @@
 """The command line on the shipped configs: each test drives ``runner.main``
 as the ``harnacklab`` console script would, and checks its exit code,
-output and report files."""
+output and report files.  The exit table (``EXITS``) gives one row to each
+way ``run``, ``calibrate`` and ``scan`` end: ``pytest -k calibrate-``
+selects calibrate's rows."""
 
 import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from harnacklab.runner import EXIT_PASS, main
+import numpy as np
+import pytest
+
+import harnacklab as hl
+from harnacklab import heatflow, runner
+from harnacklab.runner import (
+    EXIT_CONFIG_ERROR, EXIT_GATE_FAILURE, EXIT_PASS, EXIT_SOLVER_FAILURE, main,
+)
+from test_mutations import leak
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
+
+
+def no_step(monkeypatch):
+    """Fail the test if a flow is stepped or a scan is made."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flow was stepped or a scan was made")
+
+    monkeypatch.setattr(heatflow, "step", refuse)
+    monkeypatch.setattr(runner, "case_one_uniqueness_scan", refuse)
+
+
+def spiky(monkeypatch):
+    """Initial data whose first Crank-Nicolson step of 1.0 turns a node negative."""
+
+    def field(data, m):
+        x = m.positions[:, 0]
+        return hl.ScalarField(1e-3 + 0.5 * (1 + np.cos(2 * np.pi * x)) ** 2, m)
+
+    monkeypatch.setattr(runner, "build_initial_field", field)
+
+
+# the exit table: how each command ends.  Each row runs a shipped config,
+# cut by text edits (each made once; None: no config file), through
+# ``main``, under a patch and with ``taken``, if given, made a directory
+# in the output directory ("": the output directory is a file).  It asserts
+# the exit code, stderr's first line and stdout, with the temporary
+# directory read as TMP and each float of four or more decimals as #, and
+# the exact set of files left in the output directory
+ROUNDOFF = re.compile(r"\d+\.\d{3,}(e[-+]?\d+)?")
+SMOKE_EXPORT = (("out/torus_smoke", "out/torus_smoke\n  export_trajectory: true"),)
+SMOKE_STIFF = (("t_end: 0.25", "t_end: 4.05"), ("dt: 2.0e-3", "dt: 1.0")) + SMOKE_EXPORT
+SIDE = "side_lengths: [1.0]"
+SCAN_COARSE = (("step: 0.05", "step: 0.25"),)
+SUMMARY = {"summary.json"}
+RUN_FILES = {"diagnostics.csv", "pathwise.csv", "summary.json", "trajectory_meta.json"}
+RUN_SUITES = ("harnack_signs", "evolution_residual", "entropy", "pathwise")
+RUN_PASS = "".join(f"{name}: PASS (worst slack -#)\n" for name in RUN_SUITES) + "overall: PASS\n"
+RUN_FAIL = """\
+harnack_signs: FAIL (worst slack #)
+evolution_residual: PASS (worst slack -#)
+entropy: FAIL (worst slack -#)
+pathwise: PASS (worst slack -#)
+overall: FAIL
+"""
+NO_CONFIG = (
+    "config error: cannot read config TMP/config.yaml: [Errno 2] No such file or directory: "
+    "'TMP/config.yaml'"
+)
+UNWRITABLE = "config error: output.directory cannot be written: [Errno {}] {}: 'TMP/out{}'"
+RESIDUAL = "solver failure: Crank-Nicolson solve missed its residual bound: relative residual #"
+
+
+def exit_row(command, config, case, exit_code, err="", out="", files=(), edits=(), patch=None,
+             taken=None):
+    return pytest.param(
+        command, config, edits, patch, taken, (exit_code, err, out, set(files)),
+        id=f"{command}-{case}",
+    )
+
+
+EXITS = [
+    exit_row("run", "torus_smoke", "pass", EXIT_PASS, out=RUN_PASS, files=RUN_FILES),
+    # 2 lap u > n/t0 at t0
+    exit_row("run", "torus_smoke", "gate_failure", EXIT_GATE_FAILURE, out=RUN_FAIL,
+             files=RUN_FILES, edits=(("amplitude: 0.15", "amplitude: 0.9"),)),
+    # h^2 overflows, and every gate would pass under tol_disc = inf
+    exit_row("run", "torus_smoke", "overflowing_tol_disc", EXIT_CONFIG_ERROR,
+             "config error: tol_disc is not finite: tol_disc_constant 250.0 at mesh scale #",
+             edits=((SIDE, "side_lengths: [1.0e200]"),), patch=no_step),
+    # the export is written during the pass: none is left beside the summary
+    exit_row("run", "torus_smoke", "fine_solver_failure", EXIT_SOLVER_FAILURE,
+             "solver failure: positivity lost at node 0 (value -#) stepping to time 1.05; "
+             "reduce dt or smooth the data", files=SUMMARY, edits=SMOKE_STIFF, patch=spiky),
+    # the residual suite's coarse flow, stepped after the fine pass
+    exit_row("run", "torus_smoke", "coarse_solver_failure", EXIT_SOLVER_FAILURE, RESIDUAL,
+             files=SUMMARY, edits=SMOKE_EXPORT, patch=lambda mp: leak(mp, 1e-12, (32,))),
+    exit_row("calibrate", "torus_smoke", "pass", EXIT_PASS,
+             out="calibrated C = # (fits [#, #], error ratio #)\n", files={"trajectory_meta.json"}),
+    # ROADMAP item 15 (calibrate on S^2) flips this row
+    exit_row("calibrate", "sphere_signs", "sphere", EXIT_CONFIG_ERROR,
+             "config error: calibrate_tolerance needs a torus config", patch=no_step),
+    exit_row("calibrate", "torus_smoke", "over_ceiling", EXIT_CONFIG_ERROR,
+             "config error: calibration at resolution [32]: dt = # makes 409600001 steps from "
+             "t0 to t_end; a run takes 2 to 20000",
+             edits=((SIDE, "side_lengths: [1.0e-3]"),), patch=no_step),
+    # h^2 underflows, so the parse refuses the sides
+    exit_row("calibrate", "torus_smoke", "overflowing_stencil_weight", EXIT_CONFIG_ERROR,
+             "config error: manifold: side_lengths (1e-200,) at resolution (64,) overflow the "
+             "weight 1/h^2", edits=((SIDE, "side_lengths: [1.0e-200]"),), patch=no_step),
+    # the coarse level (32 nodes) is stepped first, the fine one (64) after it
+    exit_row("calibrate", "torus_smoke", "coarse_solver_failure", EXIT_SOLVER_FAILURE, RESIDUAL,
+             files=SUMMARY, patch=lambda mp: leak(mp, 1e-12, (32,))),
+    exit_row("calibrate", "torus_smoke", "fine_solver_failure", EXIT_SOLVER_FAILURE, RESIDUAL,
+             files=SUMMARY, patch=lambda mp: leak(mp, 1e-12, (64,))),
+    exit_row("scan", "paramscan", "pass", EXIT_PASS,
+             out="paramscan: PASS (17 survivors, max ray deviation 0.25)\n",
+             files={"paramscan.csv", "summary.json"}, edits=SCAN_COARSE),
+    exit_row("scan", "paramscan", "gate_failure", EXIT_GATE_FAILURE,
+             out="paramscan: FAIL (0 survivors, max ray deviation 0.0)\n",
+             files={"paramscan.csv", "summary.json"},
+             edits=SCAN_COARSE + (("b_range: [-3.0, 1.0]", "b_range: [0.5, 1.0]"),)),
+    exit_row("scan", "torus_smoke", "no_paramscan", EXIT_CONFIG_ERROR,
+             "config error: scan command needs 'paramscan' among the requested suites",
+             patch=no_step),
+] + [
+    row
+    # each command, its shipped config and the report it writes first
+    for command, config, report in (
+        ("run", "torus_smoke", "diagnostics.csv"),
+        ("calibrate", "torus_smoke", "trajectory_meta.json"),
+        ("scan", "paramscan", "paramscan.csv"),
+    )
+    for row in (
+        exit_row(command, config, "no_config", EXIT_CONFIG_ERROR, NO_CONFIG, edits=None),
+        exit_row(command, config, "output_is_a_file", EXIT_CONFIG_ERROR,
+                 UNWRITABLE.format(17, "File exists", ""), patch=no_step, taken=""),
+        # a scan opens its report before scanning; run and calibrate write theirs after
+        exit_row(command, config, "report_is_a_directory", EXIT_CONFIG_ERROR,
+                 UNWRITABLE.format(21, "Is a directory", f"/{report}"), files={report},
+                 patch=no_step if command == "scan" else None, taken=report),
+    )
+]
+
+
+@pytest.mark.parametrize("command, config, edits, patch, taken, expected", EXITS)
+def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, taken, expected):
+    path, out_dir = tmp_path / "config.yaml", tmp_path / "out"
+    if edits is not None:
+        text = (CONFIG_DIR / f"{config}.yaml").read_text()
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        path.write_text(text)
+    if patch is not None:
+        patch(monkeypatch)
+    if taken == "":
+        out_dir.write_text("")
+    elif taken is not None:
+        (out_dir / taken).mkdir(parents=True)
+    code = main([command, str(path), "--output-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    first = captured.err.partition("\n")[0]
+    shown = [ROUNDOFF.sub("#", s.replace(str(tmp_path), "TMP")) for s in (first, captured.out)]
+    left = {p.name for p in out_dir.iterdir()} if out_dir.is_dir() else set()
+    assert (code, *shown, left) == expected
+    if code == EXIT_SOLVER_FAILURE:  # the summary names the failure and holds no verdict
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert first == f"solver failure: {summary['solver_error']}"
+        assert not summary["overall_pass"] and "suites" not in summary
+        assert summary["exit_code"] == EXIT_SOLVER_FAILURE
 
 
 def test_calibrate_shipped_smoke(tmp_path, capsys):
