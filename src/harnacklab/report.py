@@ -1,7 +1,9 @@
 """Report files: their layouts, their writers and the config echo.
 
 No writer catches an OSError: ``runner.main`` makes it a config error
-naming ``output.directory`` (exit 2).
+naming ``output.directory`` (exit 2).  ``main`` runs each command inside
+``removed_on_error``, so a command that cannot write one of its reports
+removes every report file it had written and leaves every other file alone.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -175,9 +177,44 @@ def _write_columns(fp, columns, blank=None, kept=None) -> None:
         del cells  # released before the next chunk is formatted
 
 
+# the report files written since ``removed_on_error`` was entered, or None
+# outside it
+_written: list[Path] | None = None
+
+
+@contextlib.contextmanager
+def removed_on_error():
+    """A block that removes again every report file written in it if it
+    ends in an exception, so a command that cannot write one of its reports
+    leaves none of them.  A file no writer opened in the block is left
+    alone."""
+    global _written
+    _written = []
+    try:
+        yield
+    except BaseException:
+        for path in _written:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        _written = None
+
+
+def _mark_written(path: Path) -> None:
+    if _written is not None:
+        _written.append(path)
+
+
+def _create(path: Path):
+    """``path`` opened for writing (LF line endings), marked as written."""
+    fp = open(path, "w", newline="")
+    _mark_written(path)
+    return fp
+
+
 def _open_csv(path: Path, header):
     """``path`` opened for writing, with the header row written."""
-    fp = open(path, "w", newline="")
+    fp = _create(path)
     fp.write(",".join(header) + "\n")
     return fp
 
@@ -216,7 +253,7 @@ def paramscan_csv(path: Path):
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w") as fp:
+    with _create(path) as fp:
         json.dump(obj, fp, sort_keys=True, indent=2)
         fp.write("\n")
 
@@ -298,5 +335,6 @@ def trajectory_csv(path: Path, config: RunConfig):
 
             yield write_state
         part.replace(path)
+        _mark_written(path)
     finally:
         part.unlink(missing_ok=True)

@@ -7,10 +7,12 @@ One config file = one reproducible experiment.  The CLI offers
     harnacklab scan <config>       parameter-uniqueness scan only
 
 with exit codes 0 (all gates pass), 1 (gate failure), 2 (config error: no
-``summary.json``) and 3 (solver failure in any flow of ``run`` or ``calibrate``:
-``summary.json`` alone, naming it).  A ``calibrate`` that succeeds writes only
-``trajectory_meta.json``.  ``--seed`` overrides the config RNG seed, ``--output-dir``
-the output directory, and ``--strict`` (not a config key) halves tol_disc.
+report file of the command is left, ``summary.json`` included, even one it
+wrote before the error) and 3 (solver failure in any flow of ``run`` or
+``calibrate``: ``summary.json`` alone, naming it).  A ``calibrate`` that
+succeeds writes only ``trajectory_meta.json``.  ``--seed`` overrides the
+config RNG seed, ``--output-dir`` the output directory, and ``--strict``
+(not a config key) halves tol_disc.
 
 The config grammar is in ``harnacklab.config``, the gates in
 ``harnacklab.suites`` and the report files in ``harnacklab.report``.  This
@@ -333,12 +335,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     try:
-        if args.command == "run":
-            outcome = run_config(config, strict=args.strict)
-        elif args.command == "calibrate":
-            outcome = run_calibrate(config)
-        else:
-            outcome = run_scan(config)
+        with report.removed_on_error():
+            if args.command == "run":
+                outcome = run_config(config, strict=args.strict)
+            elif args.command == "calibrate":
+                outcome = run_calibrate(config)
+            else:
+                outcome = run_scan(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

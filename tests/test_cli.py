@@ -1,8 +1,14 @@
 """The command line on the shipped configs: each test drives ``runner.main``
-as the ``harnacklab`` console script would, and checks its exit code,
-output and report files.  The exit table (``EXITS``) gives one row to each
-way ``run``, ``calibrate`` and ``scan`` end: ``pytest -k calibrate-``
-selects calibrate's rows."""
+as the ``harnacklab`` console script would.  Two tables:
+
+- the exit table (``EXITS``) gives one row to each way ``run``,
+  ``calibrate`` and ``scan`` end, and checks the exit code, the output and
+  the files left: ``pytest -k "exit and calibrate-"`` selects calibrate's
+  rows;
+- the import table (``IMPORTS``) runs each command once, in one fresh
+  interpreter, and checks which modules each loads: ``pytest -k
+  test_import`` selects it.  The shipped scan's pinned ``paramscan.csv`` is
+  read from that same run."""
 
 import ast
 import hashlib
@@ -75,6 +81,7 @@ NO_CONFIG = (
     "'TMP/config.yaml'"
 )
 UNWRITABLE = "config error: output.directory cannot be written: [Errno {}] {}: 'TMP/out{}'"
+UNWRITABLE_SUMMARY = UNWRITABLE.format(21, "Is a directory", "/summary.json")
 RESIDUAL = "solver failure: Crank-Nicolson solve missed its residual bound: relative residual #"
 
 
@@ -95,6 +102,20 @@ EXITS = [
     exit_row("run", "torus_smoke", "overflowing_tol_disc", EXIT_CONFIG_ERROR,
              "config error: tol_disc is not finite: tol_disc_constant 250.0 at mesh scale #",
              edits=((SIDE, "side_lengths: [1.0e200]"),), patch=no_step),
+    # a value its field cannot take, a key given twice and a run that checks nothing
+    exit_row("run", "torus_smoke", "malformed_dt", EXIT_CONFIG_ERROR,
+             "config error: flow.dt must be a finite number, got 'fast'",
+             edits=(("dt: 2.0e-3", "dt: fast"),), patch=no_step),
+    exit_row("run", "torus_smoke", "dt_twice", EXIT_CONFIG_ERROR,
+             "config error: config is not valid YAML: found duplicate key 'dt'",
+             edits=(("  dt: 2.0e-3\n", "  dt: 2.0e-3\n  dt: 4.0e-3\n"),), patch=no_step),
+    exit_row("run", "torus_smoke", "empty_suites", EXIT_CONFIG_ERROR,
+             "config error: config: suites is empty: a run with no suite checks nothing",
+             edits=((f"suites: [{', '.join(RUN_SUITES)}]", "suites: []"),), patch=no_step),
+    # the last report cannot be written: the export and the three reports
+    # written before it are removed again
+    exit_row("run", "torus_smoke", "summary_is_a_directory", EXIT_CONFIG_ERROR,
+             UNWRITABLE_SUMMARY, files=SUMMARY, edits=SMOKE_EXPORT, taken="summary.json"),
     # the export is written during the pass: none is left beside the summary
     exit_row("run", "torus_smoke", "fine_solver_failure", EXIT_SOLVER_FAILURE,
              "solver failure: positivity lost at node 0 (value -#) stepping to time 1.05; "
@@ -130,6 +151,13 @@ EXITS = [
     exit_row("scan", "torus_smoke", "no_paramscan", EXIT_CONFIG_ERROR,
              "config error: scan command needs 'paramscan' among the requested suites",
              patch=no_step),
+    # 7e13 grid points, 16 GB per array of one alpha block
+    exit_row("scan", "paramscan", "oversized_scan", EXIT_CONFIG_ERROR,
+             "config error: paramscan: step = # makes # grid points; at most 5000000",
+             edits=(("step: 0.05", "step: 1.0e-4"),), patch=no_step),
+    # the complete paramscan.csv is removed again
+    exit_row("scan", "paramscan", "summary_is_a_directory", EXIT_CONFIG_ERROR,
+             UNWRITABLE_SUMMARY, files=SUMMARY, edits=SCAN_COARSE, taken="summary.json"),
 ] + [
     row
     # each command, its shipped config and the report it writes first
@@ -184,17 +212,6 @@ def test_calibrate_shipped_smoke(tmp_path, capsys):
     assert "calibrated C" in capsys.readouterr().out
 
 
-def test_scan_shipped_config_writes_the_pinned_csv(tmp_path):
-    code = main(["scan", str(CONFIG_DIR / "paramscan.yaml"), "--output-dir", str(tmp_path)])
-    assert code == EXIT_PASS
-    data = (tmp_path / "paramscan.csv").read_bytes()
-    # the header plus 580,851 rows, and every byte as the writer has always given it
-    assert data.count(b"\n") == 580852
-    assert hashlib.sha256(data).hexdigest() == (
-        "01f7d37c6d0bbd6077636e63ecaf16bf86114e3801d019a1163eb2eac6dd4521"
-    )
-
-
 def test_trajectory_export_of_shipped_smoke(tmp_path):
     # output is the config's last section: the appended key joins it
     text = (CONFIG_DIR / "torus_smoke.yaml").read_text() + "  export_trajectory: true\n"
@@ -205,58 +222,89 @@ def test_trajectory_export_of_shipped_smoke(tmp_path):
     assert (tmp_path / "export" / "trajectory.csv").read_text().count("\n") == 104
 
 
-TORUS_COMMANDS_THEN_SPHERE_PARSE = """
+# the import table: one fresh interpreter, so that no module another test
+# imported is loaded there, imports numpy, then takes each step below in
+# turn and records the modules it newly loads.  scipy serves only the
+# sphere backend and the CG reference solver; the CSV writer blanks cells
+# by an explicit mask, not a masked array (numpy.ma); hashlib, and with it
+# OpenSSL's _hashlib, is imported only to hash a manifold, which a scan
+# never does, so the scan comes before the commands that hash one.  numpy
+# < 2 imports numpy.ma and numpy.random, and so hashlib, with numpy itself,
+# so what numpy loads is not counted
+IMPORT_STEPS = """
 import json, sys
-import harnacklab
-from harnacklab.config import parse_config
-from harnacklab.runner import main
+import numpy
 
 configs, out = sys.argv[1], sys.argv[2]
 smoke = configs + "/torus_smoke.yaml"
-codes = [
-    main(["run", smoke, "--output-dir", out + "/run"]),
-    main(["run", "--strict", smoke, "--output-dir", out + "/strict"]),
-    main(["calibrate", smoke, "--output-dir", out + "/calibrate"]),
-    main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"]),
-]
-after_torus = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+steps, seen = {}, set(sys.modules)
+
+
+def record(step, code=0):  # a step that is not a command returns 0
+    global seen
+    steps[step] = {"code": code, "loaded": sorted(set(sys.modules) - seen)}
+    seen = set(sys.modules)
+
+
+from harnacklab.config import parse_config
+from harnacklab.runner import main
+record("import")
+record("scan", main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"]))
+record("run", main(["run", smoke, "--output-dir", out + "/run"]))
+record("strict", main(["run", "--strict", smoke, "--output-dir", out + "/strict"]))
+record("calibrate", main(["calibrate", smoke, "--output-dir", out + "/calibrate"]))
 parse_config(configs + "/sphere_signs.yaml")
-names = ("scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg.lapack")
-print(json.dumps({
-    "codes": codes,
-    "after_torus": after_torus,
-    "after_sphere_parse": {name: name in sys.modules for name in names},
-}))
+record("sphere_parse")
+print(json.dumps(steps))
 """
+IMPORTS = [
+    # every torus step loads neither; only the import and the scan hash no manifold
+    *((step, module, False) for step in ("import", "scan", "run", "strict", "calibrate")
+      for module in ("scipy", "numpy.ma")),
+    ("import", "_hashlib", False),
+    ("scan", "_hashlib", False),
+    # a sphere config loads the sphere's scipy modules at parse, so its run
+    # loads none; it orders its band without csgraph, which loads sparse.linalg
+    ("sphere_parse", "scipy.sparse", True),
+    ("sphere_parse", "scipy.sparse.csgraph", False),
+    ("sphere_parse", "scipy.sparse.linalg", False),
+    ("sphere_parse", "scipy.linalg.lapack", True),
+]
 
 
-def _in_fresh_interpreter(script, tmp_path):
-    """The JSON object that ``script`` prints last, run with the config
-    directory and ``tmp_path`` as arguments in a fresh interpreter, so no
-    module another test imported is loaded there."""
+@pytest.fixture(scope="module")
+def imports(tmp_path_factory):
+    """The output directory of ``IMPORT_STEPS`` and what it recorded."""
+    out = tmp_path_factory.mktemp("imports")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(CONFIG_DIR), str(tmp_path)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", IMPORT_STEPS, str(CONFIG_DIR), str(out)],
+        cwd=out, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return out, json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_torus_commands_never_import_scipy(tmp_path):
-    # scipy serves only the sphere backend and the CG reference solver
-    result = _in_fresh_interpreter(TORUS_COMMANDS_THEN_SPHERE_PARSE, tmp_path)
-    assert result["codes"] == [EXIT_PASS] * 4
-    assert result["after_torus"] == []
-    # a sphere config loads the sphere's scipy modules at parse, so its run
-    # loads none; it orders its band without csgraph, which loads sparse.linalg
-    assert result["after_sphere_parse"] == {
-        "scipy.sparse": True,
-        "scipy.sparse.csgraph": False,
-        "scipy.sparse.linalg": False,
-        "scipy.linalg.lapack": True,
-    }
+@pytest.mark.parametrize(
+    "step, module, loaded", IMPORTS, ids=[f"{step}-{module}" for step, module, _ in IMPORTS]
+)
+def test_import(imports, step, module, loaded):
+    recorded = imports[1][step]
+    names = recorded["loaded"]
+    assert recorded["code"] == EXIT_PASS
+    assert any(name == module or name.startswith(module + ".") for name in names) is loaded
+
+
+def test_scan_shipped_config_writes_the_pinned_csv(imports):
+    out, steps = imports
+    assert steps["scan"]["code"] == EXIT_PASS
+    data = (out / "scan" / "paramscan.csv").read_bytes()
+    # the header plus 580,851 rows, and every byte as the writer has always given it
+    assert data.count(b"\n") == 580852
+    assert hashlib.sha256(data).hexdigest() == (
+        "01f7d37c6d0bbd6077636e63ecaf16bf86114e3801d019a1163eb2eac6dd4521"
+    )
 
 
 def _scipy_imports(path):
@@ -290,47 +338,3 @@ def test_scipy_is_imported_only_by_the_sphere_module_and_the_cg_reference():
     }
     assert ("sphere.py", None) in places
     assert places - {("sphere.py", None)} <= {("heatflow.py", "cg"), ("heatflow.py", "cg_solver")}
-
-
-RUN_AND_SCAN = """
-import json, sys
-from harnacklab.runner import main
-
-configs, out = sys.argv[1], sys.argv[2]
-before = {m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")}
-codes = [
-    main(["run", configs + "/torus_smoke.yaml", "--output-dir", out + "/run"]),
-    main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"]),
-]
-loaded = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
-print(json.dumps({"codes": codes, "loaded": [m for m in loaded if m not in before]}))
-"""
-
-
-def test_run_and_scan_never_import_numpy_ma(tmp_path):
-    # the CSV writer blanks cells by an explicit mask, not a masked array;
-    # numpy < 2 imports numpy.ma with numpy itself, so only the modules the
-    # two commands load are counted
-    result = _in_fresh_interpreter(RUN_AND_SCAN, tmp_path)
-    assert result == {"codes": [EXIT_PASS] * 2, "loaded": []}
-
-
-SCAN = """
-import json, sys
-import numpy
-
-configs, out = sys.argv[1], sys.argv[2]
-before = "_hashlib" in sys.modules
-from harnacklab.runner import main
-
-code = main(["scan", configs + "/paramscan.yaml", "--output-dir", out + "/scan"])
-print(json.dumps({"code": code, "loaded": not before and "_hashlib" in sys.modules}))
-"""
-
-
-def test_scan_never_loads_openssl(tmp_path):
-    # hashlib (and with it OpenSSL's _hashlib) is imported only to hash a
-    # manifold, which a scan never does; numpy < 2 imports numpy.random,
-    # and so hashlib, with numpy itself, so only what the scan loads counts
-    result = _in_fresh_interpreter(SCAN, tmp_path)
-    assert result == {"code": EXIT_PASS, "loaded": False}

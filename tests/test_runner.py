@@ -1,4 +1,13 @@
-"""Config parsing, the run/calibrate/scan drivers, and report files."""
+"""Config parsing, the run/calibrate/scan drivers, and report files.
+
+The parse table (``test_parse_errors_name_the_field``) gives each config
+the parser rejects one row: a text edit of ``CONSTANT_CONFIG`` and a
+fragment of the error it must raise.  How each command ends through
+``main`` (exit code, message, files left) is ``tests/test_cli.py``'s exit
+table; the tests here check what the drivers compute and write.  The
+``test_main_*`` tests of a malformed value, an unusable output directory,
+an unwritable report, a solver failure and ``calibrate`` each repeat an
+exit-table row, and are kept under their names."""
 
 import csv
 import json
@@ -177,6 +186,33 @@ def test_parse_round_trip(tmp_path):
         # a run with no suite would pass without checking anything
         (lambda s: s.replace("suites: [harnack_signs, entropy, pathwise]", "suites: []"),
          "suites is empty"),
+        # trig_polynomial modes: known keys only, one index entry per axis,
+        # and on a torus only
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 0.8, "
+                             "modes: [{index: [1, 0], amplitude: 0.4, phaze: 1}]}"),
+         "unknown key 'phaze' in initial_data.modes"),
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 0.8, modes: [{index: [1], amplitude: 0.4}]}"),
+         "initial_data.modes: each index needs one entry per torus axis"),
+        (lambda s: s.replace("manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], "
+                             "resolution: [16, 16]}", "manifold: {kind: sphere, subdivision: 2}")
+         .replace("{kind: constant, value: 1.0}",
+                  "{kind: trig_polynomial, floor: 1.0, modes: [{index: [1], amplitude: 0.1}]}"),
+         "trig_polynomial initial data is only defined on tori"),
+        (lambda s: s.replace("suites: [harnack_signs, entropy, pathwise]",
+                             "suites: [harnack_signs, entropy, pathwise"),
+         "config is not valid YAML"),
+        # a suite the manifold, the direction or the grid cannot serve
+        (lambda s: s.replace("manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], "
+                             "resolution: [16, 16]}", "manifold: {kind: sphere, subdivision: 2}")
+         .replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]"),
+         "suite 'evolution_residual' needs the torus backend"),
+        (lambda s: s.replace("direction: forward", "direction: backward"),
+         "suite 'pathwise' applies to forward flows only"),
+        (lambda s: s.replace("resolution: [16, 16]", "resolution: [18, 18]")
+         .replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]"),
+         "suite 'evolution_residual' halves the grid"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -209,32 +245,6 @@ def test_shipped_manifold_hashes_are_pinned():
         assert manifold_hash(config.manifold) == expected, name
 
 
-def test_parse_rejects_unknown_mode_key():
-    text = """
-manifold: {kind: torus, dimension: 1, side_lengths: [1.0], resolution: [64]}
-initial_data: {kind: trig_polynomial, floor: 0.8, modes: [{index: [1], amplitude: 0.4, phaze: 1}]}
-flow: {t0: 0.1, t_end: 0.3, dt: 2.0e-3}
-suites: [harnack_signs]
-tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
-"""
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert "phaze" in str(err.value)
-
-
-def test_parse_rejects_mode_index_of_wrong_length():
-    text = """
-manifold: {kind: torus, dimension: 1, side_lengths: [1.0], resolution: [64]}
-initial_data: {kind: trig_polynomial, floor: 0.8, modes: [{index: [1, 0], amplitude: 0.4}]}
-flow: {t0: 0.1, t_end: 0.3, dt: 2.0e-3}
-suites: [harnack_signs]
-tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
-"""
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert "initial_data.modes" in str(err.value)
-
-
 def test_parse_fills_defaults_from_the_dataclasses():
     text = CONSTANT_CONFIG.replace("  pair_count: 20\n", "").replace(
         "suites: [harnack_signs, entropy, pathwise]", "suites: [paramscan]"
@@ -251,53 +261,6 @@ def test_parse_fills_defaults_from_the_dataclasses():
 def test_parse_accepts_residual_window(tmp_path):
     text = CONSTANT_CONFIG.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [2, 6]")
     assert parse_config_text(text).tolerances.residual_ratio_window == (2.0, 6.0)
-
-
-def test_parse_rejects_bad_yaml():
-    with pytest.raises(ConfigError) as err:
-        parse_config_text("manifold: [unclosed")
-    assert "YAML" in str(err.value)
-
-
-def test_parse_rejects_torus_only_suite_on_sphere():
-    text = CONSTANT_CONFIG.replace(
-        "manifold: {kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}",
-        "manifold: {kind: sphere, subdivision: 2}",
-    ).replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]")
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert "evolution_residual" in str(err.value)
-
-
-def test_parse_rejects_pathwise_on_backward():
-    text = CONSTANT_CONFIG.replace("direction: forward", "direction: backward")
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert "pathwise" in str(err.value)
-
-
-def test_parse_rejects_trig_data_on_sphere():
-    text = """
-manifold: {kind: sphere, subdivision: 2}
-initial_data:
-  kind: trig_polynomial
-  floor: 1.0
-  modes: [{index: [1], amplitude: 0.1}]
-flow: {t0: 0.1, t_end: 0.2, dt: 0.01}
-suites: [harnack_signs]
-tolerances: {tol_disc_constant: 1.0, quadrature_tol: 1.0e-4, rng_seed: 1}
-"""
-    with pytest.raises(ConfigError):
-        parse_config_text(text)
-
-
-def test_parse_rejects_uncoarsenable_grid_for_residual_suite():
-    text = CONSTANT_CONFIG.replace(
-        "resolution: [16, 16]", "resolution: [18, 18]"
-    ).replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]")
-    with pytest.raises(ConfigError) as err:
-        parse_config_text(text)
-    assert "evolution_residual" in str(err.value)
 
 
 def test_tolerance_model():
@@ -644,13 +607,6 @@ def test_main_run_and_seed_override(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, name, old, new, fragment",
     [
-        ("run", "torus_smoke", "dt: 2.0e-3", "dt: fast", "flow.dt"),
-        ("run", "torus_smoke", "  dt: 2.0e-3\n", "  dt: 2.0e-3\n  dt: 4.0e-3\n",
-         "duplicate key 'dt'"),
-        ("run", "torus_smoke", "suites: [harnack_signs, evolution_residual, entropy, pathwise]",
-         "suites: []", "suites"),
-        # 7e13 grid points, 16 GB per array of one alpha block
-        ("scan", "paramscan", "step: 0.05", "step: 1.0e-4", "paramscan"),
         # h^2 overflows, and every gate would pass under tol_disc = inf
         ("run", "torus_smoke", "side_lengths: [1.0]", "side_lengths: [1.0e200]",
          "tol_disc_constant"),
@@ -658,13 +614,12 @@ def test_main_run_and_seed_override(tmp_path, capsys):
         ("calibrate", "torus_smoke", "side_lengths: [1.0]", "side_lengths: [1.0e-3]",
          "resolution [32]"),
     ],
-    ids=["malformed_dt", "dt_twice", "empty_suites", "oversized_scan", "overflowing_tol_disc",
-         "calibration_step_ceiling"],
+    ids=["overflowing_tol_disc", "calibration_step_ceiling"],
 )
 def test_main_malformed_value_is_a_config_error(
     tmp_path, capsys, monkeypatch, command, name, old, new, fragment
 ):
-    # each input is rejected before a flow is stepped or a scan is made
+    # each input is rejected before a flow is stepped
     no_step(monkeypatch)
     text = (CONFIG_DIR / f"{name}.yaml").read_text()
     assert text.count(old) == 1
