@@ -15,22 +15,20 @@ directly, which avoids catastrophic cancellation at small t.
 :func:`entropy_series` walks a trajectory once, as it is stepped, holding
 O(nodes) memory besides one float64 per snapshot for each field of its
 result; a caller's ``on_state`` sees each state on the way, so one pass of
-the flow serves every consumer.  Per snapshot it computes
-u, v, their Laplacians, the gradient of u, |grad v|^2 and (on a backend
-with a Hessian, the torus) the lam = 2 Hessian penalty of u and of v, each
-exactly once, and derives from them the Harnack sign maxima, both entropies,
-both dissipation integrals and, on request, the canonical H tuple's
-evolution residual, and returns them as one :class:`SnapshotSeries` with an
-array per field.  On the torus the operators of u and v come from one
-``FlatTorus.stencils`` pass over the stack [u, v], and the residual's
-Laplacian and gradient of Q from one more; on the sphere one
-edge-difference product of each field serves both its Laplacian and its
-|grad|^2 (``RoundSphere.laplacian_and_grad_norm_sq``).  The kernel works on
-flat value arrays throughout.  Each formula is evaluated term by term, in
-its written order, into arrays its function allocates itself, so no
-operation makes a fresh temporary and no operator array is written; the
-snapshot frees the arrays the residual does not read before it makes the
-residual's.
+the flow serves every consumer.  Per snapshot it computes u, v, their
+Laplacians and |grad|^2, the gradient of u when the residual is requested,
+and (on a backend with a Hessian, the torus) the lam = 2 Hessian penalty of
+u and of v, each exactly once, and derives from them the Harnack sign
+maxima, both entropies, both dissipation integrals and, on request, the
+canonical H tuple's evolution residual, and returns them as one
+:class:`SnapshotSeries` with an array per field.  The operators of u and v
+come from one backend ``stencils`` call over the stack [u, v], on either
+backend, and the residual's Laplacian and gradient of Q from one more.  The
+kernel works on flat value arrays throughout.  Each formula is evaluated
+term by term, in its written order, into arrays its function allocates
+itself, so no operation makes a fresh temporary and no operator array is
+written; the snapshot frees the arrays the residual does not read before it
+makes the residual's.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import numpy as np
 from .geometry import (
     ManifoldDescriptor,
     ScalarField,
-    components_norm_sq,
     grad_norm_sq,
     hessian_penalty,
     ricci_quadratic,
@@ -192,24 +189,20 @@ def _snapshot(
     u = u_field.values
     v = v_from_u(u_field, t).values
     values = {"time": t}
-    if m.has_hessian:
-        # one padded stencil pass for u and v; v = u - const, but v's
-        # operators are taken from v itself, so the P-vs-H, W-vs-F and
-        # dissipation cross-checks compare two computations
-        (lap_u, lap_v), grad, (hess_u, hess_v) = m.stencils(
-            (u, v), laplacian=True, gradient=True, hessian=(DISSIPATION_LAMBDA, t)
-        )
-        grad_u = [comp[0] for comp in grad]
-        grad_sq_u, grad_sq_v = components_norm_sq(grad)  # row-wise: the same sums
+    # one operator call for u and v; v = u - const, but v's operators are
+    # taken from v itself, so the P-vs-H, W-vs-F and dissipation
+    # cross-checks compare two computations
+    (lap_u, lap_v), (grad_sq_u, grad_sq_v), grad, hess = m.stencils(
+        (u, v), laplacian=True, grad_norm_sq=True, gradient=with_residual,
+        hessian=(DISSIPATION_LAMBDA, t) if m.has_hessian else None,
+    )
+    if hess is not None:
+        hess_u, hess_v = hess
         ricci_u = m.ricci_quadratic(u)
         values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
         values["dW_formula"] = _dissipation_value(
             m, t, f, hess_v, m.ricci_quadratic(v), grad_sq_v
         )
-    else:
-        # one edge-difference product per field serves its Laplacian and |grad|^2
-        lap_u, grad_sq_u = m.laplacian_and_grad_norm_sq(u)
-        lap_v, grad_sq_v = m.laplacian_and_grad_norm_sq(v)
 
     h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)
     p_vals = quantity_H_values(lap_v, grad_sq_v, t, n)
@@ -228,9 +221,9 @@ def _snapshot(
     # the residual reads none of these: they go before its arrays are made
     del v, lap_u, lap_v, p_vals, gap
     q = h_vals  # the canonical tuple's Q is H
-    lap_q, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
+    lap_q, _, grad_q, _ = m.stencils((q,), laplacian=True, gradient=True)
     rhs = evolution_rhs_values(
-        CAO_HAMILTON_H_PARAMS, t, n, u, grad_u, grad_sq_u, hess_u, ricci_u,
+        CAO_HAMILTON_H_PARAMS, t, n, u, [comp[0] for comp in grad], grad_sq_u, hess_u, ricci_u,
         q, lap_q[0], [comp[0] for comp in grad_q],
     )
     return values, q, rhs

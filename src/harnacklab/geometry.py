@@ -7,24 +7,26 @@ as an icosphere mesh, in its own module.  They are the canonical closed
 examples with Ric = 0 and Ric > 0, with closed-form geodesic distances.
 Both derive from :class:`ManifoldDescriptor`, which holds what every backend
 has (dimension, nodes, quadrature weights, positions, mesh scale) and
-declares the operators on flat value arrays: ``stiffness``, ``laplacian``,
-``grad_norm_sq``, ``ricci_quadratic``, ``geodesic_distance`` and the
-Crank-Nicolson solver ``cn_solver``.  Only the torus supplies
-``grad_components`` and ``hessian_penalty``; the base class raises
-:class:`BackendError` for them.  The module-level functions of the same
-names apply the field operators to a :class:`ScalarField`.
+declares the operators on flat value arrays: ``stencils``, the one call
+that gives a stack of fields' Laplacians, |grad f|^2, gradients and Hessian
+penalties, ``stiffness``, ``ricci_quadratic``, ``geodesic_distance`` and
+the Crank-Nicolson solver ``cn_solver``.  The per-field ``laplacian``,
+``grad_norm_sq``, ``grad_components`` and ``hessian_penalty`` are defined
+once, in the base class, over ``stencils``.  Only the torus supplies the
+gradient and the Hessian penalty; the sphere raises :class:`BackendError`
+for them.  The module-level functions of the same names apply the field
+operators to a :class:`ScalarField`.
 
 The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
 Laplacian of cos is negative, and ``stiffness`` is the symmetric weighted
 form W with Lap = W / quadrature weight.  On the torus every operator is a
-2nd-order central-difference stencil with periodic wrap, all from one
-implementation, :meth:`FlatTorus.stencils`: it copies a stack of k fields
-once into a wrap-padded array and takes the Laplacian, gradient and Hessian
-penalty of every field from views of that copy.  The single-field operators,
-``stiffness`` and so the flow's residual checks are thin calls into it, and
-the snapshot kernel passes it u and v together.  The operators write into
-arrays they allocate themselves, in their formulas' order, with no fresh
-array per operation and no argument written.
+2nd-order central-difference stencil with periodic wrap, all from one pass,
+:meth:`FlatTorus._stencil_pass`: it copies the stack once into a
+wrap-padded array and takes the Laplacian, gradient and Hessian penalty of
+every field from views of that copy.  ``stiffness``, and so the flow's
+residual checks, is a thin call into it.  The operators write into arrays
+they allocate themselves, in their formulas' order, with no fresh array per
+operation and no argument written.
 
 A Crank-Nicolson step of size dt = 2a solves (M - a W) x = (M + a W) f, with
 M the diagonal quadrature mass, by the backend's direct ``cn_solver(a)``,
@@ -69,8 +71,8 @@ class ManifoldDescriptor:
     lengths on a torus, the total triangle area (which converges to 4*pi) on
     the sphere.  ``mesh_scale`` is the h that enters discretization
     tolerances: the largest grid spacing on a torus, the largest edge length
-    on a sphere.  ``has_hessian`` tells whether the backend supplies
-    ``grad_components`` and ``hessian_penalty``; ``linear_solver`` names the
+    on a sphere.  ``has_hessian`` tells whether the backend's ``stencils``
+    supply the gradient and the Hessian penalty; ``linear_solver`` names the
     method of its ``cn_solver``.
     """
 
@@ -87,13 +89,31 @@ class ManifoldDescriptor:
     def total_volume(self) -> float:
         return float(np.sum(self.quadrature_weights))
 
-    def stiffness(self, values: np.ndarray) -> np.ndarray:
+    def stencils(
+        self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
+        gradient: bool = False, hessian: tuple[float, float] | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
+        """``(lap, grad_sq, grad, hess)`` of the k flat arrays ``rows``, each
+        None unless asked for: the Laplacian and |grad f|^2 as (k, N) arrays,
+        the gradient as one (k, N) array per axis and, for ``hessian = (lam,
+        t)``, |Hessian - lam/(2t) identity|^2 as a (k, N) array.  A backend
+        without ``has_hessian`` raises BackendError for ``gradient`` or
+        ``hessian``."""
         raise NotImplementedError
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.stencils((values,), laplacian=True)[0][0]
 
     def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
+        return self.stencils((values,), grad_norm_sq=True)[1][0]
+
+    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
+        return [comp[0] for comp in self.stencils((values,), gradient=True)[2]]
+
+    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
+        return self.stencils((values,), hessian=(lam, t))[3][0]
+
+    def stiffness(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
@@ -105,12 +125,6 @@ class ManifoldDescriptor:
     def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
         """The solver f -> x of (M - a W) x = (M + a W) f, for one fixed a > 0."""
         raise NotImplementedError
-
-    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
-        raise BackendError("componentwise gradients are only available on the torus")
-
-    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
-        raise BackendError("hessian_penalty is only available on the torus")
 
 
 @dataclass(eq=False)
@@ -166,20 +180,22 @@ class FlatTorus(ManifoldDescriptor):
     spacings: tuple[float, ...]
 
     def stencils(
-        self,
-        rows: Sequence[np.ndarray],
-        *,
-        laplacian: bool = False,
-        gradient: bool = False,
-        hessian: tuple[float, float] | None = None,
-    ) -> tuple[np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
-        """The torus stencils of each of k flat arrays ``rows``, in one pass.
+        self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
+        gradient: bool = False, hessian: tuple[float, float] | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
+        """From one :meth:`_stencil_pass`; |grad f|^2 is formed once the pass
+        has freed its padded copy and work arrays."""
+        lap, grad, hess = self._stencil_pass(rows, laplacian, gradient or grad_norm_sq, hessian)
+        grad_sq = components_norm_sq(grad) if grad_norm_sq else None
+        return lap, grad_sq, grad if gradient else None, hess
 
-        Returns ``(lap, grad, hess)``, each None unless asked for: the
-        Laplacian as a (k, N) array, the central-difference gradient as one
-        (k, N) array per axis, and, for ``hessian = (lam, t)``, the squared
-        Frobenius norm of (discrete Hessian - lam/(2t) * identity) as a
-        (k, N) array.
+    def _stencil_pass(
+        self, rows: Sequence[np.ndarray], laplacian: bool, gradient: bool,
+        hessian: tuple[float, float] | None,
+    ) -> tuple[np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
+        """The torus Laplacian, gradient and Hessian penalty of each of k flat
+        arrays ``rows``, in one pass: ``(lap, grad, hess)``, each None unless
+        asked for, in the layouts of :meth:`stencils`.
 
         The rows are copied once into an array wrap-padded by one node on
         both sides of every axis.  The axes are padded in turn, each across
@@ -191,6 +207,11 @@ class FlatTorus(ManifoldDescriptor):
         operations' written order, in one of two work arrays: the second
         difference and 2f, which then hold 2 x mixed x mixed and each mixed
         difference.  The Laplacian and Hessian sums start from +0.0.
+
+        The Laplacian is exact on constants: 2f is exact, f+ - 2f = c - 2c
+        has the representable exact result -c, and -c + c = 0, so each
+        correctly rounded step is exact and every axis contributes exactly
+        zero.
         """
         if hessian is not None and hessian[1] <= 0:
             raise ValueError(f"t must be positive, got {hessian[1]}")
@@ -251,7 +272,7 @@ class FlatTorus(ManifoldDescriptor):
 
     @cached_property
     def _neighbours(self) -> tuple:
-        """Where :meth:`stencils` reads its wrap-padded stack: the index of
+        """Where :meth:`_stencil_pass` reads its wrap-padded stack: the index of
         the centre, of the +1 and -1 neighbours along each axis, and, for
         each pair of axes ax1 < ax2, of the diagonal neighbours ++, +-, -+
         and -- (the sign of the step along ax1, then along ax2)."""
@@ -273,30 +294,10 @@ class FlatTorus(ManifoldDescriptor):
         minus = [index({ax: -1}) for ax in range(n)]
         return index({}), plus, minus, diagonal
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Periodic stencil sum of the second differences f+ - 2f + f-.
-
-        Exact on constants: 2f is exact, f+ - 2f = c - 2c has the
-        representable exact result -c, and -c + c = 0, so each correctly
-        rounded step is exact and every axis contributes exactly zero.
-        """
-        return self.stencils((values,), laplacian=True)[0][0]
-
     def stiffness(self, values: np.ndarray) -> np.ndarray:
         lap = self.laplacian(values)
         lap *= self.quadrature_weights
         return lap
-
-    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
-        """Central-difference gradient components, one flat array per axis."""
-        return [comp[0] for comp in self.stencils((values,), gradient=True)[1]]
-
-    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        return components_norm_sq(self.grad_components(values))
-
-    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
-        """Pointwise squared Frobenius norm of (discrete Hessian - lam/(2t) * identity)."""
-        return self.stencils((values,), hessian=(lam, t))[2][0]
 
     def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
         return np.zeros(self.node_count)

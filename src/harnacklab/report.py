@@ -2,8 +2,9 @@
 
 No writer catches an OSError: ``runner.main`` makes it a config error
 naming ``output.directory`` (exit 2).  ``main`` runs each command inside
-``removed_on_error``, so a command that cannot write one of its reports
-removes every report file it had written and leaves every other file alone.
+``removed_on_error``, so a command that ends in an error removes every
+report file it had written and every directory level it made, once empty,
+and leaves every other file alone.
 
 Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
@@ -88,9 +89,13 @@ PARAMSCAN_COLUMNS = (
 
 
 def output_dir(config: RunConfig) -> Path:
-    """output.directory, made if missing."""
+    """output.directory, made if missing; each level it makes is marked as
+    written, outermost first."""
     out_dir = Path(config.output.directory)
+    missing = list(itertools.takewhile(lambda p: not p.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
+    for level in reversed(missing):
+        _mark_written(level)
     return out_dir
 
 
@@ -177,24 +182,30 @@ def _write_columns(fp, columns, blank=None, kept=None) -> None:
         del cells  # released before the next chunk is formatted
 
 
-# the report files written since ``removed_on_error`` was entered, or None
-# outside it
+# the report files and directory levels made since ``removed_on_error`` was
+# entered, in the order they were made, or None outside it
 _written: list[Path] | None = None
 
 
 @contextlib.contextmanager
 def removed_on_error():
     """A block that removes again every report file written in it if it
-    ends in an exception, so a command that cannot write one of its reports
-    leaves none of them.  A file no writer opened in the block is left
-    alone."""
+    ends in an exception, and then every directory level it made that is
+    left empty, so a command that cannot finish leaves none of its reports
+    and no directory it made.  A file no writer opened in the block, and a
+    directory that existed before it, are left alone."""
     global _written
     _written = []
     try:
         yield
     except BaseException:
-        for path in _written:
-            path.unlink(missing_ok=True)
+        # latest first: the files, then the levels, innermost first
+        for path in reversed(_written):
+            if path.is_dir():
+                with contextlib.suppress(OSError):  # a level holding anything stays
+                    path.rmdir()
+            else:
+                path.unlink(missing_ok=True)
         raise
     finally:
         _written = None

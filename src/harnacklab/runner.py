@@ -8,8 +8,8 @@ One config file = one reproducible experiment.  The CLI offers
 
 with exit codes 0 (all gates pass), 1 (gate failure), 2 (config error: no
 report file of the command is left, ``summary.json`` included, even one it
-wrote before the error) and 3 (solver failure in any flow of ``run`` or
-``calibrate``: ``summary.json`` alone, naming it).  A ``calibrate`` that
+wrote before the error, nor a directory it made) and 3 (solver failure in
+any flow of ``run`` or ``calibrate``: ``summary.json`` alone, naming it).  A ``calibrate`` that
 succeeds writes only ``trajectory_meta.json``.  ``--seed`` overrides the
 config RNG seed, ``--output-dir`` the output directory, and ``--strict``
 (not a config key) halves tol_disc.
@@ -22,8 +22,9 @@ How the diagnostics are computed
 --------------------------------
 The fine flow is stepped once, in one streamed pass over its states
 (``entropy.entropy_series``), and no list of them is kept.  As each state
-is computed, the pass computes u, v, their Laplacians, the gradient of u,
-|grad v|^2 and, on the torus, the lam = 2 Hessian penalties of u and v,
+is computed, the pass computes u and v and, from one backend ``stencils``
+call over both, their Laplacians and |grad|^2, the gradient of u when the
+residual is requested and, on the torus, their lam = 2 Hessian penalties,
 each once per snapshot.
 From those it derives the Harnack sign maxima (H, Li-Yau, the P-H identity
 gap), F and W in both forms, both dissipation integrals, and, when
@@ -63,6 +64,7 @@ from .geometry import ManifoldDescriptor, build_sphere, build_torus, integrate
 # stay importable from this module: perfbench/tracing.py wraps them by name
 from .harnack import (  # noqa: F401
     HarnackParams,
+    Variant,
     assert_nonpositive,
     evolution_residual,
     log_u,
@@ -115,7 +117,7 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     # one pass over the fine flow, taking from each state what the reports
     # need, so no list of states is ever held
     with_residual = "evolution_residual" in requested
-    fine_idx = suites._residual_index(len(traj))
+    fine_idx = _residual_index(len(traj))
     pairs = pair_values = None
     if "pathwise" in requested:
         pairs = sample_pairs(traj, tolerances.pair_count, tolerances.rng_seed)
@@ -174,6 +176,29 @@ def run_config(config: RunConfig, strict: bool = False) -> RunOutcome:
     )
 
 
+def _draw_residual_params(seed: int) -> list[HarnackParams]:
+    """The ten random tuples of the residual suite: 5 per variant, alpha > beta."""
+    rng = np.random.default_rng(seed + 1)
+    tuples = []
+    for variant in (Variant.U, Variant.V):
+        for _ in range(5):
+            alpha = rng.uniform(1.0, 3.0)
+            beta = alpha - rng.uniform(0.3, 1.5)
+            b, c, lam = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+            tuples.append(HarnackParams(alpha, beta, b, c, lam, variant))
+    return tuples
+
+
+def _residual_index(n_states: int) -> int:
+    """The even fine snapshot index the random residual tuples compare at (half
+    of it is the same time on the once-coarsened flow), early in the run while
+    the datum still has structure: heat flow flattens everything on the
+    diffusive time scale, after which residuals are roundoff scraps."""
+    fine_idx = int(round(0.05 * (n_states - 1)))
+    fine_idx -= fine_idx % 2
+    return max(2, min(fine_idx, n_states - 3 - (n_states - 3) % 2))
+
+
 def residual_tuples(
     config: RunConfig, window: list[FlowState], fine_idx: int
 ) -> list[tuple[HarnackParams, float, float]]:
@@ -189,7 +214,7 @@ def residual_tuples(
     coarse = list(itertools.islice(coarse_traj, coarse_idx - 1, coarse_idx + 2))
     return [
         (p, evolution_residual(window, flow.dt, p), evolution_residual(coarse, dt, p))
-        for p in suites._draw_residual_params(config.tolerances.rng_seed)
+        for p in _draw_residual_params(config.tolerances.rng_seed)
     ]
 
 

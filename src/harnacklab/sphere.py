@@ -20,7 +20,7 @@ plain Python (:func:`_reverse_cuthill_mckee`).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
-from .geometry import ManifoldDescriptor, SolverError
+from .geometry import BackendError, ManifoldDescriptor, SolverError
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,20 +56,26 @@ class RoundSphere(ManifoldDescriptor):
         """
         return self.edge_scatter @ (self.edge_difference @ values)
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.laplacian_and_grad_norm_sq(values)[0]
-
-    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        return self.laplacian_and_grad_norm_sq(values)[1]
-
-    def laplacian_and_grad_norm_sq(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Laplacian and the squared gradient of ``values``, both from one
-        edge-difference product (see :func:`_edge_operators`)."""
-        diff = self.edge_difference @ values
-        lap = self.edge_scatter @ diff
-        lap /= self.quadrature_weights
-        diff *= diff
-        return lap, self.edge_energy @ diff
+    def stencils(
+        self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
+        gradient: bool = False, hessian: tuple[float, float] | None = None,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, None, None]:
+        """The Laplacian and |grad f|^2, both from one edge-difference
+        product per row (:func:`_edge_operators`); the mesh has no gradient
+        components or Hessian."""
+        if gradient or hessian is not None:
+            raise BackendError("the sphere has no gradient components or Hessian penalty")
+        shape = (len(rows), self.node_count)
+        lap = np.empty(shape) if laplacian else None
+        grad_sq = np.empty(shape) if grad_norm_sq else None
+        for i, row in enumerate(rows):
+            diff = self.edge_difference @ row
+            if lap is not None:
+                np.divide(self.edge_scatter @ diff, self.quadrature_weights, out=lap[i])
+            if grad_sq is not None:
+                diff *= diff
+                grad_sq[i] = self.edge_energy @ diff
+        return lap, grad_sq, None, None
 
     @cached_property
     def _band_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

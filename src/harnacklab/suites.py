@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, RunConfig
 from .entropy import SnapshotSeries
 from .geometry import ManifoldDescriptor
-from .harnack import CAO_HAMILTON_H_PARAMS, LI_YAU_PARAMS, NI_PARAMS, HarnackParams, Variant
+from .harnack import CAO_HAMILTON_H_PARAMS, LI_YAU_PARAMS, NI_PARAMS, HarnackParams
 from .paramspace import CaseTag, NamedMatch, ScanResult, classify
 from .pathwise import PairReport
 
@@ -80,37 +80,6 @@ def harnack_signs(series: SnapshotSeries, tol_disc: float) -> dict:
     return report
 
 
-def _draw_residual_params(seed: int) -> list[HarnackParams]:
-    """The ten random tuples of the residual suite: 5 per variant, alpha > beta."""
-    rng = np.random.default_rng(seed + 1)
-    tuples = []
-    for variant in (Variant.U, Variant.V):
-        for _ in range(5):
-            alpha = rng.uniform(1.0, 3.0)
-            beta = alpha - rng.uniform(0.3, 1.5)
-            tuples.append(
-                HarnackParams(
-                    alpha=alpha,
-                    beta=beta,
-                    b=rng.uniform(-1.0, 1.0),
-                    c=rng.uniform(-1.0, 1.0),
-                    lam=rng.uniform(0.5, 2.0),
-                    variant=variant,
-                )
-            )
-    return tuples
-
-
-def _residual_index(n_states: int) -> int:
-    """The even fine snapshot index the random residual tuples compare at (half
-    of it is the same time on the once-coarsened flow), early in the run while
-    the datum still has structure: heat flow flattens everything on the
-    diffusive time scale, after which residuals are roundoff scraps."""
-    fine_idx = int(round(0.05 * (n_states - 1)))
-    fine_idx -= fine_idx % 2
-    return max(2, min(fine_idx, n_states - 3 - (n_states - 3) % 2))
-
-
 def evolution_residual(
     config: RunConfig, residuals: list[tuple[HarnackParams, float, float]],
     comparison_time: float, series: SnapshotSeries,
@@ -172,7 +141,7 @@ def entropy(
         Gate("mass_drift_rel", mass_drift, 4.0 * sys.float_info.epsilon * config.flow.n_steps),
     ]
     facts = {"tol_value": tol_value, "w_equals_f_tol": identity_tol}
-    if m.has_hessian:
+    if series.dF_formula is not None:
         h, dt = m.mesh_scale, config.flow.dt
         facts["xcheck_tol"] = config.tolerances.tol_disc_constant * (dt * dt + h * h) * scale
         df_formula, dw_formula = series.dF_formula, series.dW_formula

@@ -22,8 +22,7 @@ from harnacklab.config import parse_config
 from harnacklab.initialdata import wrapped_distance_sq
 from harnacklab.paramspace import NamedMatch, ScanSpec, case_one_uniqueness_scan, classify
 from harnacklab.pathwise import SpaceTimePair
-from harnacklab.runner import run_config
-from harnacklab.suites import _draw_residual_params
+from harnacklab.runner import _draw_residual_params, run_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -59,7 +59,8 @@ def spiky(monkeypatch):
 # in the output directory ("": the output directory is a file).  It asserts
 # the exit code, stderr's first line and stdout, with the temporary
 # directory read as TMP and each float of four or more decimals as #, and
-# the exact set of files left in the output directory
+# the exact set of files left in the output directory, or None where no
+# output directory is left
 ROUNDOFF = re.compile(r"\d+\.\d{3,}(e[-+]?\d+)?")
 SMOKE_EXPORT = (("out/torus_smoke", "out/torus_smoke\n  export_trajectory: true"),)
 SMOKE_STIFF = (("t_end: 0.25", "t_end: 4.05"), ("dt: 2.0e-3", "dt: 1.0")) + SMOKE_EXPORT
@@ -80,15 +81,16 @@ NO_CONFIG = (
     "config error: cannot read config TMP/config.yaml: [Errno 2] No such file or directory: "
     "'TMP/config.yaml'"
 )
-UNWRITABLE = "config error: output.directory cannot be written: [Errno {}] {}: 'TMP/out{}'"
+UNWRITABLE = "config error: output.directory cannot be written: [Errno {}] {}: 'TMP/runs/out{}'"
 UNWRITABLE_SUMMARY = UNWRITABLE.format(21, "Is a directory", "/summary.json")
 RESIDUAL = "solver failure: Crank-Nicolson solve missed its residual bound: relative residual #"
 
 
-def exit_row(command, config, case, exit_code, err="", out="", files=(), edits=(), patch=None,
+def exit_row(command, config, case, exit_code, err="", out="", files=None, edits=(), patch=None,
              taken=None):
+    left = None if files is None else set(files)
     return pytest.param(
-        command, config, edits, patch, taken, (exit_code, err, out, set(files)),
+        command, config, edits, patch, taken, (exit_code, err, out, left),
         id=f"{command}-{case}",
     )
 
@@ -180,7 +182,8 @@ EXITS = [
 
 @pytest.mark.parametrize("command, config, edits, patch, taken, expected", EXITS)
 def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, taken, expected):
-    path, out_dir = tmp_path / "config.yaml", tmp_path / "out"
+    # two directory levels for a command to make
+    path, out_dir = tmp_path / "config.yaml", tmp_path / "runs" / "out"
     if edits is not None:
         text = (CONFIG_DIR / f"{config}.yaml").read_text()
         for old, new in edits:
@@ -190,6 +193,7 @@ def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, take
     if patch is not None:
         patch(monkeypatch)
     if taken == "":
+        out_dir.parent.mkdir()
         out_dir.write_text("")
     elif taken is not None:
         (out_dir / taken).mkdir(parents=True)
@@ -197,8 +201,10 @@ def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, take
     captured = capsys.readouterr()
     first = captured.err.partition("\n")[0]
     shown = [ROUNDOFF.sub("#", s.replace(str(tmp_path), "TMP")) for s in (first, captured.out)]
-    left = {p.name for p in out_dir.iterdir()} if out_dir.is_dir() else set()
+    left = {p.name for p in out_dir.iterdir()} if out_dir.is_dir() else None
     assert (code, *shown, left) == expected
+    # a level that a failed command made goes with the empty levels inside it
+    assert out_dir.parent.is_dir() == (left is not None or taken == "")
     if code == EXIT_SOLVER_FAILURE:  # the summary names the failure and holds no verdict
         summary = json.loads((out_dir / "summary.json").read_text())
         assert first == f"solver failure: {summary['solver_error']}"

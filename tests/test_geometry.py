@@ -290,15 +290,18 @@ def test_stacked_stencils_match_np_roll_per_row(args):
     m = hl.build_torus(*args)
     rng = np.random.default_rng(5)
     rows = rng.uniform(0.5, 2.0, (2, m.node_count))
-    lap, grad, hess = m.stencils(rows, laplacian=True, gradient=True, hessian=(1.3, 0.7))
-    assert lap.shape == hess.shape == (2, m.node_count)
+    lap, grad_sq, grad, hess = m.stencils(
+        rows, laplacian=True, grad_norm_sq=True, gradient=True, hessian=(1.3, 0.7)
+    )
+    assert lap.shape == grad_sq.shape == hess.shape == (2, m.node_count)
     assert len(grad) == m.dimension
     for k, values in enumerate(rows):
         stiff, grads, pen = _roll_reference_operators(m, values, 1.3, 0.7)
         assert np.array_equal(lap[k], stiff)
         assert all(np.array_equal(comp[k], g) for comp, g in zip(grad, grads))
+        assert np.array_equal(grad_sq[k], components_norm_sq(grads))
         assert np.array_equal(hess[k], pen)
-    assert m.stencils(rows, gradient=True)[0::2] == (None, None)
+    assert [x is None for x in m.stencils(rows, gradient=True)] == [True, True, False, True]
     for t in (0.0, -0.5):
         with pytest.raises(ValueError, match="t must be positive"):
             m.stencils(rows, hessian=(1.3, t))
@@ -488,6 +491,10 @@ def test_hessian_penalty_sphere_unsupported():
     m = hl.build_sphere(2)
     with pytest.raises(BackendError):
         hl.hessian_penalty(hl.constant_field(m, 1.0), 2.0, 1.0)
+    # the one operator call refuses them too, whatever else it is asked for
+    for ask in ({"gradient": True}, {"hessian": (2.0, 1.0)}):
+        with pytest.raises(BackendError):
+            m.stencils((m.positions[:, 2],), laplacian=True, grad_norm_sq=True, **ask)
 
 
 # ---------------------------------------------------------------------------

@@ -206,13 +206,14 @@ def test_torus_stencils_and_stiffness_equal_the_old_expressions(args, lam):
     t = 0.7
     lap, grad, hess = stencils_before(m, rows, lam, t)
     with Unchanged(rows):
-        got = m.stencils(rows, laplacian=True, gradient=True, hessian=(lam, t))
+        got = m.stencils(rows, laplacian=True, grad_norm_sq=True, gradient=True, hessian=(lam, t))
         assert_same_bits(got[0], lap)
-        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got[1], grad))
-        assert_same_bits(got[2], hess)
+        assert_same_bits(got[1], norm_sq_before(grad))
+        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got[2], grad))
+        assert_same_bits(got[3], hess)
         # each operator alone takes the same path through the buffers
         assert_same_bits(m.stencils(rows, laplacian=True)[0], lap)
-        assert_same_bits(m.stencils(rows, hessian=(lam, t))[2], hess)
+        assert_same_bits(m.stencils(rows, hessian=(lam, t))[3], hess)
         for row, want in zip(rows, lap):
             assert_same_bits(m.stiffness(row), m.quadrature_weights * want)
 
@@ -242,14 +243,20 @@ def test_sphere_operators_and_solver_equal_the_old_expressions(sphere2):
     perm = m._band_order[0]
     factor, _ = lapack.dpbtrf(m._cn_band(a))
     solve = m.cn_solver(a)
-    for f in data_rows(np.random.default_rng(9), m.node_count):
+    rows = data_rows(np.random.default_rng(9), m.node_count)
+    with Unchanged(rows):
+        # the stack's operators equal each row's, bit for bit
+        stacked = m.stencils(rows, laplacian=True, grad_norm_sq=True)
+    for k, f in enumerate(rows):
         with Unchanged(f):
             diff = m.edge_difference @ f
             lap = (m.edge_scatter @ diff) / m.quadrature_weights
             grad_sq = m.edge_energy @ (diff * diff)
-            got_lap, got_grad_sq = m.laplacian_and_grad_norm_sq(f)
-            assert_same_bits(got_lap, lap)
-            assert_same_bits(got_grad_sq, grad_sq)
+            got_lap, got_grad_sq, _, _ = m.stencils((f,), laplacian=True, grad_norm_sq=True)
+            assert_same_bits(got_lap[0], lap)
+            assert_same_bits(got_grad_sq[0], grad_sq)
+            assert_same_bits(stacked[0][k], lap)
+            assert_same_bits(stacked[1][k], grad_sq)
             assert_same_bits(m.laplacian(f), lap)
             assert_same_bits(m.grad_norm_sq(f), grad_sq)
 

@@ -61,30 +61,21 @@ def scale_clock(monkeypatch, k):
 
 
 def scale_laplacian(monkeypatch, k, everywhere):
-    """The Laplacian times k: in the diagnostics only (the torus ``stencils``
-    calls that ask for a gradient, which only the snapshot kernel and the
-    evolution residual make, and the sphere's
-    ``laplacian_and_grad_norm_sq``), or ``everywhere``, the flow's
-    stiffness and solver included."""
+    """The Laplacian times k: in the diagnostics only (the ``stencils`` calls
+    that also ask for |grad|^2 or a gradient, which only the snapshot kernel
+    makes), or ``everywhere``, the flow's stiffness and solver included."""
 
-    def torus(stencils):
+    def scaling(stencils):
         def scaled(m, rows, **kw):
-            lap, grad, hess = stencils(m, rows, **kw)
-            if lap is not None and (everywhere or grad is not None):
+            lap, grad_sq, grad, hess = stencils(m, rows, **kw)
+            if lap is not None and (everywhere or grad_sq is not None or grad is not None):
                 lap = k * lap
-            return lap, grad, hess
+            return lap, grad_sq, grad, hess
 
         return scaled
 
-    def sphere(pair):
-        def scaled(m, values):
-            lap, grad_sq = pair(m, values)
-            return k * lap, grad_sq
-
-        return scaled
-
-    _wrap(monkeypatch, FlatTorus, "stencils", torus)
-    _wrap(monkeypatch, RoundSphere, "laplacian_and_grad_norm_sq", sphere)
+    for backend in BACKENDS:
+        _wrap(monkeypatch, backend, "stencils", scaling)
     if everywhere:
         _wrap(monkeypatch, RoundSphere, "stiffness", lambda w: lambda m, values: k * w(m, values))
         _scale_solvers(monkeypatch, k)

@@ -405,7 +405,7 @@ def suite_with(smoke_snapshots, case, bad=None):
         return suites.harnack_signs(series, tol_disc)
     if case not in ("residual", "tuples"):
         return suites.entropy(config, traj.manifold, tol_disc, mass, drift, series)
-    fine_idx = suites._residual_index(len(traj))
+    fine_idx = runner._residual_index(len(traj))
     window = list(traj)[fine_idx - 1 : fine_idx + 2]
     residuals = runner.residual_tuples(config, window, fine_idx)
     if case == "tuples" and bad is not None:
