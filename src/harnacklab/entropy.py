@@ -59,9 +59,9 @@ from .harnack import (
 )
 from .heatflow import FlowState, Trajectory
 
-# the dissipation integrals complete the square at lam = 2; the canonical H
-# tuple has the same lam, so its evolution residual shares the Hessian term
-DISSIPATION_LAMBDA = 2.0
+# the canonical H tuple's lam: the dissipation integrals complete the square
+# at it, and the tuple's evolution residual reads the same Hessian penalty
+DISSIPATION_LAMBDA = CAO_HAMILTON_H_PARAMS.lam
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,13 @@ class ManifoldDescriptor:
     def stencils(
         self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
         gradient: bool = False, hessian: tuple[float, float] | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
+    ) -> tuple[Sequence | None, Sequence | None, list[Sequence] | None, Sequence | None]:
         """``(lap, grad_sq, grad, hess)`` of the k flat arrays ``rows``, each
-        None unless asked for: the Laplacian and |grad f|^2 as (k, N) arrays,
-        the gradient as one (k, N) array per axis and, for ``hessian = (lam,
-        t)``, |Hessian - lam/(2t) identity|^2 as a (k, N) array.  A backend
-        without ``has_hessian`` raises BackendError for ``gradient`` or
-        ``hessian``."""
+        None unless asked for and each one array per row (a sequence of k
+        arrays, as a (k, N) array is): the Laplacian, |grad f|^2, the
+        gradient as one such sequence per axis and, for ``hessian = (lam,
+        t)``, |Hessian - lam/(2t) identity|^2.  A backend without
+        ``has_hessian`` raises BackendError for ``gradient`` or ``hessian``."""
         raise NotImplementedError
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:

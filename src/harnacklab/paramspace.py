@@ -176,6 +176,16 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
+def survivor_mask(
+    degenerate: np.ndarray, c1: np.ndarray, c2: np.ndarray, c3: np.ndarray, delta: float
+) -> np.ndarray:
+    """The case-one survivors among grid points: not alpha = beta, c1 =
+    alpha - beta > 0, c2 = b + beta >= -delta and c3 = alpha^2/(4 c1) + b
+    <= delta.  :func:`case_one_uniqueness_scan` looks it up by name for
+    each alpha block."""
+    return (~degenerate) & (c1 > 0) & (c2 >= -delta) & (c3 <= delta)
+
+
 def case_one_uniqueness_scan(spec: ScanSpec, on_block=None) -> ScanResult:
     """Brute-force enumeration of the case-one constraint set.
 
@@ -210,7 +220,7 @@ def case_one_uniqueness_scan(spec: ScanSpec, on_block=None) -> ScanResult:
             lam = np.where(degenerate, np.nan, alpha / (2.0 * g))
             c3 = np.where(degenerate, np.inf, alpha * alpha / (4.0 * g) + b2)
         c1 = g
-        surv = (~degenerate) & (c1 > 0) & (c2 >= -delta) & (c3 <= delta)
+        surv = survivor_mask(degenerate, c1, c2, c3, delta)
 
         if on_block is not None:
             on_block(

@@ -59,22 +59,21 @@ class RoundSphere(ManifoldDescriptor):
     def stencils(
         self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
         gradient: bool = False, hessian: tuple[float, float] | None = None,
-    ) -> tuple[np.ndarray | None, np.ndarray | None, None, None]:
-        """The Laplacian and |grad f|^2, both from one edge-difference
-        product per row (:func:`_edge_operators`); the mesh has no gradient
-        components or Hessian."""
+    ) -> tuple[list[np.ndarray] | None, list[np.ndarray] | None, None, None]:
+        """The Laplacian and |grad f|^2, one array per row, both from one
+        edge-difference product per row (:func:`_edge_operators`); the mesh
+        has no gradient components or Hessian."""
         if gradient or hessian is not None:
             raise BackendError("the sphere has no gradient components or Hessian penalty")
-        shape = (len(rows), self.node_count)
-        lap = np.empty(shape) if laplacian else None
-        grad_sq = np.empty(shape) if grad_norm_sq else None
-        for i, row in enumerate(rows):
+        lap = [] if laplacian else None
+        grad_sq = [] if grad_norm_sq else None
+        for row in rows:
             diff = self.edge_difference @ row
             if lap is not None:
-                np.divide(self.edge_scatter @ diff, self.quadrature_weights, out=lap[i])
+                lap.append(np.divide(self.edge_scatter @ diff, self.quadrature_weights))
             if grad_sq is not None:
                 diff *= diff
-                grad_sq[i] = self.edge_energy @ diff
+                grad_sq.append(self.edge_energy @ diff)
         return lap, grad_sq, None, None
 
     @cached_property

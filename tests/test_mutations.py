@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab import entropy, heatflow, pathwise, runner
+from harnacklab import entropy, heatflow, paramspace, pathwise, runner
 from harnacklab.config import parse_config_text
 from harnacklab.geometry import FlatTorus
 from harnacklab.runner import EXIT_GATE_FAILURE, EXIT_PASS, EXIT_SOLVER_FAILURE, run_config
@@ -38,6 +38,7 @@ CUTS = {
          "suites: [harnack_signs]"),
     )),
     "sphere3": ("sphere_signs", (("subdivision: 4", "subdivision: 3"), ("t_end: 1.0", "t_end: 0.1"))),
+    "scan": ("paramscan", (("step: 0.05", "step: 0.25"),)),
 }
 
 
@@ -60,22 +61,29 @@ def scale_clock(monkeypatch, k):
     _wrap(monkeypatch, heatflow, "_cn_solve", lambda check: lambda m, a, *args: check(m, k * a, *args))
 
 
-def scale_laplacian(monkeypatch, k, everywhere):
-    """The Laplacian times k: in the diagnostics only (the ``stencils`` calls
-    that also ask for |grad|^2 or a gradient, which only the snapshot kernel
-    makes), or ``everywhere``, the flow's stiffness and solver included."""
+def change_laplacian(monkeypatch, change, everywhere=False):
+    """Each Laplacian row ``lap`` of a row ``w`` becomes ``change(lap, w)``
+    in the ``stencils`` calls: in the diagnostics only (the calls that also
+    ask for |grad|^2 or a gradient, which only the snapshot kernel makes),
+    or ``everywhere``."""
 
-    def scaling(stencils):
-        def scaled(m, rows, **kw):
+    def changing(stencils):
+        def changed(m, rows, **kw):
             lap, grad_sq, grad, hess = stencils(m, rows, **kw)
             if lap is not None and (everywhere or grad_sq is not None or grad is not None):
-                lap = k * lap
+                lap = [change(lap_row, row) for lap_row, row in zip(lap, rows)]
             return lap, grad_sq, grad, hess
 
-        return scaled
+        return changed
 
     for backend in BACKENDS:
-        _wrap(monkeypatch, backend, "stencils", scaling)
+        _wrap(monkeypatch, backend, "stencils", changing)
+
+
+def scale_laplacian(monkeypatch, k, everywhere):
+    """The Laplacian times k: in the diagnostics only, or ``everywhere``,
+    the flow's stiffness and solver included."""
+    change_laplacian(monkeypatch, lambda lap, row: k * lap, everywhere)
     if everywhere:
         _wrap(monkeypatch, RoundSphere, "stiffness", lambda w: lambda m, values: k * w(m, values))
         _scale_solvers(monkeypatch, k)
@@ -150,6 +158,13 @@ MUTATIONS = {
     "diag_lap_x1.01": lambda mp: scale_laplacian(mp, 1.01, everywhere=False),
     "diag_lap_x0.99": lambda mp: scale_laplacian(mp, 0.99, everywhere=False),
     "lap_x1.01": lambda mp: scale_laplacian(mp, 1.01, everywhere=True),
+    # a diagnostics Laplacian that does not annihilate constants: L w + 1e-9 w
+    "diag_lap_shift_1e-9": lambda mp: change_laplacian(mp, lambda lap, row: lap + 1e-9 * row),
+    # the scan's survivor predicate without its quarter-square constraint c3
+    "quarter_square_dropped": lambda mp: mp.setattr(
+        paramspace, "survivor_mask",
+        lambda degenerate, c1, c2, c3, delta: (~degenerate) & (c1 > 0) & (c2 >= -delta),
+    ),
     # torus_smoke's data times 1e200, where the Stokes gate's floor of 1 no
     # longer binds
     "data_x1e200": (("floor: 1.0", "floor: 1.0e200"), ("amplitude: 0.15", "amplitude: 0.15e200")),
@@ -190,6 +205,12 @@ ROWS = [
     row("sphere3", "diag_lap_x0.99", EXIT_PASS, found=DIAG_LAP_FOUND),
     row("sphere3", "lap_x1.01", EXIT_PASS,
         found="ROADMAP item 1: no gate pins the flow Laplacian's scale"),
+    # the identity gates see the shift through v = u - (n/2) ln(4 pi t):
+    # max|P - H| = 2e-9 max|(n/2) ln(4 pi t)|, 1.146e-9 on smoke and 9.29e-10
+    # on sphere3, against 1e-9
+    row("smoke", "diag_lap_shift_1e-9", EXIT_GATE_FAILURE, {"p_vs_h_max_abs_diff"}),
+    row("sphere3", "diag_lap_shift_1e-9", EXIT_PASS,
+        found="ROADMAP item 14: the P-vs-H gate misses the shift by the clock's range of ln(4 pi t)"),
     row("sphere3", "liyau_halved", EXIT_PASS, found=LIYAU_FOUND),
     row("smoke", "liyau_halved", EXIT_PASS, found=LIYAU_FOUND),
     row("smoke", "data_x1e200", EXIT_GATE_FAILURE, {"stokes_worst_slack"},
@@ -203,6 +224,10 @@ ROWS = [
     row("sphere3", "pathwise_gamma_zero", EXIT_PASS, found=PATHWISE_FOUND),
     row("smoke", "pathwise_no_time_factor", EXIT_PASS, found=PATHWISE_FOUND),
     row("sphere3", "pathwise_no_time_factor", EXIT_PASS, found=PATHWISE_FOUND),
+    # 17 survivors at step 0.25, max_ray_deviation 0.25; without c3, 1393
+    # survivors reach 6.0
+    row("scan", "exact", EXIT_PASS),
+    row("scan", "quarter_square_dropped", EXIT_GATE_FAILURE, {"max_ray_deviation"}),
 ]
 
 
