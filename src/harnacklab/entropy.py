@@ -188,7 +188,7 @@ def _snapshot(
     u_field = log_u(state)
     u = u_field.values
     v = v_from_u(u_field, t).values
-    values = {"time": t}
+    values = {}
     # one operator call for u and v; v = u - const, but v's operators are
     # taken from v itself, so the P-vs-H, W-vs-F and dissipation
     # cross-checks compare two computations
@@ -238,7 +238,8 @@ def entropy_series(
 
     Every value equals, bit for bit, what the reference functions
     (``quantity_H``/``quantity_P``/``quantity_liyau``, ``entropy_F``/``_W``,
-    ``dissipation_F``/``_W``, ``evolution_residual``) give on the same state.
+    ``dissipation_F``/``_W``, ``evolution_residual``) give on the same state,
+    and ``time`` is ``traj.times``, the clock each state carries.
 
     The dissipation integrals are computed exactly when the backend has a
     Hessian (the torus).  ``with_residual`` adds the canonical H tuple's
@@ -278,6 +279,7 @@ def entropy_series(
     # np.gradient differences the interior as (x[i+1] - x[i-1]) / (2 dt) and
     # the two ends one-sided as (x[1] - x[0]) / dt and (x[-1] - x[-2]) / dt
     return SnapshotSeries(
+        time=traj.times,
         **series,
         dF_fd=np.gradient(series["F_direct"], dt),
         dW_fd=np.gradient(series["W_direct"], dt),

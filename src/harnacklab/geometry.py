@@ -21,9 +21,9 @@ The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
 Laplacian of cos is negative, and ``stiffness`` is the symmetric weighted
 form W with Lap = W / quadrature weight.  On the torus every operator is a
 2nd-order central-difference stencil with periodic wrap, all from one pass,
-:meth:`FlatTorus._stencil_pass`: it copies the stack once into a
-wrap-padded array and takes the Laplacian, gradient and Hessian penalty of
-every field from views of that copy.  ``stiffness``, and so the flow's
+:meth:`FlatTorus.stencils`: it copies the stack once into a wrap-padded
+array and takes the Laplacian, gradient and Hessian penalty of every field
+from views of that copy.  ``stiffness``, and so the flow's
 residual checks, is a thin call into it.  The operators write into arrays
 they allocate themselves, in their formulas' order, with no fresh array per
 operation and no argument written.
@@ -183,19 +183,7 @@ class FlatTorus(ManifoldDescriptor):
         self, rows: Sequence[np.ndarray], *, laplacian: bool = False, grad_norm_sq: bool = False,
         gradient: bool = False, hessian: tuple[float, float] | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
-        """From one :meth:`_stencil_pass`; |grad f|^2 is formed once the pass
-        has freed its padded copy and work arrays."""
-        lap, grad, hess = self._stencil_pass(rows, laplacian, gradient or grad_norm_sq, hessian)
-        grad_sq = components_norm_sq(grad) if grad_norm_sq else None
-        return lap, grad_sq, grad if gradient else None, hess
-
-    def _stencil_pass(
-        self, rows: Sequence[np.ndarray], laplacian: bool, gradient: bool,
-        hessian: tuple[float, float] | None,
-    ) -> tuple[np.ndarray | None, list[np.ndarray] | None, np.ndarray | None]:
-        """The torus Laplacian, gradient and Hessian penalty of each of k flat
-        arrays ``rows``, in one pass: ``(lap, grad, hess)``, each None unless
-        asked for, in the layouts of :meth:`stencils`.
+        """The torus operators of the k flat arrays ``rows``, in one pass.
 
         The rows are copied once into an array wrap-padded by one node on
         both sides of every axis.  The axes are padded in turn, each across
@@ -207,6 +195,8 @@ class FlatTorus(ManifoldDescriptor):
         operations' written order, in one of two work arrays: the second
         difference and 2f, which then hold 2 x mixed x mixed and each mixed
         difference.  The Laplacian and Hessian sums start from +0.0.
+        |grad f|^2 is formed from the gradient only once the padded copy and
+        the work arrays are freed, so they are never live with it.
 
         The Laplacian is exact on constants: 2f is exact, f+ - 2f = c - 2c
         has the representable exact result -c, and -c + c = 0, so each
@@ -249,7 +239,7 @@ class FlatTorus(ManifoldDescriptor):
                     diff *= diff
                     hess += diff
         grad = None
-        if gradient:
+        if gradient or grad_norm_sq:
             grad = []
             for fp, fm, h in zip(plus, minus, spacings):
                 comp = np.subtract(fp, fm)
@@ -268,11 +258,16 @@ class FlatTorus(ManifoldDescriptor):
             hess = hess.reshape(flat)
         if lap is not None:
             lap = lap.reshape(flat)
-        return lap, grad, hess
+        # fp and fm are the last views of the copy; they and the work arrays
+        # exist only for some requests, so they are rebound, not deleted
+        del padded, centre, plus, minus
+        fp = fm = two_f = diff = mixed = term = None
+        grad_sq = components_norm_sq(grad) if grad_norm_sq else None
+        return lap, grad_sq, grad if gradient else None, hess
 
     @cached_property
     def _neighbours(self) -> tuple:
-        """Where :meth:`_stencil_pass` reads its wrap-padded stack: the index of
+        """Where :meth:`stencils` reads its wrap-padded stack: the index of
         the centre, of the +1 and -1 neighbours along each axis, and, for
         each pair of axes ax1 < ax2, of the diagonal neighbours ++, +-, -+
         and -- (the sign of the step along ax1, then along ax2)."""
