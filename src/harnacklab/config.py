@@ -33,7 +33,7 @@ Config grammar (YAML, nested key-value)
       rng_seed: 20240601
       residual_ratio_window: [3.0, 5.0]   # optional
     output:
-      directory: out
+      directory: out              # non-empty
       export_trajectory: false
     paramscan:                    # read when 'paramscan' is requested
       alpha_range: [0.5, 4.0]
@@ -49,17 +49,17 @@ and the three initial-data classes.  An unknown key, a key given twice, a
 missing field, a suite listed twice or an empty suite list is a config
 error naming it; so is a value of the wrong type, a non-integral integer, a
 non-finite number or an out-of-range value, including a manifold the
-builders would reject and a clock ``heatflow.step_count`` would; and so
-is, from ``runner.main``, an ``output.directory`` or report file that
-cannot be made or written.  Run size is bounded, with
-nothing built: 2 to ``Flow.MAX_STEPS`` steps,
+builders would reject, a clock ``heatflow.step_count`` would and an empty
+``output.directory``; and so is, from ``runner.main``, an
+``output.directory`` or report file that cannot be made or written.  Run
+size is bounded, with nothing built: 2 to ``Flow.MAX_STEPS`` steps,
 ``geometry.MAX_NODES`` nodes, ``Tolerances.MAX_PAIRS`` pairs,
 ``ScanSpec.MAX_POINTS`` scan points and ``RandomSmoothData.MAX_MODES``
-random modes ((2 mode_cutoff + 1)^n on a torus, 8 mode_cutoff plane
-waves on the sphere).  ``RunConfig``'s own
-checks join two sections: evolution_residual (torus only) is rejected on
-sphere configs, pathwise on backward configs (the integrated bound is a
-statement in t).  On the sphere the entropy suite runs without its
+random modes.  ``RunConfig``'s own checks join two sections: the initial
+data must fit the manifold (``initialdata.check_initial_data``, which
+``build_initial_field`` makes too), evolution_residual (torus only) is
+rejected on sphere configs, pathwise on backward configs (the integrated
+bound is a statement in t).  On the sphere the entropy suite runs without its
 dissipation sub-gates, and dF_formula/dW_formula are blank.  A tol_disc
 that overflows to inf is a config error, raised before the flow is stepped.
 
@@ -81,7 +81,7 @@ import yaml
 
 from .geometry import check_sphere_args, check_torus_args
 from .heatflow import step_count
-from .initialdata import InitialData, RandomSmoothData, TrigPolynomialData
+from .initialdata import InitialData, check_initial_data
 from .paramspace import ScanSpec
 
 SUITE_NAMES = ("harnack_signs", "evolution_residual", "entropy", "pathwise", "paramscan")
@@ -170,6 +170,10 @@ class Output:
     directory: str = "out"
     export_trajectory: bool = False
 
+    def __post_init__(self):
+        if not self.directory:
+            raise ValueError("output.directory must be non-empty: '' is the current directory")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -199,18 +203,7 @@ class RunConfig:
             raise ValueError("suite 'evolution_residual' needs the torus backend (Hessian penalty)")
         if self.flow.direction == "backward" and "pathwise" in suites:
             raise ValueError("suite 'pathwise' applies to forward flows only")
-        if isinstance(data, TrigPolynomialData):
-            if not torus:
-                raise ValueError("trig_polynomial initial data is only defined on tori")
-            if any(len(mode.index) != self.manifold.dimension for mode in data.modes):
-                raise ValueError("initial_data.modes: each index needs one entry per torus axis")
-        if isinstance(data, RandomSmoothData):
-            modes = data.mode_count(self.manifold.dimension if torus else None)
-            if modes > RandomSmoothData.MAX_MODES:
-                raise ValueError(
-                    f"initial_data.mode_cutoff = {data.mode_cutoff} makes {modes} modes; "
-                    f"at most {RandomSmoothData.MAX_MODES} are allowed"
-                )
+        check_initial_data(data, self.manifold.dimension if torus else None)
         if "evolution_residual" in suites:
             spec = self.manifold
             try:

@@ -101,6 +101,23 @@ class RandomSmoothData:
 InitialData = ConstantData | TrigPolynomialData | RandomSmoothData
 
 
+def check_initial_data(data: InitialData, torus_dimension: int | None) -> None:
+    """Raise ValueError unless :func:`build_initial_field` accepts ``data`` on
+    a torus of ``torus_dimension`` axes, or on the sphere (``None``)."""
+    if isinstance(data, TrigPolynomialData):
+        if torus_dimension is None:
+            raise ValueError("trig_polynomial initial data is only defined on tori")
+        if any(len(mode.index) != torus_dimension for mode in data.modes):
+            raise ValueError("initial_data.modes: each index needs one entry per torus axis")
+    if isinstance(data, RandomSmoothData):
+        modes = data.mode_count(torus_dimension)
+        if modes > RandomSmoothData.MAX_MODES:
+            raise ValueError(
+                f"initial_data.mode_cutoff = {data.mode_cutoff} makes {modes} modes; "
+                f"at most {RandomSmoothData.MAX_MODES} are allowed"
+            )
+
+
 def _wave_vector(m: FlatTorus, index) -> np.ndarray:
     """k = 2 pi index / L, the wave vector of Fourier mode ``index`` on ``m``."""
     return 2.0 * np.pi * np.asarray(index, dtype=float) / np.asarray(m.side_lengths)
@@ -110,15 +127,9 @@ def _torus_mode_field(m: FlatTorus, index, phase: float) -> np.ndarray:
     return np.cos(m.positions @ _wave_vector(m, index) + phase)
 
 
-def _build_trig(m: ManifoldDescriptor, data: TrigPolynomialData) -> np.ndarray:
-    if not isinstance(m, FlatTorus):
-        raise ValueError("trigonometric initial data is only defined on tori")
+def _build_trig(m: FlatTorus, data: TrigPolynomialData) -> np.ndarray:
     values = np.full(m.node_count, data.floor)
     for mode in data.modes:
-        if len(mode.index) != m.dimension:
-            raise ValueError(
-                f"mode index {mode.index} does not match manifold dimension {m.dimension}"
-            )
         values += mode.amplitude * (1.0 + _torus_mode_field(m, mode.index, mode.phase))
     return values
 
@@ -159,16 +170,14 @@ def _random_smooth_sphere(m: ManifoldDescriptor, data: RandomSmoothData) -> np.n
 
 
 def build_initial_field(data: InitialData, m: ManifoldDescriptor) -> ScalarField:
+    check_initial_data(data, m.dimension if isinstance(m, FlatTorus) else None)
     if isinstance(data, ConstantData):
         values = np.full(m.node_count, data.value)
     elif isinstance(data, TrigPolynomialData):
         values = _build_trig(m, data)
     elif isinstance(data, RandomSmoothData):
-        if isinstance(m, FlatTorus):
-            ghat = _random_smooth_torus(m, data)
-        else:
-            ghat = _random_smooth_sphere(m, data)
-        values = data.floor + data.amplitude * (1.0 + ghat) / 2.0
+        random_smooth = _random_smooth_torus if isinstance(m, FlatTorus) else _random_smooth_sphere
+        values = data.floor + data.amplitude * (1.0 + random_smooth(m, data)) / 2.0
     else:
         raise TypeError(f"unknown initial data spec {type(data).__name__}")
     return ScalarField(values, m)

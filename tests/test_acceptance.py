@@ -254,6 +254,11 @@ def test_criterion_9_gaussian_equality_case():
     tol_disc = 260.0 * (h * h + 0.0)
     assert worst <= periodization_bound + tol_disc
     assert worst <= 1e-9  # quadratic log-field: stencils are exact on it
+    # negative control: with the constant 0.9 n in place of n, the same
+    # region reads 2 Lap v - 0.9 n/t = 0.1 n/t = 20 at every node
+    weak = hl.quantity_general(hl.log_v(state), t, replace(hl.LI_YAU_PARAMS, c=0.9)).values
+    assert np.min(weak[central]) > periodization_bound + tol_disc
+    assert np.max(np.abs(weak[central] - 0.1 * m.dimension / t)) <= 1e-9
 
     h_vals = hl.quantity_H(hl.log_u(state), t).values
     expected = -m.dimension / t - rsq / (4 * t * t)

@@ -55,12 +55,14 @@ def spiky(monkeypatch):
 
 # the exit table: how each command ends.  Each row runs a shipped config,
 # cut by text edits (each made once; None: no config file), through
-# ``main``, under a patch and with ``taken``, if given, made a directory
+# ``main`` with ``--output-dir`` given a fresh directory (or ``flag``, if
+# given), under a patch and with ``taken``, if given, made a directory
 # in the output directory ("": the output directory is a file).  It asserts
 # the exit code, stderr's first line and stdout, with the temporary
 # directory read as TMP and each float of four or more decimals as #, and
 # the exact set of files left in the output directory, or None where no
-# output directory is left
+# output directory is left; and that no file is left in the working
+# directory
 ROUNDOFF = re.compile(r"\d+\.\d{3,}(e[-+]?\d+)?")
 SMOKE_EXPORT = (("out/torus_smoke", "out/torus_smoke\n  export_trajectory: true"),)
 SMOKE_STIFF = (("t_end: 0.25", "t_end: 4.05"), ("dt: 2.0e-3", "dt: 1.0")) + SMOKE_EXPORT
@@ -77,6 +79,7 @@ entropy: FAIL (worst slack -#)
 pathwise: PASS (worst slack -#)
 overall: FAIL
 """
+EMPTY_OUTPUT = "output.directory must be non-empty: '' is the current directory"
 NO_CONFIG = (
     "config error: cannot read config TMP/config.yaml: [Errno 2] No such file or directory: "
     "'TMP/config.yaml'"
@@ -87,10 +90,10 @@ RESIDUAL = "solver failure: Crank-Nicolson solve missed its residual bound: rela
 
 
 def exit_row(command, config, case, exit_code, err="", out="", files=None, edits=(), patch=None,
-             taken=None):
+             taken=None, flag=None):
     left = None if files is None else set(files)
     return pytest.param(
-        command, config, edits, patch, taken, (exit_code, err, out, left),
+        command, config, edits, patch, taken, flag, (exit_code, err, out, left),
         id=f"{command}-{case}",
     )
 
@@ -176,14 +179,22 @@ EXITS = [
         exit_row(command, config, "report_is_a_directory", EXIT_CONFIG_ERROR,
                  UNWRITABLE.format(21, "Is a directory", f"/{report}"), files={report},
                  patch=no_step if command == "scan" else None, taken=report),
+        # an empty directory is refused, from the config even when
+        # --output-dir replaces it, and from --output-dir
+        exit_row(command, config, "empty_output_directory", EXIT_CONFIG_ERROR,
+                 f"config error: output: {EMPTY_OUTPUT}", patch=no_step,
+                 edits=((f"directory: out/{config}", "directory: ''"),)),
+        exit_row(command, config, "empty_output_dir_flag", EXIT_CONFIG_ERROR,
+                 f"config error: {EMPTY_OUTPUT}", patch=no_step, flag=""),
     )
 ]
 
 
-@pytest.mark.parametrize("command, config, edits, patch, taken, expected", EXITS)
-def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, taken, expected):
+@pytest.mark.parametrize("command, config, edits, patch, taken, flag, expected", EXITS)
+def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, taken, flag, expected):
     # two directory levels for a command to make
     path, out_dir = tmp_path / "config.yaml", tmp_path / "runs" / "out"
+    monkeypatch.chdir(tmp_path)
     if edits is not None:
         text = (CONFIG_DIR / f"{config}.yaml").read_text()
         for old, new in edits:
@@ -197,7 +208,7 @@ def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, take
         out_dir.write_text("")
     elif taken is not None:
         (out_dir / taken).mkdir(parents=True)
-    code = main([command, str(path), "--output-dir", str(out_dir)])
+    code = main([command, str(path), "--output-dir", str(out_dir) if flag is None else flag])
     captured = capsys.readouterr()
     first = captured.err.partition("\n")[0]
     shown = [ROUNDOFF.sub("#", s.replace(str(tmp_path), "TMP")) for s in (first, captured.out)]
@@ -205,6 +216,7 @@ def test_exit(tmp_path, monkeypatch, capsys, command, config, edits, patch, take
     assert (code, *shown, left) == expected
     # a level that a failed command made goes with the empty levels inside it
     assert out_dir.parent.is_dir() == (left is not None or taken == "")
+    assert {p.name for p in tmp_path.iterdir()} <= {"config.yaml", "runs"}
     if code == EXIT_SOLVER_FAILURE:  # the summary names the failure and holds no verdict
         summary = json.loads((out_dir / "summary.json").read_text())
         assert first == f"solver failure: {summary['solver_error']}"

@@ -56,6 +56,15 @@ def test_classify_rejected_point_quarter_square():
     assert not c.constraints.maximum_principle_applicable
 
 
+def test_classify_both_cases():
+    # lam = alpha / (2 (alpha - beta)) kills the lam term and b = 0: both
+    # cases at once, with the case-one quarter-square constraint 4/4 + 0 > 0
+    c = classify(HarnackParams(2, 1, 0, 1, 1))
+    assert c.case_tag is CaseTag.BOTH
+    assert c.quarter_square_value == pytest.approx(1.0, abs=1e-12)
+    assert not c.constraints.maximum_principle_applicable
+
+
 def test_classify_positive_rescaling_invariance():
     rng = np.random.default_rng(17)
     base_tuples = [

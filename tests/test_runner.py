@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab import runner, suites
+from harnacklab import initialdata, runner, suites
 from harnacklab.config import (
     ConfigError,
     Flow,
@@ -61,6 +61,12 @@ tolerances:
   rng_seed: 7
 output: {directory: PLACEHOLDER}
 """
+
+
+def random_smooth(old, new):
+    """A text edit of ``CONSTANT_CONFIG``: random_smooth data, with ``old`` made ``new``."""
+    data = "{kind: random_smooth, seed: 1, mode_cutoff: 2, amplitude: 0.6, floor: 1.0}"
+    return lambda s: s.replace("{kind: constant, value: 1.0}", data.replace(old, new))
 
 
 def constant_config(tmp_path, **kw):
@@ -213,6 +219,34 @@ def test_parse_round_trip(tmp_path):
         (lambda s: s.replace("resolution: [16, 16]", "resolution: [18, 18]")
          .replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]"),
          "suite 'evolution_residual' halves the grid"),
+        (lambda s: s.replace("t_end: 1.5", "t_end: 1.49")
+         .replace("suites: [harnack_signs, entropy, pathwise]", "suites: [evolution_residual]"),
+         "needs an even step count of at least 4"),
+        # a kind is required wherever a section is a union
+        (lambda s: s.replace("{kind: torus, ", "{"), "missing field 'kind' in manifold"),
+        (lambda s: s.replace("{kind: constant, ", "{"), "missing field 'kind' in initial_data"),
+        # a str or a bool field takes no other type
+        (lambda s: s.replace("direction: forward", "direction: 5"), "flow.direction must be a str"),
+        (lambda s: s.replace("output: {", "output: {export_trajectory: 'yes', "),
+         "output.export_trajectory must be a bool"),
+        # an empty path would write the reports into the current directory
+        (lambda s: s.replace("directory: PLACEHOLDER", "directory: ''"),
+         "output: output.directory must be non-empty"),
+        # each initial-data class's own range checks
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 0.0, "
+                             "modes: [{index: [1, 0], amplitude: 0.4}]}"),
+         "initial_data: floor must be positive"),
+        (lambda s: s.replace("{kind: constant, value: 1.0}",
+                             "{kind: trig_polynomial, floor: 0.8, "
+                             "modes: [{index: [1, 0], amplitude: -0.15}]}"),
+         "mode amplitudes must be nonnegative"),
+        (random_smooth("floor: 1.0", "floor: 0.0"), "initial_data: floor must be positive"),
+        (random_smooth("amplitude: 0.6", "amplitude: -0.6"),
+         "initial_data: amplitude must be nonnegative"),
+        (random_smooth("mode_cutoff: 2", "mode_cutoff: 0"),
+         "initial_data: mode cutoff must be >= 1"),
+        (random_smooth("seed: 1", "seed: -1"), "initial_data: seed must be nonnegative"),
     ],
 )
 def test_parse_errors_name_the_field(mangle, fragment):
@@ -261,6 +295,58 @@ def test_parse_fills_defaults_from_the_dataclasses():
 def test_parse_accepts_residual_window(tmp_path):
     text = CONSTANT_CONFIG.replace("rng_seed: 7", "rng_seed: 7\n  residual_ratio_window: [2, 6]")
     assert parse_config_text(text).tolerances.residual_ratio_window == (2.0, 6.0)
+
+
+def test_parse_flattens_a_merge_key_and_the_explicit_key_wins():
+    text = CONSTANT_CONFIG.replace(
+        "flow: {t0: 1.0, t_end: 1.5, dt: 0.01,",
+        "flow: {<<: {t0: 2.0, dt: 0.01}, t0: 1.0, t_end: 1.5,",
+    )
+    assert parse_config_text(text).flow == Flow(t0=1.0, t_end=1.5, dt=0.01)
+
+
+TORUS16 = "{kind: torus, dimension: 2, side_lengths: [1.0, 1.0], resolution: [16, 16]}"
+
+
+# initial data that does not fit its manifold: the config's text for both,
+# and the same datum and manifold as a library caller gives them
+@pytest.mark.parametrize(
+    "manifold_text, data_text, data, build",
+    [
+        ("{kind: sphere, subdivision: 2}",
+         "{kind: trig_polynomial, floor: 1.0, modes: [{index: [1], amplitude: 0.1}]}",
+         hl.TrigPolynomialData(1.0, (hl.TrigMode((1,), 0.1),)), lambda: hl.build_sphere(2)),
+        (TORUS16, "{kind: trig_polynomial, floor: 0.8, modes: [{index: [1], amplitude: 0.4}]}",
+         hl.TrigPolynomialData(0.8, (hl.TrigMode((1,), 0.4),)),
+         lambda: hl.build_torus(2, [1.0, 1.0], [16, 16])),
+        # 400,040,001 modes on T^2, 16,000 plane waves on the sphere
+        (TORUS16, "{kind: random_smooth, seed: 1, mode_cutoff: 10000, amplitude: 0.5, floor: 1.0}",
+         hl.RandomSmoothData(seed=1, mode_cutoff=10000, amplitude=0.5, floor=1.0),
+         lambda: hl.build_torus(2, [1.0, 1.0], [16, 16])),
+        ("{kind: sphere, subdivision: 2}",
+         "{kind: random_smooth, seed: 1, mode_cutoff: 2000, amplitude: 0.5, floor: 1.0}",
+         hl.RandomSmoothData(seed=1, mode_cutoff=2000, amplitude=0.5, floor=1.0),
+         lambda: hl.build_sphere(2)),
+    ],
+    ids=["trig_on_sphere", "short_mode_index", "torus_modes_over_ceiling",
+         "sphere_modes_over_ceiling"],
+)
+def test_builder_rejects_initial_data_in_the_configs_words(
+    monkeypatch, manifold_text, data_text, data, build
+):
+    text = CONSTANT_CONFIG.replace(TORUS16, manifold_text)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config_text(text.replace("{kind: constant, value: 1.0}", data_text))
+    m = build()
+
+    def refuse(*args):
+        raise AssertionError("a mode was built")
+
+    for name in ("_build_trig", "_random_smooth_torus", "_random_smooth_sphere"):
+        monkeypatch.setattr(initialdata, name, refuse)
+    with pytest.raises(ValueError) as built:
+        hl.build_initial_field(data, m)
+    assert str(parsed.value) == f"config: {built.value}"
 
 
 def test_tolerance_model():
