@@ -44,7 +44,6 @@ from .geometry import (
     ScalarField,
     grad_norm_sq,
     hessian_penalty,
-    ricci_quadratic,
 )
 from .harnack import (
     CAO_HAMILTON_H_PARAMS,
@@ -152,15 +151,11 @@ def entropy_W(state: FlowState) -> tuple[float, float]:
 
 
 def _dissipation(state: FlowState, w: ScalarField) -> float:
-    t = state.time
-    return _dissipation_value(
-        state.manifold,
-        t,
-        state.f.values,
-        hessian_penalty(w, DISSIPATION_LAMBDA, t).values,
-        ricci_quadratic(w).values,
-        grad_norm_sq(w).values,
-    )
+    t, m = state.time, state.manifold
+    hess = hessian_penalty(w, DISSIPATION_LAMBDA, t).values
+    grad_sq = grad_norm_sq(w).values
+    ricci = np.multiply(grad_sq, m.ricci_constant)
+    return _dissipation_value(m, t, state.f.values, hess, ricci, grad_sq)
 
 
 def dissipation_F(state: FlowState) -> float:
@@ -198,10 +193,11 @@ def _snapshot(
     )
     if hess is not None:
         hess_u, hess_v = hess
-        ricci_u = m.ricci_quadratic(u)
+        # Ric(grad w, grad w) = kappa |grad w|^2 on an Einstein backend
+        ricci_u = np.multiply(grad_sq_u, m.ricci_constant)
         values["dF_formula"] = _dissipation_value(m, t, f, hess_u, ricci_u, grad_sq_u)
         values["dW_formula"] = _dissipation_value(
-            m, t, f, hess_v, m.ricci_quadratic(v), grad_sq_v
+            m, t, f, hess_v, np.multiply(grad_sq_v, m.ricci_constant), grad_sq_v
         )
 
     h_vals = quantity_H_values(lap_u, grad_sq_u, t, n)

@@ -6,16 +6,17 @@ grid, and :class:`harnacklab.sphere.RoundSphere`, the round unit sphere S^2
 as an icosphere mesh, in its own module.  They are the canonical closed
 examples with Ric = 0 and Ric > 0, with closed-form geodesic distances.
 Both derive from :class:`ManifoldDescriptor`, which holds what every backend
-has (dimension, nodes, quadrature weights, positions, mesh scale) and
-declares the operators on flat value arrays: ``stencils``, the one call
-that gives a stack of fields' Laplacians, |grad f|^2, gradients and Hessian
-penalties, ``stiffness``, ``ricci_quadratic``, ``geodesic_distance`` and
-the Crank-Nicolson solver ``cn_solver``.  The per-field ``laplacian``,
-``grad_norm_sq``, ``grad_components`` and ``hessian_penalty`` are defined
-once, in the base class, over ``stencils``.  Only the torus supplies the
-gradient and the Hessian penalty; the sphere raises :class:`BackendError`
-for them.  The module-level functions of the same names apply the field
-operators to a :class:`ScalarField`.
+has (dimension, nodes, quadrature weights, positions, mesh scale, and the
+Einstein constant ``ricci_constant``: Ric = kappa g, so Ric(grad f, grad f)
+is kappa |grad f|^2) and declares the operators on flat value arrays:
+``stencils``, the one call that gives a stack of fields' Laplacians,
+|grad f|^2, gradients and Hessian penalties, ``stiffness``,
+``geodesic_distance`` and the Crank-Nicolson solver ``cn_solver``.  The
+per-field ``laplacian``, ``grad_norm_sq``, ``grad_components`` and
+``hessian_penalty`` are defined once, in the base class, over ``stencils``.
+Only the torus supplies the gradient and the Hessian penalty; the sphere
+raises :class:`BackendError` for them.  The module-level functions of the
+same names apply the field operators to a :class:`ScalarField`.
 
 The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
 Laplacian of cos is negative, and ``stiffness`` is the symmetric weighted
@@ -71,13 +72,15 @@ class ManifoldDescriptor:
     lengths on a torus, the total triangle area (which converges to 4*pi) on
     the sphere.  ``mesh_scale`` is the h that enters discretization
     tolerances: the largest grid spacing on a torus, the largest edge length
-    on a sphere.  ``has_hessian`` tells whether the backend's ``stencils``
-    supply the gradient and the Hessian penalty; ``linear_solver`` names the
-    method of its ``cn_solver``.
+    on a sphere.  ``ricci_constant`` is the kappa of Ric = kappa g.
+    ``has_hessian`` tells whether the backend's ``stencils`` supply the
+    gradient and the Hessian penalty; ``linear_solver`` names the method of
+    its ``cn_solver``.
     """
 
     has_hessian: ClassVar[bool] = False
     linear_solver: ClassVar[str]
+    ricci_constant: ClassVar[float]
 
     dimension: int
     node_count: int
@@ -114,9 +117,6 @@ class ManifoldDescriptor:
         return self.stencils((values,), hessian=(lam, t))[3][0]
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def geodesic_distance(self, x1: int, x2: int) -> float:
@@ -174,6 +174,7 @@ class FlatTorus(ManifoldDescriptor):
 
     has_hessian: ClassVar[bool] = True
     linear_solver: ClassVar[str] = "fft"
+    ricci_constant: ClassVar[float] = 0.0
 
     side_lengths: tuple[float, ...]
     resolution: tuple[int, ...]
@@ -293,9 +294,6 @@ class FlatTorus(ManifoldDescriptor):
         lap = self.laplacian(values)
         lap *= self.quadrature_weights
         return lap
-
-    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
-        return np.zeros(self.node_count)
 
     def cn_solver(self, a: float) -> Callable[[np.ndarray], np.ndarray]:
         """Crank-Nicolson solve by one real FFT pair.
@@ -438,8 +436,10 @@ def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
 
 
 def ricci_quadratic(field: ScalarField) -> ScalarField:
-    """Ric(grad f, grad f): zero on the flat torus, |grad f|^2 on the unit sphere."""
-    return ScalarField(field.manifold.ricci_quadratic(field.values), field.manifold)
+    """Ric(grad f, grad f) = kappa |grad f|^2, for the backend's Ric = kappa g:
+    zero on the flat torus, |grad f|^2 on the unit sphere."""
+    m = field.manifold
+    return ScalarField(np.multiply(m.grad_norm_sq(field.values), m.ricci_constant), m)
 
 
 def integrate(field: ScalarField) -> float:

@@ -32,7 +32,6 @@ from .geometry import (
     grad_norm_sq,
     hessian_penalty,
     laplacian,
-    ricci_quadratic,
 )
 from .heatflow import FlowState
 
@@ -238,7 +237,7 @@ def evolution_rhs(w: ScalarField, t: float, p: HarnackParams) -> ScalarField:
         grad_w,
         grad_sq,
         hessian_penalty(w, p.lam, t).values,
-        ricci_quadratic(w).values,
+        np.multiply(grad_sq, m.ricci_constant),  # Ric = kappa g
         q.values,
         laplacian(q).values,
         grad_components(q),

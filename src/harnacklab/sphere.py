@@ -39,6 +39,7 @@ class RoundSphere(ManifoldDescriptor):
     matrices assembled from them."""
 
     linear_solver: ClassVar[str] = "band_cholesky"
+    ricci_constant: ClassVar[float] = 1.0
 
     faces: np.ndarray          # (F, 3) vertex indices
     edge_i: np.ndarray         # (E,) endpoints with edge_i < edge_j
@@ -152,9 +153,6 @@ class RoundSphere(ManifoldDescriptor):
             return x
 
         return solve
-
-    def ricci_quadratic(self, values: np.ndarray) -> np.ndarray:
-        return self.grad_norm_sq(values)
 
     def geodesic_distance(self, x1: int, x2: int) -> float:
         """Great-circle distance arccos(p1 . p2)."""

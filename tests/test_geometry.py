@@ -6,7 +6,9 @@ from scipy import sparse
 
 import harnacklab as hl
 from harnacklab import sphere
-from harnacklab.geometry import BackendError, components_norm_sq, grad_components
+from harnacklab.geometry import (
+    BackendError, ManifoldDescriptor, components_norm_sq, grad_components,
+)
 
 
 def torus_field(m, func):
@@ -499,6 +501,15 @@ def test_hessian_penalty_sphere_unsupported():
 
 # ---------------------------------------------------------------------------
 # ricci form
+
+
+def test_ricci_constant_is_the_papers_hypothesis():
+    # every backend is Einstein, Ric = kappa g, with the paper's Ric >= 0
+    backends = ManifoldDescriptor.__subclasses__()
+    assert set(backends) == {hl.FlatTorus, sphere.RoundSphere}
+    assert all(backend.ricci_constant >= 0.0 for backend in backends)
+    assert hl.FlatTorus.ricci_constant == 0.0
+    assert sphere.RoundSphere.ricci_constant == 1.0
 
 
 def test_ricci_quadratic_zero_on_torus():

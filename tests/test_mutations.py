@@ -216,6 +216,9 @@ MUTATIONS = {
     ),
     # F and W, which share _entropy_pair, with 2nt halved in both forms
     "F_2nt_halved": lambda mp: _wrap(mp, entropy, "_entropy_pair", halve_entropy_2nt),
+    # the torus's Einstein constant kappa (Ric = kappa g) at 1 or -1, not 0
+    "ricci_one": lambda mp: mp.setattr(FlatTorus, "ricci_constant", 1.0),
+    "ricci_minus_one": lambda mp: mp.setattr(FlatTorus, "ricci_constant", -1.0),
     # the Hessian penalty |Hess w - lam/(2t) g|^2 taken at lam/2
     "hess_shift_halved": lambda mp: _wrap(mp, FlatTorus, "stencils", halve_hessian_shift),
     # the scan's survivor predicate without its quarter-square constraint c3
@@ -299,6 +302,12 @@ ROWS = [
     row("smoke", "hess_shift_halved", EXIT_GATE_FAILURE, {"xcheck_worst_gap", "worst_ratio_slack"}),
     row("sphere3", "F_2nt_halved", EXIT_PASS,
         found="ROADMAP item 2: the sphere has no dissipation cross-check, and F's sign bound is loose"),
+    # kappa = 1 on the torus adds 2 t^2 integral f |grad u|^2 to dF/dt:
+    # xcheck_worst_gap reads 1.778e-3, 172 times the exact 1.035e-5, against
+    # 0.0713.  At kappa = -1 the residual's ratio fails (slack 0.982)
+    row("smoke", "ricci_one", EXIT_PASS,
+        found="ROADMAP item 17: the dissipation cross-check passes a wrong Ricci constant"),
+    row("smoke", "ricci_minus_one", EXIT_GATE_FAILURE, {"worst_ratio_slack"}),
     # 17 survivors at step 0.25, max_ray_deviation 0.25; without c3, 1393
     # survivors reach 6.0
     row("scan", "exact", EXIT_PASS),
@@ -365,7 +374,7 @@ CLAIMS = {
     ("evolution identity", "torus"): Cell(
         ("worst_ratio_slack", "canonical_max_residual"),
         caught=CLOCK_ROWS + ("smoke-rhs_lam_term_dropped", "smoke-rhs_cross_halved",
-                             "smoke-hess_shift_halved")),
+                             "smoke-hess_shift_halved", "smoke-ricci_minus_one")),
     ("evolution identity", "sphere"): Cell(unchecked=NO_HESSIAN),
     ("F and W formulas", "torus"): Cell(F_AND_W + ("xcheck_worst_gap",), caught=("smoke-F_2nt_halved",)),
     ("F and W formulas", "sphere"): Cell(F_AND_W, found=("sphere3-F_2nt_halved",), item="2"),
@@ -376,7 +385,7 @@ CLAIMS = {
     ("dissipation identity", "torus"): Cell(
         ("dissipation_max", "xcheck_worst_gap", "dissipation_F_vs_W_gap"),
         caught=("smoke-dissipation_flipped", "smoke-hess_shift_halved"),
-        found=("smoke-dissipation_no_grad",), item="17"),
+        found=("smoke-dissipation_no_grad", "smoke-ricci_one"), item="17"),
     ("dissipation identity", "sphere"): Cell(unchecked=NO_HESSIAN),
     ("mass conservation", "torus"): Cell(("mass_drift_rel",), caught=("smoke-leak_1e-13",)),
     ("mass conservation", "sphere"): Cell(("mass_drift_rel",), caught=("sphere3-leak_1e-13",)),
