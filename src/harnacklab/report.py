@@ -13,10 +13,14 @@ Every CSV but the ``trajectory.csv`` export, which joins each state's
 row itself, is written column by column through one writer: a float column
 as repr, taken once per distinct bit pattern of each chunk of rows (so -0.0
 and 0.0 keep their own text), any other value as ``_fmt`` gives it
-(integers as integers, booleans as 1/0, None as an empty cell).  The scan
-writes its table in blocks, one per alpha; a float column that repeats the
-previous block bit for bit (beta, b, b_plus_beta) reuses that block's text,
-so it is formatted once per scan.
+(integers as integers, booleans as 1/0, None as an empty cell).  Rows are
+joined in chunks of a fixed number of cells: 8,192 for the scan, whose
+580,851 rows make its per-chunk cost count, and 2,048 for a run's
+``diagnostics.csv`` and ``pathwise.csv``, whose cells are all distinct
+floats, so that one chunk's text stays small.  The scan writes its table
+in blocks, one per alpha; a float column that repeats the previous block
+bit for bit (beta, b, b_plus_beta) reuses that block's text, so it is
+formatted once per scan.
 
 ``trajectory_meta.json``
     manifold hash and shape; the solver (``linear_solver`` is the backend's
@@ -110,8 +114,13 @@ def _fmt(x) -> str:
 
 
 # cells per write of the CSV column writer: 1024 rows of the scan's 8
-# columns, 630 of the 13 diagnostics columns
+# columns.  Its 580,851 rows pay a formatting cost per chunk, so smaller
+# chunks would slow it (ROADMAP, "Measured and rejected")
 _CSV_CHUNK_CELLS = 8192
+# cells per write of a run's tables, 157 rows of the 13 diagnostics columns:
+# every cell there is a distinct float, so one chunk's text sets the
+# writer's peak (at 8,192 cells it set torus2_full's peak RSS)
+_RUN_CSV_CHUNK_CELLS = 2048
 
 
 def _column_text(part, blank=None):
@@ -153,13 +162,13 @@ def _repeated_text(columns, blank, kept) -> dict:
     return text
 
 
-def _write_columns(fp, columns, blank=None, kept=None) -> None:
+def _write_columns(fp, columns, blank=None, kept=None, cells=_CSV_CHUNK_CELLS) -> None:
     """Write one CSV row per index of the equal-length ``columns`` (1-D
     arrays, sequences or None), joining as many rows at a time as fit in
-    _CSV_CHUNK_CELLS cells (at least one), so the text of a long or wide
-    table is never held at once.  ``blank`` maps the index of a float
-    column to a boolean array of its length: its True entries are written
-    as blank cells.
+    ``cells`` cells (at least one), so the text of a long or wide table is
+    never held at once.  ``blank`` maps the index of a float column to a
+    boolean array of its length: its True entries are written as blank
+    cells.
 
     A table written in blocks passes one ``kept`` dict with every block.  A
     float column without blanks that repeats the previous block's bits is
@@ -169,17 +178,17 @@ def _write_columns(fp, columns, blank=None, kept=None) -> None:
     blank = blank or {}
     whole = {} if kept is None else _repeated_text(columns, blank, kept)
     n = max(len(col) for col in columns if col is not None)
-    rows = max(1, _CSV_CHUNK_CELLS // len(columns))
+    rows = max(1, cells // len(columns))
     for lo in range(0, n, rows):
         hi = lo + rows
-        cells = [
+        chunk = [
             whole[k][lo:hi] if k in whole else _column_text(
                 None if col is None else col[lo:hi], blank[k][lo:hi] if k in blank else None
             )
             for k, col in enumerate(columns)
         ]
-        fp.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        del cells  # released before the next chunk is formatted
+        fp.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+        del chunk  # released before the next chunk is formatted
 
 
 # the report files and directory levels made since ``removed_on_error`` was
@@ -234,7 +243,11 @@ def write_diagnostics(path: Path, series: SnapshotSeries) -> None:
     # residual_maxnorm is blank at the two end rows
     residual = None if series.residual is None else [None, *series.residual.tolist(), None]
     with _open_csv(path, DIAGNOSTIC_COLUMNS) as fp:
-        _write_columns(fp, [getattr(series, name) for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual])
+        _write_columns(
+            fp,
+            [getattr(series, name) for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual],
+            cells=_RUN_CSV_CHUNK_CELLS,
+        )
 
 
 def write_pathwise(path: Path, reports: list[PairReport]) -> None:
@@ -243,7 +256,7 @@ def write_pathwise(path: Path, reports: list[PairReport]) -> None:
         for r in reports
     ]
     with _open_csv(path, PATHWISE_COLUMNS) as fp:
-        _write_columns(fp, list(zip(*rows)))
+        _write_columns(fp, list(zip(*rows)), cells=_RUN_CSV_CHUNK_CELLS)
 
 
 @contextlib.contextmanager

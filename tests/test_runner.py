@@ -27,14 +27,17 @@ from harnacklab.config import (
     parse_config,
     parse_config_text,
 )
+from harnacklab.entropy import SnapshotSeries
 from harnacklab.pathwise import PairValues, SpaceTimePair
 from harnacklab.report import (
     _CSV_CHUNK_CELLS,
+    _RUN_CSV_CHUNK_CELLS,
     DIAGNOSTIC_COLUMNS,
     _column_text,
     _fmt,
     _write_columns,
     manifold_hash,
+    write_diagnostics,
 )
 from harnacklab.runner import (
     EXIT_CONFIG_ERROR,
@@ -809,26 +812,28 @@ def test_paramscan_csv_matches_rowwise_reference(tmp_path):
 def test_write_columns_matches_csv_writer_on_edge_values(tmp_path):
     # the writer formats each distinct bit pattern of a chunk once, so -0.0
     # and 0.0 (equal as floats, different text) must keep their own text;
-    # rows repeat the values across the 1024-row chunk boundaries
-    n = 2600
-    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan, 1.0, 0.1])
-    flat = np.resize(edge, n)
-    nan_or_one = np.resize([np.nan, np.nan, 1.0, -0.0], n)
-    blank = np.resize([True, False, False, True], n)
-    flags = np.resize([True, False, False], n)
-    written = tmp_path / "written.csv"
-    with open(written, "w", newline="") as fp:
-        _write_columns(fp, [flat, nan_or_one, flags], blank={1: blank})
-    ref = tmp_path / "reference.csv"
-    with open(ref, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        for i in range(n):
-            writer.writerow(
-                [_fmt(flat[i]), "" if blank[i] else _fmt(nan_or_one[i]), _fmt(flags[i])]
-            )
-    text = written.read_bytes()
-    assert text == ref.read_bytes()
-    assert b"\n-0.0,," in text and b"\n0.0,nan," in text
+    # at each budget the table spans three chunks and a part of a fourth, so
+    # rows repeat the values across the chunk boundaries
+    for cells in (_CSV_CHUNK_CELLS, _RUN_CSV_CHUNK_CELLS):
+        n = 3 * (cells // 3) + 100  # a chunk holds cells // 3 rows of 3 columns
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan, 1.0, 0.1])
+        flat = np.resize(edge, n)
+        nan_or_one = np.resize([np.nan, np.nan, 1.0, -0.0], n)
+        blank = np.resize([True, False, False, True], n)
+        flags = np.resize([True, False, False], n)
+        written = tmp_path / f"written{cells}.csv"
+        with open(written, "w", newline="") as fp:
+            _write_columns(fp, [flat, nan_or_one, flags], blank={1: blank}, cells=cells)
+        ref = tmp_path / f"reference{cells}.csv"
+        with open(ref, "w", newline="") as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            for i in range(n):
+                writer.writerow(
+                    [_fmt(flat[i]), "" if blank[i] else _fmt(nan_or_one[i]), _fmt(flags[i])]
+                )
+        text = written.read_bytes()
+        assert text == ref.read_bytes()
+        assert b"\n-0.0,," in text and b"\n0.0,nan," in text
 
 
 @pytest.mark.parametrize("change", ["signed_zero", "nan_payload"])
@@ -888,6 +893,29 @@ def test_write_columns_peak_does_not_grow_with_columns():
     assert _writer_peak(columns) <= 1.2 * _writer_peak(columns[:13])
 
 
+# write_diagnostics on a series shaped like torus2_full's (1,901 snapshots,
+# all 13 columns filled) writes 193 KiB of floats.  With 8,192-cell chunks
+# (630 rows) it peaked at 934-938 KiB (4.8x those floats), mostly the text
+# of one chunk of distinct floats, and set the workload's peak RSS; with
+# 2,048-cell chunks (157 rows) it peaks at 286-295 KiB (1.5x).  The bound,
+# 3x, sits between.
+DIAGNOSTICS_PEAK_FLOATS = 3.0
+
+
+def test_write_diagnostics_peak_is_a_small_multiple_of_its_floats(tmp_path):
+    rows = 1901
+    rng = np.random.default_rng(5)
+    floats = {name: rng.random(rows) for name in SnapshotSeries.__dataclass_fields__}
+    series = SnapshotSeries(
+        **{**floats, "argmax_H": rng.integers(0, 64 * 64, rows), "residual": rng.random(rows - 2)}
+    )
+    path = tmp_path / "diagnostics.csv"
+    peak = _traced_peak(lambda: write_diagnostics(path, series))
+    assert path.read_text().count("\n") == rows + 1
+    written = 8 * rows * len(DIAGNOSTIC_COLUMNS)
+    assert peak <= DIAGNOSTICS_PEAK_FLOATS * written, peak / written
+
+
 def _random_columns(count, rows):
     rng = np.random.default_rng(3)
     return [rng.random(rows) for _ in range(count)]
@@ -896,15 +924,21 @@ def _random_columns(count, rows):
 def _writer_peak(columns):
     """The tracemalloc peak of writing ``columns`` to the null device."""
     import os
-    import tracemalloc
 
     with open(os.devnull, "w") as fp:
-        tracemalloc.start()
-        try:
-            _write_columns(fp, columns)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _traced_peak(lambda: _write_columns(fp, columns))
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of ``call()``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SPHERE_CONFIG = CONSTANT_CONFIG.replace(
@@ -1057,11 +1091,11 @@ def test_fine_flow_is_stepped_once(tmp_path, monkeypatch, text, steps):
 
 def test_run_holds_no_trajectory(tmp_path):
     # a stored trajectory holds (n_steps + 1) * node_count * 8 bytes; the run
-    # must peak below a quarter of that.  1600 steps, not fewer: the column
-    # writer holds up to 630 rows of diagnostics text at once (8192 cells of
-    # 13 columns), about 1.4 kB a row against the 2 kB a snapshot the bound
-    # allows here, so with not many more rows than that the text alone comes
-    # close to the bound
+    # must peak below a quarter of that.  The column writer holds up to 157
+    # rows of diagnostics text at once (2,048 cells of 13 columns), about
+    # 1.4 kB a row against the 2 kB a snapshot the bound allows here, so the
+    # run needs many more snapshots than that; 1600 steps are ten times as
+    # many
     import tracemalloc
     from dataclasses import replace
 
