@@ -75,7 +75,9 @@ class SnapshotSeries:
     the two ends (gates read ``[1:-1]``).  ``dF_formula``/``dW_formula`` are
     the closed-form dissipation integrals, None on a backend without a
     Hessian.  ``residual`` holds the canonical H tuple's evolution residual
-    at the ``len - 2`` interior snapshots when requested, else None.
+    when requested, else None; ``residual[k]`` belongs to snapshot k, and its
+    two end entries are NaN, as no centered difference exists there (gates
+    read ``[1:-1]``).  Every array has one entry per snapshot.
     """
 
     time: np.ndarray
@@ -240,7 +242,8 @@ def entropy_series(
     The dissipation integrals are computed exactly when the backend has a
     Hessian (the torus).  ``with_residual`` adds the canonical H tuple's
     evolution residual (torus only): Q and its right side, taken at every
-    snapshot, roll through a window of three, in O(nodes) extra memory.
+    snapshot, roll through a window of three, in O(nodes) extra memory, and
+    each interior snapshot's residual is written once its successor is taken.
     ``on_state(i, state)`` sees each state, in order, before its diagnostics.
     """
     if len(traj) < 3:
@@ -253,7 +256,8 @@ def entropy_series(
     count = len(traj)
     series: dict[str, np.ndarray] = {}  # field -> one value per snapshot
     if with_residual:
-        series["residual"] = np.empty(count - 2)
+        # NaN until written, so a snapshot the pass skips fails its gate
+        series["residual"] = np.full(count, np.nan)
     window: deque = deque(maxlen=3)  # (Q, rhs) of the last three snapshots
     for i, state in enumerate(traj):
         if on_state is not None:
@@ -268,7 +272,7 @@ def entropy_series(
             window.append((q, rhs))
             if i >= 2:
                 (q_prev, _), (_, rhs_mid), (q_next, _) = window
-                series["residual"][i - 2] = evolution_residual_values(
+                series["residual"][i - 1] = evolution_residual_values(
                     q_prev, q_next, rhs_mid, dt
                 )
 

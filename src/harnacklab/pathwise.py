@@ -78,22 +78,15 @@ class PairValues:
 
 
 def check_integrated_harnack(
-    traj: Trajectory,
-    pairs: list[SpaceTimePair],
-    tol: float,
-    values: PairValues | None = None,
+    traj: Trajectory, pairs: list[SpaceTimePair], tol: float, values: PairValues
 ) -> list[PairReport]:
     """Evaluate the bound in log form for each pair.
 
     Pair times must be snapshot times of ``traj``, whose clock the bound
-    reads as forward time t.  A pair passes only with a finite slack.  ``values`` holds f at the pairs'
-    points, taken during a pass over ``traj``; without it, they are taken in
-    a pass of this call's own.
+    reads as forward time t.  A pair passes only with a finite slack.
+    ``values`` holds f at the pairs' points, taken during the caller's pass
+    over ``traj``; this call steps no flow.
     """
-    if values is None:
-        values = PairValues(traj, pairs)
-        for index, state in enumerate(traj):
-            values.take(index, state)
     n = traj.manifold.dimension
     reports = []
     for pair, (f1, f2) in zip(pairs, values.f):

@@ -10,10 +10,11 @@ Output files (all byte-deterministic for a fixed config + seed: no
 timestamps, shortest round-trip float formatting, LF line endings)
 ------------------------------------------------------------------
 Every CSV but the ``trajectory.csv`` export, which joins each state's
-row itself, is written column by column through one writer: a float column
-as repr, taken once per distinct bit pattern of each chunk of rows (so -0.0
-and 0.0 keep their own text), any other value as ``_fmt`` gives it
-(integers as integers, booleans as 1/0, None as an empty cell).  Rows are
+row itself, is written column by column through one writer, and every
+column is a typed array or None: a float column as repr, taken once per
+distinct bit pattern of each chunk of rows (so -0.0 and 0.0 keep their own
+text), an integer column as integers, a boolean column as 1/0 and a None
+column as empty cells; a float column may mark rows blank.  Rows are
 joined in chunks of a fixed number of cells: 8,192 for the scan, whose
 580,851 rows make its per-chunk cost count, and 2,048 for a run's
 ``diagnostics.csv`` and ``pathwise.csv``, whose cells are all distinct
@@ -38,8 +39,9 @@ formatted once per scan.
 
     dF_fd/dW_fd are centered in the interior and one-sided at the two end
     rows (ends are excluded from gates); dF_formula/dW_formula are empty on
-    the sphere; residual_maxnorm (the canonical H tuple) is filled
-    at interior rows when evolution_residual is requested, else empty.
+    the sphere; residual_maxnorm (the canonical H tuple) is filled at
+    interior rows when evolution_residual is requested, and empty at the two
+    end rows and without it.
     It reads as the second-order discretization residual only while the
     datum has structure.  Once the flow has flattened it, the column is
     solver roundoff: past t = 0.3 or so on the benchmark's torus2_full
@@ -103,16 +105,6 @@ def output_dir(config: RunConfig) -> Path:
     return out_dir
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 # cells per write of the CSV column writer: 1024 rows of the scan's 8
 # columns.  Its 580,851 rows pay a formatting cost per chunk, so smaller
 # chunks would slow it (ROADMAP, "Measured and rejected")
@@ -124,22 +116,26 @@ _RUN_CSV_CHUNK_CELLS = 2048
 
 
 def _column_text(part, blank=None):
-    """The ``_fmt`` text of each value of one column, or of a chunk of its
-    rows, formatted in one pass for arrays: for a float part, repr of each
-    distinct bit pattern once (-0.0 and 0.0 differ), gathered to every
-    entry holding it, and blank where the boolean part ``blank`` is True;
-    1/0 for booleans.  A None column and a None value are blank."""
+    """The text of each value of one column, or of a chunk of its rows,
+    formatted in one pass: for a float array, repr of each distinct bit
+    pattern once (-0.0 and 0.0 differ), gathered to every entry holding it,
+    and blank where the boolean array ``blank`` is True; for an integer
+    array, each integer; for a boolean array, 1/0.  A None column is blank;
+    anything else is a TypeError."""
     if part is None:
         return itertools.repeat("")
-    if isinstance(part, np.ndarray) and part.dtype == float:
+    dtype = part.dtype if isinstance(part, np.ndarray) else None
+    if dtype == float:
         bits, index = np.unique(part.view(np.int64), return_inverse=True)
         text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[index]
         if blank is not None:
             text[blank] = ""
         return text.tolist()
-    if isinstance(part, np.ndarray) and part.dtype == bool:
+    if dtype == bool:
         return np.where(part, "1", "0").tolist()
-    return map(_fmt, part.tolist() if isinstance(part, np.ndarray) else part)
+    if dtype is not None and dtype.kind in "iu":
+        return map(str, part.tolist())
+    raise TypeError(f"a CSV column is a float, integer or bool array or None, not {part!r:.80}")
 
 
 def _repeated_text(columns, blank, kept) -> dict:
@@ -150,7 +146,7 @@ def _repeated_text(columns, blank, kept) -> dict:
     has repeated, its text."""
     text = {}
     for k, col in enumerate(columns):
-        if k in blank or not (isinstance(col, np.ndarray) and col.dtype == float):
+        if k in blank or col is None or col.dtype != float:
             continue
         bits = col.view(np.int64)
         last_bits, last_text = kept.get(k, (None, None))
@@ -164,7 +160,8 @@ def _repeated_text(columns, blank, kept) -> dict:
 
 def _write_columns(fp, columns, blank=None, kept=None, cells=_CSV_CHUNK_CELLS) -> None:
     """Write one CSV row per index of the equal-length ``columns`` (1-D
-    arrays, sequences or None), joining as many rows at a time as fit in
+    float, integer or bool arrays, or None, formatted by
+    :func:`_column_text`), joining as many rows at a time as fit in
     ``cells`` cells (at least one), so the text of a long or wide table is
     never held at once.  ``blank`` maps the index of a float column to a
     boolean array of its length: its True entries are written as blank
@@ -240,13 +237,15 @@ def _open_csv(path: Path, header):
 
 
 def write_diagnostics(path: Path, series: SnapshotSeries) -> None:
-    # residual_maxnorm is blank at the two end rows
-    residual = None if series.residual is None else [None, *series.residual.tolist(), None]
+    # each column is the series field of its name; residual_maxnorm is the
+    # residual, blank at the two end rows, which have no centered difference
+    fields = (*DIAGNOSTIC_COLUMNS[:-1], "residual")
+    ends = np.zeros(len(series.time), dtype=bool)
+    ends[[0, -1]] = True
     with _open_csv(path, DIAGNOSTIC_COLUMNS) as fp:
         _write_columns(
-            fp,
-            [getattr(series, name) for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual],
-            cells=_RUN_CSV_CHUNK_CELLS,
+            fp, [getattr(series, name) for name in fields],
+            blank={len(fields) - 1: ends}, cells=_RUN_CSV_CHUNK_CELLS,
         )
 
 
@@ -255,8 +254,10 @@ def write_pathwise(path: Path, reports: list[PairReport]) -> None:
         (r.pair.x1, r.pair.x2, r.pair.t1, r.pair.t2, r.gamma, r.lhs, r.rhs, r.slack, r.passed)
         for r in reports
     ]
+    dtypes = (int, int, float, float, float, float, float, float, bool)
     with _open_csv(path, PATHWISE_COLUMNS) as fp:
-        _write_columns(fp, list(zip(*rows)), cells=_RUN_CSV_CHUNK_CELLS)
+        columns = [np.array(col, dtype=dtype) for col, dtype in zip(zip(*rows), dtypes)]
+        _write_columns(fp, columns, cells=_RUN_CSV_CHUNK_CELLS)
 
 
 @contextlib.contextmanager
@@ -351,7 +352,7 @@ def trajectory_csv(path: Path, config: RunConfig):
     try:
         with open(part, "w", newline="") as fp:
             fp.write(f"# manifold_hash={manifold_hash(config.manifold)}\n")
-            fp.write(f"# dt={_fmt(config.flow.dt)}\n")
+            fp.write(f"# dt={config.flow.dt!r}\n")
             fp.write(f"# direction={config.flow.direction}\n")
 
             def write_state(state: FlowState) -> None:

@@ -23,6 +23,7 @@ from harnacklab.initialdata import wrapped_distance_sq
 from harnacklab.paramspace import NamedMatch, ScanSpec, case_one_uniqueness_scan, classify
 from harnacklab.pathwise import SpaceTimePair
 from harnacklab.runner import _draw_residual_params, run_config
+from test_pathwise import check_pairs
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -169,9 +170,9 @@ def test_criterion_6_integrated_harnack(torus_run, sphere_run):
     # constant-data slacks against the closed form
     m = hl.build_torus(2, [1.0, 1.0], [16, 16])
     traj = hl.solve(m, hl.constant_field(m, 2.0), 0.5, 2.0, 0.05)
-    rep = hl.check_integrated_harnack(traj, [SpaceTimePair(9, 9, 1.0, 2.0)], tol=0.0)[0]
+    rep = check_pairs(traj, [SpaceTimePair(9, 9, 1.0, 2.0)], tol=0.0)[0]
     assert rep.slack == pytest.approx(-2.0 * np.log(2.0), abs=1e-12)
-    rep2 = hl.check_integrated_harnack(traj, [SpaceTimePair(0, 8 * 16, 0.5, 2.0)], tol=0.0)[0]
+    rep2 = check_pairs(traj, [SpaceTimePair(0, 8 * 16, 0.5, 2.0)], tol=0.0)[0]
     expected = -(2.0 * np.log(4.0) + (0.5**2 / 1.5) / 2.0)
     assert rep2.slack == pytest.approx(expected, abs=1e-12)
     print(

@@ -148,7 +148,7 @@ def drop_time_factor(check):
     """``check_integrated_harnack`` with n ln(t2/t1) taken off each rhs, and
     each slack and verdict taken again against the same tol."""
 
-    def checked(traj, pairs, tol, values=None):
+    def checked(traj, pairs, tol, values):
         n = traj.manifold.dimension
         reports = []
         for r in check(traj, pairs, tol=tol, values=values):

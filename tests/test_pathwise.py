@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 
 import harnacklab as hl
-from harnacklab.pathwise import SpaceTimePair
+from harnacklab.pathwise import PairValues, SpaceTimePair
+
+
+def pair_values(traj, pairs):
+    """f at the points of ``pairs``, taken in one pass over ``traj``."""
+    values = PairValues(traj, pairs)
+    for k, state in enumerate(traj):
+        values.take(k, state)
+    return values
+
+
+def check_pairs(traj, pairs, tol):
+    """``check_integrated_harnack`` on values taken in one pass over ``traj``."""
+    return hl.check_integrated_harnack(traj, pairs, tol=tol, values=pair_values(traj, pairs))
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +68,7 @@ def test_constant_data_closed_form_slack(torus2):
         SpaceTimePair(5, 5, 1.0, 2.0),
         SpaceTimePair(0, 32 * 64, 1.0, 2.0),
     ]
-    reports = hl.check_integrated_harnack(traj, pairs, tol=0.0)
+    reports = check_pairs(traj, pairs, tol=0.0)
     assert reports[0].passed
     assert reports[0].slack == pytest.approx(-2 * np.log(2.0), abs=1e-12)
     expected = -(2 * np.log(2.0) + 0.25 / 2.0)
@@ -65,7 +78,7 @@ def test_constant_data_closed_form_slack(torus2):
 def test_constant_data_slack_monotone_in_t2(torus2):
     traj = constant_trajectory(torus2)
     slacks = [
-        hl.check_integrated_harnack(traj, [SpaceTimePair(0, 900, 1.0, t2)], tol=0.0)[0].slack
+        check_pairs(traj, [SpaceTimePair(0, 900, 1.0, t2)], tol=0.0)[0].slack
         for t2 in (1.5, 2.0, 2.5)
     ]
     assert slacks[0] > slacks[1] > slacks[2]
@@ -75,7 +88,7 @@ def test_overflowing_gamma_fails_its_pair():
     # on a side of 1e154, d^2 / (t2 - t1) overflows: rhs = inf, slack = -inf
     m = hl.build_torus(1, [1.0e154], [64])
     traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
-    (report,) = hl.check_integrated_harnack(traj, [SpaceTimePair(0, 32, 0.1, 0.2)], tol=1.0)
+    (report,) = check_pairs(traj, [SpaceTimePair(0, 32, 0.1, 0.2)], tol=1.0)
     assert report.gamma == np.inf and report.slack == -np.inf
     assert not report.passed
 
@@ -88,14 +101,14 @@ def test_bound_holds_on_smooth_trajectory():
     traj = hl.solve(m, f0, 0.05, 0.55, 1e-3)
     pairs = hl.sample_pairs(traj, 200, seed=99)
     tol = 260.0 * (m.mesh_scale**2 + traj.step_size)
-    reports = hl.check_integrated_harnack(traj, pairs, tol=tol)
+    reports = check_pairs(traj, pairs, tol=tol)
     assert all(r.passed for r in reports)
 
 
 def test_rejects_off_grid_times(torus2):
     traj = constant_trajectory(torus2)
     with pytest.raises(ValueError):
-        hl.check_integrated_harnack(traj, [SpaceTimePair(0, 1, 1.013, 2.0)], tol=0.0)
+        check_pairs(traj, [SpaceTimePair(0, 1, 1.013, 2.0)], tol=0.0)
 
 
 def test_sample_pairs_deterministic_and_valid(torus2):

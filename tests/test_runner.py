@@ -28,13 +28,12 @@ from harnacklab.config import (
     parse_config_text,
 )
 from harnacklab.entropy import SnapshotSeries
-from harnacklab.pathwise import PairValues, SpaceTimePair
+from harnacklab.pathwise import SpaceTimePair
 from harnacklab.report import (
     _CSV_CHUNK_CELLS,
     _RUN_CSV_CHUNK_CELLS,
     DIAGNOSTIC_COLUMNS,
     _column_text,
-    _fmt,
     _write_columns,
     manifold_hash,
     write_diagnostics,
@@ -49,6 +48,7 @@ from harnacklab.runner import (
 )
 from harnacklab.suites import discretization_tolerance
 from test_cli import no_step
+from test_pathwise import check_pairs, pair_values
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -64,6 +64,19 @@ tolerances:
   rng_seed: 7
 output: {directory: PLACEHOLDER}
 """
+
+
+def _fmt(x) -> str:
+    """The CSV text of one value, the oracle of the byte tests below, kept
+    apart from the writer's code: None is an empty cell, a boolean 1/0, an
+    integer itself and any other number the repr of its float."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
 
 
 def random_smooth(old, new):
@@ -477,9 +490,7 @@ def suite_with(smoke_snapshots, case, bad=None):
     config, traj, series, tol_disc, mass, drift = smoke_snapshots
     if case == "pairs":
         pairs = hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed)
-        values = PairValues(traj, pairs)
-        for k, state in enumerate(traj):
-            values.take(k, state)
+        values = pair_values(traj, pairs)
         if bad is not None:
             values.f[5, 0] = bad
         reports = hl.check_integrated_harnack(traj, pairs, tol=tol_disc, values=values)
@@ -539,8 +550,7 @@ def test_pathwise_suite_fails_an_overflowing_gamma(tmp_path):
     # which proves nothing, so the suite fails with worst_slack +inf
     m = hl.build_torus(1, [1.0e154], [64])
     traj = hl.solve(m, hl.constant_field(m, 1.0), 0.1, 0.2, 0.01)
-    pairs = [SpaceTimePair(0, 32, 0.1, 0.2)]
-    reports = hl.check_integrated_harnack(traj, pairs, tol=1.0)
+    reports = check_pairs(traj, [SpaceTimePair(0, 32, 0.1, 0.2)], tol=1.0)
     report = suites.pathwise(constant_config(tmp_path), reports, 1.0)
     assert report["pass"] is False
     assert report["worst_slack"] == np.inf
@@ -897,8 +907,9 @@ def test_write_columns_peak_does_not_grow_with_columns():
 # all 13 columns filled) writes 193 KiB of floats.  With 8,192-cell chunks
 # (630 rows) it peaked at 934-938 KiB (4.8x those floats), mostly the text
 # of one chunk of distinct floats, and set the workload's peak RSS; with
-# 2,048-cell chunks (157 rows) it peaks at 286-295 KiB (1.5x).  The bound,
-# 3x, sits between.
+# 2,048-cell chunks (157 rows) it peaked at 286-295 KiB (1.5x) while the
+# residual went through a Python list, and at 239-246 KiB (1.2x) with every
+# column a typed array.  The bound, 3x, sits between.
 DIAGNOSTICS_PEAK_FLOATS = 3.0
 
 
@@ -906,14 +917,38 @@ def test_write_diagnostics_peak_is_a_small_multiple_of_its_floats(tmp_path):
     rows = 1901
     rng = np.random.default_rng(5)
     floats = {name: rng.random(rows) for name in SnapshotSeries.__dataclass_fields__}
-    series = SnapshotSeries(
-        **{**floats, "argmax_H": rng.integers(0, 64 * 64, rows), "residual": rng.random(rows - 2)}
-    )
+    floats["residual"][[0, -1]] = np.nan  # no residual at the two ends
+    series = SnapshotSeries(**{**floats, "argmax_H": rng.integers(0, 64 * 64, rows)})
     path = tmp_path / "diagnostics.csv"
     peak = _traced_peak(lambda: write_diagnostics(path, series))
     assert path.read_text().count("\n") == rows + 1
     written = 8 * rows * len(DIAGNOSTIC_COLUMNS)
     assert peak <= DIAGNOSTICS_PEAK_FLOATS * written, peak / written
+
+
+def test_three_state_residual_is_written_at_its_one_interior_snapshot(tmp_path):
+    # the residual has one entry per snapshot, NaN until the pass writes it:
+    # three states have one interior snapshot, and diagnostics.csv leaves the
+    # residual blank in its first and last rows
+    m = hl.build_torus(1, [1.0], [32])
+    data = hl.RandomSmoothData(seed=2, mode_cutoff=2, amplitude=0.4, floor=1.0)
+    traj = hl.solve(m, hl.build_initial_field(data, m), 0.1, 0.12, 0.01)
+    series = hl.entropy_series(traj, with_residual=True)
+    assert len(traj) == len(series.residual) == 3
+    assert np.isfinite(series.residual).tolist() == [False, True, False]
+    path = tmp_path / "diagnostics.csv"
+    write_diagnostics(path, series)
+    cells = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+    assert cells == ["", repr(float(series.residual[1])), ""]
+
+
+@pytest.mark.parametrize(
+    "part", [[0.5, 1.5], np.array([0.5, "1.5"], dtype=object)], ids=["list", "object_array"]
+)
+def test_column_text_rejects_a_column_that_is_not_a_typed_array(part):
+    # the writer formats float, integer and bool arrays only
+    with pytest.raises(TypeError):
+        _column_text(part)
 
 
 def _random_columns(count, rows):
@@ -1020,7 +1055,7 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
     traj = hl.solve(m, f0, config.flow.t0, config.flow.t_end, config.flow.dt)
     series = hl.entropy_series(traj, with_residual="evolution_residual" in config.suites)
     tol_disc = discretization_tolerance(m, config.tolerances.tol_disc_constant, config.flow.dt)
-    pairs = hl.check_integrated_harnack(
+    pairs = check_pairs(
         traj,
         hl.sample_pairs(traj, config.tolerances.pair_count, config.tolerances.rng_seed),
         tol=tol_disc,
@@ -1037,7 +1072,7 @@ def test_diagnostics_and_pathwise_csv_match_rowwise_reference(tmp_path, text):
 
     residual = [None] * len(traj)
     if series.residual is not None:
-        residual[1:-1] = series.residual
+        residual[1:-1] = series.residual[1:-1]
     diag_rows = [
         [None if getattr(series, name) is None else getattr(series, name)[i]
          for name in DIAGNOSTIC_COLUMNS[:-1]] + [residual[i]]
