@@ -11,12 +11,12 @@ Einstein constant ``ricci_constant``: Ric = kappa g, so Ric(grad f, grad f)
 is kappa |grad f|^2) and declares the operators on flat value arrays:
 ``stencils``, the one call that gives a stack of fields' Laplacians,
 |grad f|^2, gradients and Hessian penalties, ``stiffness``,
-``geodesic_distance`` and the Crank-Nicolson solver ``cn_solver``.  The
-per-field ``laplacian``, ``grad_norm_sq``, ``grad_components`` and
-``hessian_penalty`` are defined once, in the base class, over ``stencils``.
-Only the torus supplies the gradient and the Hessian penalty; the sphere
-raises :class:`BackendError` for them.  The module-level functions of the
-same names apply the field operators to a :class:`ScalarField`.
+``geodesic_distance`` and the Crank-Nicolson solver ``cn_solver``: those
+four are a backend's whole interface.  Only the torus supplies the gradient
+and the Hessian penalty; the sphere raises :class:`BackendError` for them.
+The module-level ``laplacian``, ``grad_norm_sq``, ``grad_components`` and
+``hessian_penalty`` are the one per-field layer: each applies one operator
+to a :class:`ScalarField` by taking its one row from ``stencils``.
 
 The Laplacian is the analyst's (negative-spectrum) g^{ij} d_i d_j, so the
 Laplacian of cos is negative, and ``stiffness`` is the symmetric weighted
@@ -75,7 +75,8 @@ class ManifoldDescriptor:
     on a sphere.  ``ricci_constant`` is the kappa of Ric = kappa g.
     ``has_hessian`` tells whether the backend's ``stencils`` supply the
     gradient and the Hessian penalty; ``linear_solver`` names the method of
-    its ``cn_solver``.
+    its ``cn_solver``.  Each backend defines all four operators declared
+    here itself; the field functions read one field's row from ``stencils``.
     """
 
     has_hessian: ClassVar[bool] = False
@@ -103,18 +104,6 @@ class ManifoldDescriptor:
         t)``, |Hessian - lam/(2t) identity|^2.  A backend without
         ``has_hessian`` raises BackendError for ``gradient`` or ``hessian``."""
         raise NotImplementedError
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.stencils((values,), laplacian=True)[0][0]
-
-    def grad_norm_sq(self, values: np.ndarray) -> np.ndarray:
-        return self.stencils((values,), grad_norm_sq=True)[1][0]
-
-    def grad_components(self, values: np.ndarray) -> list[np.ndarray]:
-        return [comp[0] for comp in self.stencils((values,), gradient=True)[2]]
-
-    def hessian_penalty(self, values: np.ndarray, lam: float, t: float) -> np.ndarray:
-        return self.stencils((values,), hessian=(lam, t))[3][0]
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -291,7 +280,7 @@ class FlatTorus(ManifoldDescriptor):
         return index({}), plus, minus, diagonal
 
     def stiffness(self, values: np.ndarray) -> np.ndarray:
-        lap = self.laplacian(values)
+        lap = self.stencils((values,), laplacian=True)[0][0]
         lap *= self.quadrature_weights
         return lap
 
@@ -414,16 +403,18 @@ def build_sphere(subdivision: int) -> ManifoldDescriptor:
 
 
 def laplacian(field: ScalarField) -> ScalarField:
-    return ScalarField(field.manifold.laplacian(field.values), field.manifold)
+    m = field.manifold
+    return ScalarField(m.stencils((field.values,), laplacian=True)[0][0], m)
 
 
 def grad_components(field: ScalarField) -> list[np.ndarray]:
     """Central-difference gradient components, one flat array per axis (torus only)."""
-    return field.manifold.grad_components(field.values)
+    return [comp[0] for comp in field.manifold.stencils((field.values,), gradient=True)[2]]
 
 
 def grad_norm_sq(field: ScalarField) -> ScalarField:
-    return ScalarField(field.manifold.grad_norm_sq(field.values), field.manifold)
+    m = field.manifold
+    return ScalarField(m.stencils((field.values,), grad_norm_sq=True)[1][0], m)
 
 
 def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
@@ -432,14 +423,16 @@ def hessian_penalty(field: ScalarField, lam: float, t: float) -> ScalarField:
     Torus only: a convergent covariant Hessian on unstructured meshes is out
     of proportion to its single cross-check role here.
     """
-    return ScalarField(field.manifold.hessian_penalty(field.values, lam, t), field.manifold)
+    m = field.manifold
+    return ScalarField(m.stencils((field.values,), hessian=(lam, t))[3][0], m)
 
 
 def ricci_quadratic(field: ScalarField) -> ScalarField:
     """Ric(grad f, grad f) = kappa |grad f|^2, for the backend's Ric = kappa g:
     zero on the flat torus, |grad f|^2 on the unit sphere."""
-    m = field.manifold
-    return ScalarField(np.multiply(m.grad_norm_sq(field.values), m.ricci_constant), m)
+    ric = grad_norm_sq(field)
+    ric.values *= field.manifold.ricci_constant
+    return ric
 
 
 def integrate(field: ScalarField) -> float:

@@ -257,8 +257,9 @@ def test_sphere_operators_and_solver_equal_the_old_expressions(sphere2):
             assert_same_bits(got_grad_sq[0], grad_sq)
             assert_same_bits(stacked[0][k], lap)
             assert_same_bits(stacked[1][k], grad_sq)
-            assert_same_bits(m.laplacian(f), lap)
-            assert_same_bits(m.grad_norm_sq(f), grad_sq)
+            field = hl.ScalarField(f, m)
+            assert_same_bits(hl.laplacian(field).values, lap)
+            assert_same_bits(hl.grad_norm_sq(field).values, grad_sq)
 
             c = f[0]
             d = f - c
